@@ -1,9 +1,9 @@
-// Tracked micro-benchmark for the hot-path kernels behind every sweep: the
-// per-trial model builders (blocks, MCC, safety levels, obstacle masks), the
-// batched reachability oracle against the per-destination DP it replaces,
-// and the end-to-end workspace make_trial. Reports the median of --reps
-// repetitions per kernel and, with --json=, emits the schema consumed by
-// tools/bench_compare:
+// Tracked micro-benchmark for the hot-path kernels behind every sweep and
+// snapshot: the model builders (blocks, MCC, safety levels, obstacle masks,
+// boundary deposits), the batched reachability oracle against the
+// per-destination DP it replaces, and the end-to-end workspace make_trial.
+// Reports the median of --reps repetitions per kernel and, with --json=,
+// emits the schema consumed by tools/bench_compare:
 //
 //   {"bench":"core","n":...,"faults":...,"reps":...,
 //    "meta":{"git_rev":...,"build_type":...,"compiler":...,"threads":...,
@@ -47,6 +47,7 @@
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/mcc_model.hpp"
+#include "info/boundary.hpp"
 #include "info/safety_level.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -195,6 +196,8 @@ int main(int argc, char** argv) {
                                                 mcc_out, mcc_scratch); });
   bench("obstacle_mask", 256, [&] { info::obstacle_mask(mesh, blocks, mask_out); });
   bench("safety_build", 64, [&] { info::compute_safety_levels(mesh, fb_mask, safety_out); });
+  bench("boundary_build", 64,
+        [&] { sink = info::BoundaryInfoMap(mesh, blocks).deposited_entries() != 0; });
   bench("reach_oracle", 256, [&] { cond::monotone_reachability(mesh, fault_mask, source,
                                                                reach); });
   bench("scalar_block_build", 32,

@@ -20,8 +20,9 @@
 //
 // --flight=F makes the writer queue F epochs per round and publish them
 // through SnapshotBuilder's batched SoA flush (F=1 keeps plain
-// inject_publish); per-epoch build latency lands in serve.rebuild_us and the
-// top-level rebuild_median_us / rebuild_p99_us JSON columns.
+// inject_publish); per-epoch rebuild latency (build plus store swap) lands in
+// serve.rebuild_us and the top-level rebuild_median_us / rebuild_p99_us JSON
+// columns.
 //
 // --json emits the bench_compare kernel schema:
 //   {"bench":"serve","n":...,"meta":{...},"kernels":[{"name":"decide_query",
@@ -451,9 +452,9 @@ int main(int argc, char** argv) {
                          ? static_cast<double>(2 * totals.queries) / (wall_ms / 1000.0)
                          : 0.0;
   const obs::MetricsSnapshot metrics = obs::Registry::global().snapshot();
-  // Per-epoch snapshot build latency (SnapshotBuilder's serve.rebuild_us):
-  // the epoch-pipeline headline. flight=1 times the plain delta-fed publish;
-  // flight>=2 times the batched SoA flush's per-epoch share.
+  // Per-epoch rebuild latency, build plus store swap (SnapshotBuilder's
+  // serve.rebuild_us): the epoch-pipeline headline. flight=1 times the plain
+  // delta-fed publish; flight>=2 times the batched SoA flush's per-epoch share.
   const auto rebuild_it = metrics.histograms.find("serve.rebuild_us");
   const double rebuild_median_us =
       !opt.zero_timings && rebuild_it != metrics.histograms.end()

@@ -14,13 +14,23 @@
 //
 // Routing then needs *only* the block information stored at the node a packet
 // currently occupies (see route/router.hpp).
+//
+// Layout: one flat CSR table. Node i (row-major, as Grid::index) owns
+// ids_[offsets_[i] .. offsets_[i+1]); `offsets_` has area+1 entries and `ids_`
+// holds every deposit back to back. The constructor walks the rings and
+// trails twice — once to count each node's unique deposits, once to fill
+// them — so the map is two allocations, however many nodes it covers.
+//
+// Order contract: each node's list is unique and in ascending block id
+// order (blocks are walked in id order and a block's deposits are
+// contiguous). Believed-block sets, routes and serve replies depend on it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "fault/block_model.hpp"
 #include "mesh/mesh2d.hpp"
 
@@ -32,29 +42,29 @@ class BoundaryInfoMap {
   /// Build the full (all-quadrant) distribution for `blocks`.
   BoundaryInfoMap(const Mesh2D& mesh, const fault::BlockSet& blocks);
 
-  /// Ids of blocks whose information is stored at `c` (unordered, unique).
-  [[nodiscard]] const std::vector<std::int32_t>& known_blocks(Coord c) const noexcept {
-    return entries_[c];
+  /// Ids of blocks whose information is stored at `c` (unique, ascending).
+  [[nodiscard]] std::span<const std::int32_t> known_blocks(Coord c) const noexcept {
+    const std::size_t i = index(c);
+    return {ids_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
 
   [[nodiscard]] bool knows(Coord c, std::int32_t block) const noexcept;
 
   /// Total (node, block) pairs deposited — the memory cost of the model.
-  [[nodiscard]] std::size_t deposited_entries() const noexcept { return deposited_; }
+  [[nodiscard]] std::size_t deposited_entries() const noexcept { return ids_.size(); }
 
   /// Number of nodes storing at least one entry.
   [[nodiscard]] std::size_t covered_nodes() const noexcept { return covered_; }
 
  private:
-  void deposit(Coord c, std::int32_t block);
+  [[nodiscard]] std::size_t index(Coord c) const noexcept {
+    return static_cast<std::size_t>(c.y) * static_cast<std::size_t>(width_) +
+           static_cast<std::size_t>(c.x);
+  }
 
-  /// Walk a boundary trail from `start` with primary direction `primary`,
-  /// sliding in `slide` around blocks (turn-and-join), depositing `block`.
-  void walk_trail(const Mesh2D& mesh, const fault::BlockSet& blocks, Coord start,
-                  Direction primary, Direction slide, std::int32_t block);
-
-  Grid<std::vector<std::int32_t>> entries_;
-  std::size_t deposited_ = 0;
+  Dist width_;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::int32_t> ids_;
   std::size_t covered_ = 0;
 };
 

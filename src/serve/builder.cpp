@@ -27,7 +27,8 @@ dynamic::DynamicMeshState seeded_state(Mesh2D mesh, std::span<const Coord> initi
   return state;
 }
 
-/// Per-epoch snapshot build latency, sequential and batched alike — the
+/// Per-epoch rebuild latency, sequential and batched alike: snapshot build
+/// plus the store swap (which reclaims retired snapshots) — the
 /// epoch-pipeline headline (BENCH_serve.json rebuild_p99_us).
 obs::Histogram& rebuild_histogram() {
   static obs::Histogram& h = obs::Registry::global().histogram("serve.rebuild_us");
@@ -131,7 +132,7 @@ std::uint64_t SnapshotBuilder::publish() {
     return store_.current_epoch();
   }
 
-  const std::int64_t build_t0 = now_us();
+  const std::int64_t t0 = now_us();
   std::unique_ptr<const RoutingSnapshot> snap;
   if (stall) {
     // The incremental build is wedged; the no-progress watchdog declares it
@@ -149,11 +150,13 @@ std::uint64_t SnapshotBuilder::publish() {
   } else {
     snap = std::make_unique<const RoutingSnapshot>(state_, epoch, scratch_);
   }
-  rebuild_histogram().observe(now_us() - build_t0);
   next_epoch_.store(epoch + 1, std::memory_order_relaxed);
   ++stats_.published;
   stats_.pending_injections = 0;
-  return store_.publish(std::move(snap));
+  const std::uint64_t published = store_.publish(std::move(snap));
+  // Build plus swap: the same span flush() divides among its epochs.
+  rebuild_histogram().observe(now_us() - t0);
+  return published;
 }
 
 std::uint64_t SnapshotBuilder::inject_publish(Coord c) {

@@ -110,7 +110,9 @@ class SnapshotBuilder {
   /// Freeze the live state into a new snapshot (next epoch) and publish it.
   /// Returns the published epoch — which armed chaos may leave behind
   /// world_epoch() (pubdrop) — and publishing with no pending injections is
-  /// allowed (an identical world under a new epoch).
+  /// allowed (an identical world under a new epoch). The build plus the
+  /// store swap (including its reclamation of retired snapshots) feeds the
+  /// serve.rebuild_us histogram.
   std::uint64_t publish();
 
   /// inject() + publish() — the one-disturbance-one-epoch convenience.
@@ -131,9 +133,10 @@ class SnapshotBuilder {
   /// queued epochs the snapshots are built by one batched SoA flight
   /// (BatchRebuilder: the block/MCC/safety sweeps each run once across all
   /// pending worlds as BitGridBatch lanes); a single queued epoch takes the
-  /// same delta-fed path as publish(). Per-epoch build time feeds the
-  /// serve.rebuild_us histogram either way. `on_publish` (optional; used by
-  /// the epoch-equality tests) observes each snapshot right before its swap.
+  /// same delta-fed path as publish(). The flight's build-plus-swap time,
+  /// divided per epoch, feeds the serve.rebuild_us histogram either way.
+  /// `on_publish` (optional; used by the epoch-equality tests) observes each
+  /// snapshot right before its swap.
   /// Serve-chaos events do NOT apply here — their ordinals count publish()
   /// calls only. Returns the store's epoch after the last swap.
   std::uint64_t flush(const std::function<void(const RoutingSnapshot&)>& on_publish = {});

@@ -13,8 +13,9 @@
 //     scratch-buffer idiom as experiment::TrialWorkspace;
 //   * from the incremental maintainer — SnapshotBuilder (builder.hpp) feeds
 //     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and safety
-//     grid straight in, so per-epoch rebuild work scales with the
-//     disturbance, not the mesh.
+//     grid straight in, so the block and FB-safety fixpoints are never
+//     re-run; the MCC planes, their safety fills, and the boundary walk
+//     still are, once per epoch over the whole mesh.
 //
 // RoutingSnapshot implements route::FaultView (the frozen-world reading:
 // truth = its block set, belief = its boundary deposits, never stale), so
@@ -58,8 +59,9 @@ struct SnapshotScratch {
 /// Pre-built fault-model components for one epoch, produced by the
 /// BatchRebuilder's SoA flight (batch_rebuilder.hpp): everything the
 /// from-scratch constructor would compute with the single-lane kernels,
-/// already materialized per lane. The parts constructor below only derives
-/// the cheap O(area) byte masks and boundary deposits from them.
+/// already materialized per lane. The parts constructor below derives the
+/// O(area) byte masks and the boundary deposits from them; the deposits'
+/// two-pass ring-and-trail walk (info/boundary.hpp) is the larger of the two.
 struct SnapshotParts {
   fault::FaultSet faults;
   fault::BlockSet blocks;
@@ -77,15 +79,15 @@ class RoutingSnapshot final : public route::FaultView {
                   SnapshotScratch& scratch);
 
   /// Delta-fed build: adopts the incrementally-maintained faulty blocks and
-  /// safety grid of `state` (no block/safety fixpoint is re-run); only the
-  /// MCC planes and boundary deposits are recomputed, with the bit-plane
-  /// kernels against `scratch`.
+  /// safety grid of `state` (no block/safety fixpoint is re-run); the MCC
+  /// planes and their safety levels are recomputed with the bit-plane
+  /// kernels against `scratch`, and the boundary deposits by their walk.
   RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                   SnapshotScratch& scratch);
 
   /// Batched build: adopts one lane of a BatchRebuilder flight — every
-  /// fixpoint arrives pre-built, so no sweep kernel runs here at all; only
-  /// the byte masks and boundary deposits are derived. Bit-identical to the
+  /// fixpoint arrives pre-built, so no sweep kernel runs here at all; the
+  /// byte masks and the boundary deposits are derived. Bit-identical to the
   /// other two constructors for the same fault set (tests/test_serve.cpp
   /// asserts the three-way equivalence epoch by epoch).
   RoutingSnapshot(const Mesh2D& mesh, SnapshotParts parts, std::uint64_t epoch);

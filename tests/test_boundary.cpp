@@ -1,9 +1,15 @@
 // Unit tests for faulty-block-information distribution (boundary lines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/grid.hpp"
+#include "dynamic/dynamic_state.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
 #include "info/boundary.hpp"
+#include "serve/snapshot.hpp"
 
 namespace meshroute::info {
 namespace {
@@ -14,6 +20,79 @@ using fault::FaultSet;
 
 BlockSet single_block(const Mesh2D& mesh, const Rect& r) {
   return build_faulty_blocks(mesh, fault::rectangle_faults(mesh, r));
+}
+
+// Reference oracle: the straightforward per-node-vector builder (append in
+// block order, linear duplicate scan). The CSR map must reproduce it
+// exactly, including the order of every node's list.
+void reference_deposit(Coord c, std::int32_t id, Grid<std::vector<std::int32_t>>& out) {
+  auto& v = out[c];
+  if (std::find(v.begin(), v.end(), id) == v.end()) v.push_back(id);
+}
+
+void reference_trail(const Mesh2D& mesh, const BlockSet& blocks, Coord cur, Direction primary,
+                     Direction slide, std::int32_t id, Grid<std::vector<std::int32_t>>& out) {
+  if (!mesh.in_bounds(cur)) return;
+  while (true) {
+    const Coord ahead = neighbor(cur, primary);
+    if (!mesh.in_bounds(ahead)) return;
+    if (!blocks.is_block_node(ahead)) {
+      cur = ahead;
+    } else {
+      const Coord aside = neighbor(cur, slide);
+      if (!mesh.in_bounds(aside) || blocks.is_block_node(aside)) return;
+      cur = aside;
+    }
+    reference_deposit(cur, id, out);
+  }
+}
+
+Grid<std::vector<std::int32_t>> reference_deposits(const Mesh2D& mesh, const BlockSet& blocks) {
+  Grid<std::vector<std::int32_t>> out(mesh.width(), mesh.height());
+  for (std::size_t b = 0; b < blocks.blocks().size(); ++b) {
+    const auto id = static_cast<std::int32_t>(b);
+    const Rect r = blocks.blocks()[b].rect;
+    const Rect ring = r.expanded(1);
+    for (Dist y = ring.ymin; y <= ring.ymax; ++y) {
+      for (Dist x = ring.xmin; x <= ring.xmax; ++x) {
+        const bool on_ring = y == ring.ymin || y == ring.ymax || x == ring.xmin || x == ring.xmax;
+        if (on_ring && mesh.in_bounds({x, y})) reference_deposit({x, y}, id, out);
+      }
+    }
+    const Coord sw{r.xmin - 1, r.ymin - 1};
+    const Coord se{r.xmax + 1, r.ymin - 1};
+    const Coord nw{r.xmin - 1, r.ymax + 1};
+    const Coord ne{r.xmax + 1, r.ymax + 1};
+    reference_trail(mesh, blocks, sw, Direction::West, Direction::South, id, out);
+    reference_trail(mesh, blocks, se, Direction::East, Direction::South, id, out);
+    reference_trail(mesh, blocks, ne, Direction::East, Direction::North, id, out);
+    reference_trail(mesh, blocks, nw, Direction::West, Direction::North, id, out);
+    reference_trail(mesh, blocks, sw, Direction::South, Direction::West, id, out);
+    reference_trail(mesh, blocks, nw, Direction::North, Direction::West, id, out);
+    reference_trail(mesh, blocks, ne, Direction::North, Direction::East, id, out);
+    reference_trail(mesh, blocks, se, Direction::South, Direction::East, id, out);
+  }
+  return out;
+}
+
+/// Every node's list equals the oracle's in order; the totals agree.
+void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks,
+                              const BoundaryInfoMap& info) {
+  const Grid<std::vector<std::int32_t>> want = reference_deposits(mesh, blocks);
+  std::size_t entries = 0;
+  std::size_t covered = 0;
+  mesh.for_each_node([&](Coord c) {
+    const auto got = info.known_blocks(c);
+    EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()), want[c]) << to_string(c);
+    entries += want[c].size();
+    if (!want[c].empty()) ++covered;
+  });
+  EXPECT_EQ(info.deposited_entries(), entries);
+  EXPECT_EQ(info.covered_nodes(), covered);
+}
+
+void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks) {
+  expect_matches_reference(mesh, blocks, BoundaryInfoMap(mesh, blocks));
 }
 
 TEST(Boundary, PerimeterRingKnowsTheBlock) {
@@ -114,7 +193,7 @@ TEST(Boundary, DepositStatsAreConsistent) {
   std::size_t entries = 0;
   std::size_t covered = 0;
   mesh.for_each_node([&](Coord c) {
-    const auto& v = info.known_blocks(c);
+    const auto v = info.known_blocks(c);
     entries += v.size();
     if (!v.empty()) ++covered;
     // No duplicates.
@@ -138,6 +217,75 @@ TEST(Boundary, NoInfoEverDepositedOnBlockNodes) {
       EXPECT_TRUE(info.known_blocks(c).empty()) << to_string(c);
     }
   });
+}
+
+TEST(BoundaryReference, RandomBlockSetsMatchInOrder) {
+  for (const Dist n : {20, 33, 48, 64, 80, 96}) {
+    const Mesh2D mesh(n, n);
+    for (const std::size_t k : {static_cast<std::size_t>(n) / 2,
+                                static_cast<std::size_t>(n) * static_cast<std::size_t>(n) / 40}) {
+      Rng rng(seed_combine(0xb0a7d, static_cast<std::uint64_t>(n) * 1000 + k));
+      const BlockSet blocks = build_faulty_blocks(mesh, fault::uniform_random_faults(mesh, k, rng));
+      SCOPED_TRACE(testing::Message() << n << "x" << n << " k=" << k);
+      expect_matches_reference(mesh, blocks);
+    }
+  }
+}
+
+TEST(BoundaryReference, EdgeAndCornerBlocksMatchInOrder) {
+  const Mesh2D mesh(16, 16);
+  const std::vector<Rect> rects = {
+      {0, 1, 0, 1},   {14, 15, 0, 1}, {0, 1, 14, 15}, {14, 15, 14, 15},  // corners
+      {6, 8, 0, 0},   {6, 8, 15, 15}, {0, 0, 6, 8},   {15, 15, 6, 8},    // edges
+  };
+  FaultSet all(mesh);
+  for (const Rect& r : rects) {
+    SCOPED_TRACE(to_string(Coord{r.xmin, r.ymin}));
+    expect_matches_reference(mesh, single_block(mesh, r));
+    const FaultSet one = fault::rectangle_faults(mesh, r);
+    for (const Coord c : one.faults()) all.add(c);
+  }
+  const BlockSet blocks = build_faulty_blocks(mesh, all);
+  ASSERT_EQ(blocks.block_count(), rects.size());
+  expect_matches_reference(mesh, blocks);
+}
+
+TEST(BoundaryReference, OneWideMeshesMatchInOrder) {
+  for (const bool row : {true, false}) {
+    const Mesh2D mesh = row ? Mesh2D(17, 1) : Mesh2D(1, 17);
+    FaultSet fs(mesh);
+    for (const Dist i : {0, 5, 6, 11, 16}) fs.add(row ? Coord{i, 0} : Coord{0, i});
+    SCOPED_TRACE(row ? "17x1" : "1x17");
+    expect_matches_reference(mesh, build_faulty_blocks(mesh, fs));
+  }
+}
+
+TEST(BoundaryReference, FaultFreeMeshDepositsNothing) {
+  const Mesh2D mesh(10, 7);
+  const BlockSet blocks = build_faulty_blocks(mesh, FaultSet(mesh));
+  const BoundaryInfoMap info(mesh, blocks);
+  EXPECT_EQ(info.deposited_entries(), 0u);
+  EXPECT_EQ(info.covered_nodes(), 0u);
+  expect_matches_reference(mesh, blocks, info);
+}
+
+TEST(BoundaryReference, DeltaFedServeSnapshotMatchesInOrder) {
+  // The serve world (96x96, 64 faults) driven through 200 injections; the
+  // delta-fed snapshot's map is checked every 20 injections.
+  const Mesh2D mesh = Mesh2D::square(96);
+  Rng rng(0x5e7e);
+  dynamic::DynamicMeshState state(mesh);
+  const FaultSet initial = fault::uniform_random_faults(mesh, 64, rng);
+  for (const Coord c : initial.faults()) state.inject_fault(c);
+  serve::SnapshotScratch scratch;
+  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+    const auto x = static_cast<Dist>(rng.uniform(0, 95));
+    state.inject_fault({x, static_cast<Dist>(rng.uniform(0, 95))});
+    if (epoch % 20 != 0) continue;
+    const serve::RoutingSnapshot snap(state, epoch, scratch);
+    SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+    expect_matches_reference(mesh, snap.blocks(), snap.boundary());
+  }
 }
 
 }  // namespace
