@@ -1,6 +1,6 @@
 // Tracked micro-benchmark for the hot-path kernels behind every sweep and
 // snapshot: the model builders (blocks, MCC, safety levels, obstacle masks,
-// boundary deposits), the batched reachability oracle against the
+// boundary deposits), the all-destinations reachability oracle against the
 // per-destination DP it replaces, and the end-to-end workspace make_trial.
 // Reports the median of --reps repetitions per kernel and, with --json=,
 // emits the schema consumed by tools/bench_compare:
@@ -42,7 +42,6 @@
 #include "cond/conditions.hpp"
 #include "cond/wang.hpp"
 #include "experiment/json.hpp"
-#include "experiment/sweep.hpp"
 #include "experiment/workspace.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
@@ -123,10 +122,9 @@ struct KernelResult {
 KernelResult run_kernel(const std::string& name, int reps, int iters,
                         const std::function<void()>& fn) {
   std::vector<double> us(static_cast<std::size_t>(reps));
-  // Warm-up rep (excluded from stats): a full iters loop, not a single call
-  // — the batch kernels grow their SoA arenas lazily, and one call leaves
-  // later first-touch page faults inside the first timed rep (batch8_*
-  // kernels used to report max ~6x their median from exactly that).
+  // Warm-up rep (excluded from stats): a full iters loop, not a single call,
+  // so scratch buffers that grow lazily leave no first-touch page faults
+  // inside the first timed rep.
   for (int i = 0; i < iters; ++i) fn();
   for (auto& sample : us) {
     const auto t0 = Clock::now();
@@ -185,8 +183,8 @@ int main(int argc, char** argv) {
     results.push_back(run_kernel(name, opt.reps, std::max(1, iters / scale), fn));
   };
 
-  // The historical kernel names time the PRODUCTION entry points (bit-plane
-  // dispatch unless MESHROUTE_FORCE_SCALAR), so they stay comparable across
+  // The historical kernel names time the PRODUCTION entry points (the
+  // bit-plane kernels), so they stay comparable across
   // BENCH files; scalar_* pins the reference kernels and bitgrid_* calls the
   // word-parallel kernels directly (no dispatch, and for safety/reach no
   // byte-mask pack either).
@@ -229,54 +227,6 @@ int main(int argc, char** argv) {
                .fb_mask[far_dest];
   });
 
-  // batch8_* time one 8-lane SoA call, so their medians are per-BATCH: divide
-  // by 8 to compare with the single-lane kernels above. prebuild8_trials is
-  // the full --batch=8 sweep-worker prebuild (8 whole trials per call).
-  constexpr int kLanes = 8;
-  std::vector<fault::FaultSet> lane_faults;
-  Rng lane_rng(0xba7c4);
-  for (int l = 0; l < kLanes; ++l) {
-    lane_faults.push_back(fault::uniform_random_faults(mesh, kFaults, lane_rng,
-                                                       [&](Coord c) { return c == source; }));
-  }
-  std::vector<const fault::FaultSet*> lane_in;
-  std::vector<fault::BlockSet> lane_blocks(kLanes);
-  std::vector<fault::BlockSet*> lane_blocks_out;
-  std::vector<fault::MccSet> lane_mcc(kLanes);
-  std::vector<fault::MccSet*> lane_mcc_out;
-  for (int l = 0; l < kLanes; ++l) {
-    lane_in.push_back(&lane_faults[static_cast<std::size_t>(l)]);
-    lane_blocks_out.push_back(&lane_blocks[static_cast<std::size_t>(l)]);
-    lane_mcc_out.push_back(&lane_mcc[static_cast<std::size_t>(l)]);
-  }
-  bench("batch8_block_build", 8, [&] {
-    fault::build_faulty_blocks_batch(mesh, lane_in, lane_blocks_out, block_scratch);
-  });
-  bench("batch8_mcc_build", 8, [&] {
-    fault::build_mcc_batch(mesh, lane_in, fault::MccKind::TypeOne, lane_mcc_out, mcc_scratch);
-  });
-  core::BitGridBatch blocked_batch(mesh.width(), mesh.height(), kLanes);
-  for (int l = 0; l < kLanes; ++l) {
-    for (const Coord f : lane_faults[static_cast<std::size_t>(l)].faults()) {
-      blocked_batch.set(l, f);
-    }
-  }
-  core::BitGridBatch reach_batch;
-  bench("batch8_reach", 32, [&] {
-    cond::monotone_reachability_batch(mesh, blocked_batch, source, reach_batch);
-  });
-  const std::vector<experiment::TrialConfig> lane_configs(
-      kLanes, experiment::TrialConfig{.n = kSide, .faults = kFaults});
-  std::vector<Rng> lane_rngs;
-  experiment::TrialWorkspace batch_ws;
-  std::uint64_t prebuild_salt = 0;
-  bench("prebuild8_trials", 2, [&] {
-    lane_rngs.clear();
-    for (int l = 0; l < kLanes; ++l) {
-      lane_rngs.emplace_back(seed_combine(0x94eb1d, ++prebuild_salt));
-    }
-    experiment::prebuild_trials(lane_configs, lane_rngs, batch_ws);
-  });
   (void)sink;
 
   std::printf("%-16s %8s %12s %12s %12s\n", "kernel", "iters", "median_us", "min_us",
@@ -285,46 +235,6 @@ int main(int argc, char** argv) {
     std::printf("%-16s %8d %12.3f %12.3f %12.3f\n", r.name.c_str(), r.iters, r.median_us,
                 r.min_us, r.max_us);
   }
-
-  // Batch-width sweep: per-trial prebuild cost at B lanes vs the direct
-  // make_trial baseline. This is the measurement behind
-  // experiment::default_batch_for's constants — the crossover (first B whose
-  // per-trial cost beats B=1) and the heuristic's pick for THIS machine are
-  // recorded in meta.batch_sweep, NOT kernels[], so bench_compare's
-  // median gate never flags a machine-dependent crossover shift.
-  double baseline_us = 0;
-  for (const auto& r : results) {
-    if (r.name == "make_trial_ws") baseline_us = r.median_us;
-  }
-  struct BatchPoint {
-    int batch;
-    double per_trial_us;
-  };
-  std::vector<BatchPoint> batch_points;
-  int crossover = 0;
-  std::printf("\n%-16s %12s  (make_trial baseline %.3f us/trial)\n", "batch_sweep",
-              "us_per_trial", baseline_us);
-  for (const int b : {2, 4, 8, 16, 32}) {
-    const std::vector<experiment::TrialConfig> sweep_configs(
-        static_cast<std::size_t>(b), experiment::TrialConfig{.n = kSide, .faults = kFaults});
-    const KernelResult kr =
-        run_kernel("batch_sweep", opt.reps, std::max(1, 16 / b / scale), [&] {
-          lane_rngs.clear();
-          for (int l = 0; l < b; ++l) {
-            lane_rngs.emplace_back(seed_combine(0x94eb1d, ++prebuild_salt));
-          }
-          experiment::prebuild_trials(sweep_configs, lane_rngs, batch_ws);
-        });
-    const double per_trial = kr.median_us / b;
-    batch_points.push_back({b, per_trial});
-    if (crossover == 0 && per_trial < baseline_us) crossover = b;
-    std::printf("%-16d %12.3f\n", b, per_trial);
-  }
-  const int hw_threads = static_cast<int>(std::thread::hardware_concurrency());
-  const int auto_batch =
-      experiment::default_batch_for(hw_threads, core::simd::active_tier());
-  std::printf("crossover=%d default_batch_for(threads=%d)=%d\n", crossover, hw_threads,
-              auto_batch);
 
   if (!opt.json.empty()) {
     experiment::json::Value::Array kernels;
@@ -344,21 +254,6 @@ int main(int argc, char** argv) {
     meta["threads"] = static_cast<double>(std::thread::hardware_concurrency());
     meta["trace_enabled"] = MESHROUTE_TRACE_ENABLED != 0;
     meta["simd"] = std::string(core::simd::tier_name(core::simd::active_tier()));
-    {
-      experiment::json::Value::Array points;
-      for (const BatchPoint& p : batch_points) {
-        experiment::json::Value::Object o;
-        o["batch"] = static_cast<double>(p.batch);
-        o["us_per_trial"] = p.per_trial_us;
-        points.emplace_back(std::move(o));
-      }
-      experiment::json::Value::Object bs;
-      bs["baseline_us_per_trial"] = baseline_us;
-      bs["points"] = std::move(points);
-      bs["crossover"] = static_cast<double>(crossover);  // 0 = never beat B=1
-      bs["auto_batch"] = static_cast<double>(auto_batch);
-      meta["batch_sweep"] = std::move(bs);
-    }
     experiment::json::Value::Object doc;
     doc["bench"] = "core";
     doc["n"] = static_cast<double>(kSide);

@@ -19,8 +19,7 @@
 //     cmake -E compare_files).
 //
 // --flight=F makes the writer queue F epochs per round and publish them
-// through SnapshotBuilder's batched SoA flush (F=1 keeps plain
-// inject_publish); per-epoch rebuild latency (build plus store swap) lands in
+// with one SnapshotBuilder::flush() (F=1 keeps plain inject_publish); per-epoch rebuild latency (build plus store swap) lands in
 // serve.rebuild_us and the top-level rebuild_median_us / rebuild_p99_us JSON
 // columns.
 //
@@ -84,8 +83,8 @@ struct Options {
   int rounds = 48;    // flush rounds driven by the writer
   int batch = 192;    // queries per round
   int threads = 4;    // reader threads
-  int flight = 1;     // epochs enqueued per round; >1 takes the batched
-                      // SoA flush path (SnapshotBuilder::enqueue/flush)
+  int flight = 1;     // epochs enqueued per round; >1 publishes them with
+                      // one SnapshotBuilder::flush()
   bool deterministic = false;
   bool zero_timings = false;  // zero every wall-derived number (the
                               // determinism byte-compare ctests)
@@ -109,7 +108,7 @@ struct Options {
          "  --zero-timings   zero every wall-derived field so the JSON is\n"
          "                   byte-identical across --threads (determinism ctests)\n"
          "  --flight=F       epochs enqueued per round, 1-64; F>=2 publishes each\n"
-         "                   round through the batched SoA flush\n"
+         "                   round with one SnapshotBuilder::flush()\n"
          "  --shed-capacity  racing mode: bound in-flight batches; over it the\n"
          "                   admission gate sheds (BUSY) and the reader backs off\n"
          "  --deadline-us    racing mode: per-batch service budget; misses are\n"
@@ -278,7 +277,7 @@ int main(int argc, char** argv) {
 
   // One writer round: flight=1 keeps the plain inject_publish path (serve
   // chaos, watchdog); flight>=2 queues the round's epochs and publishes the
-  // whole flight through SnapshotBuilder's batched SoA flush.
+  // whole flight with one SnapshotBuilder::flush().
   const auto publish_round = [&](int r) {
     if (opt.flight == 1) {
       server.inject_publish(sites[static_cast<std::size_t>(r)]);
@@ -454,7 +453,7 @@ int main(int argc, char** argv) {
   const obs::MetricsSnapshot metrics = obs::Registry::global().snapshot();
   // Per-epoch rebuild latency, build plus store swap (SnapshotBuilder's
   // serve.rebuild_us): the epoch-pipeline headline. flight=1 times the plain
-  // delta-fed publish; flight>=2 times the batched SoA flush's per-epoch share.
+  // delta-fed publish; flight>=2 times flush()'s per-epoch share.
   const auto rebuild_it = metrics.histograms.find("serve.rebuild_us");
   const double rebuild_median_us =
       !opt.zero_timings && rebuild_it != metrics.histograms.end()

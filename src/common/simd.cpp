@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <cstdlib>
 #include <string_view>
 
@@ -336,43 +337,6 @@ void safety_fill_scalar(const BitGrid& obstacles, std::int32_t* aos, SweepScratc
   }
 }
 
-// Scalar tier of the batch kernels: per-lane round trips through the
-// single-lane scalar kernels. Slow by design — it exists as the oracle and
-// escape hatch, not a fast path.
-
-void batch_block_fixpoint_scalar(BitGridBatch& bad, SweepScratch& s) {
-  thread_local BitGrid lane;
-  for (int l = 0; l < bad.lanes(); ++l) {
-    bad.extract_lane(l, lane);
-    block_fixpoint_scalar(lane, s);
-    bad.load_lane(l, lane);
-  }
-}
-
-void batch_mcc_sweeps_scalar(const BitGridBatch& fault, BitGridBatch& useless, BitGridBatch& cant,
-                             bool type_one, SweepScratch& s) {
-  thread_local BitGrid fp, up, cp;
-  for (int l = 0; l < fault.lanes(); ++l) {
-    fault.extract_lane(l, fp);
-    up.resize(fp.width(), fp.height());
-    cp.resize(fp.width(), fp.height());
-    mcc_sweeps_scalar(fp, up, cp, type_one, s);
-    useless.load_lane(l, up);
-    cant.load_lane(l, cp);
-  }
-}
-
-void batch_reach_fill_scalar(const BitGridBatch& blocked, Coord source, BitGridBatch& out,
-                             SweepScratch& s) {
-  out.resize(blocked.width(), blocked.height(), blocked.lanes());
-  thread_local BitGrid bp, rp;
-  for (int l = 0; l < blocked.lanes(); ++l) {
-    blocked.extract_lane(l, bp);
-    reach_fill_scalar(bp, source, rp, s);
-    out.load_lane(l, rp);
-  }
-}
-
 // ===========================================================================
 // Vector kernels (GCC vector extensions). Everything below is written once
 // as [[gnu::always_inline]] helpers; the Generic tier instantiates them at
@@ -383,7 +347,6 @@ void batch_reach_fill_scalar(const BitGridBatch& blocked, Coord source, BitGridB
 
 typedef std::uint64_t u64x4 __attribute__((vector_size(32)));
 typedef std::int64_t i64x4 __attribute__((vector_size(32)));
-typedef std::uint64_t u64x8 __attribute__((vector_size(64)));
 typedef std::int32_t i32x8 __attribute__((vector_size(32)));
 
 // Unaligned load/store through memcpy — lowered to the target's unaligned
@@ -704,176 +667,6 @@ template <typename V>
   }
 }
 
-// ---------------------------------------------------------------------------
-// Batch kernels: vector axis = lanes (u64x8 groups). Word chains stay
-// per-lane, so the carries of the scalar kernels become carry VECTORS and no
-// cross-lane bit movement exists at all. lane_stride() is a multiple of 8 —
-// no tail handling in the lane dimension; padding lanes hold empty planes.
-// ---------------------------------------------------------------------------
-
-[[gnu::always_inline]] inline void batch_block_fixpoint_vec(BitGridBatch& bad, SweepScratch& s) {
-  const Dist h = bad.height();
-  const std::size_t nw = bad.words_per_row();
-  const std::size_t ls = bad.lane_stride();
-  if (nw == 0 || h == 0) return;
-  const std::uint64_t tail = bad.tail_mask();
-  s.row_a.resize(nw * ls);  // vmask
-  s.row_b.resize(nw * ls);  // east fills
-  run_dirty_fixpoint(h, s.dirty, [&](Dist y) {
-    std::uint64_t* rp = bad.row(y);
-    const std::uint64_t* up = y + 1 < h ? bad.row(y + 1) : nullptr;
-    const std::uint64_t* dn = y > 0 ? bad.row(y - 1) : nullptr;
-    u64x8 changed{};
-    for (std::size_t lc = 0; lc < ls; lc += 8) {
-      // vmask per word into row_a.
-      for (std::size_t j = 0; j < nw; ++j) {
-        u64x8 vm{};
-        if (up != nullptr) vm = loadu<u64x8>(up + j * ls + lc);
-        if (dn != nullptr) vm |= loadu<u64x8>(dn + j * ls + lc);
-        storeu(s.row_a.data() + j * ls + lc, vm);
-      }
-      // East: seed = row shifted east, fill through vmask, carry per lane.
-      u64x8 carry{};
-      u64x8 prev{};
-      for (std::size_t j = 0; j < nw; ++j) {
-        const u64x8 r = loadu<u64x8>(rp + j * ls + lc);
-        u64x8 seed = (r << 1) | (prev >> 63);
-        if (j + 1 == nw) seed &= tail;
-        const u64x8 vm = loadu<u64x8>(s.row_a.data() + j * ls + lc);
-        const u64x8 f = ks_east((seed | carry) & vm, vm);
-        storeu(s.row_b.data() + j * ls + lc, f);
-        carry = f >> 63;
-        prev = r;
-      }
-      // West: mirrored, merging adds immediately.
-      carry = u64x8{};
-      u64x8 next{};
-      for (std::size_t j = nw; j-- > 0;) {
-        const u64x8 r = loadu<u64x8>(rp + j * ls + lc);
-        const u64x8 seed = (r >> 1) | (next << 63);
-        const u64x8 vm = loadu<u64x8>(s.row_a.data() + j * ls + lc);
-        const u64x8 f = ks_west((seed | carry) & vm, vm);
-        carry = (f & 1) << 63;
-        next = r;
-        const u64x8 add = (loadu<u64x8>(s.row_b.data() + j * ls + lc) | f) & ~r;
-        if ((add[0] | add[1] | add[2] | add[3] | add[4] | add[5] | add[6] | add[7]) != 0) {
-          storeu(rp + j * ls + lc, r | add);
-          changed |= add;
-        }
-      }
-    }
-    return (changed[0] | changed[1] | changed[2] | changed[3] | changed[4] | changed[5] |
-            changed[6] | changed[7]) != 0;
-  });
-}
-
-[[gnu::always_inline]] inline void batch_mcc_sweeps_vec(const BitGridBatch& fp, BitGridBatch& up,
-                                                        BitGridBatch& cp, bool type_one,
-                                                        SweepScratch& s) {
-  const Dist h = fp.height();
-  const std::size_t nw = fp.words_per_row();
-  const std::size_t ls = fp.lane_stride();
-  if (nw == 0 || h == 0) return;
-  const std::uint64_t tail = fp.tail_mask();
-  (void)s;
-  // One directed row sweep per label; each row is a per-lane word chain with
-  // carry vectors, exactly mirroring mcc_sweeps_scalar.
-  const auto sweep = [&](const std::uint64_t* f_adj, const std::uint64_t* l_adj,
-                         const std::uint64_t* f_row, std::uint64_t* l_row,
-                         bool fill_west_dir) {
-    for (std::size_t lc = 0; lc < ls; lc += 8) {
-      u64x8 carry{};
-      if (fill_west_dir) {
-        u64x8 next{};  // word j+1 of f_row
-        for (std::size_t j = nw; j-- > 0;) {
-          const u64x8 fr = loadu<u64x8>(f_row + j * ls + lc);
-          const u64x8 am = (loadu<u64x8>(f_adj + j * ls + lc) |
-                            loadu<u64x8>(l_adj + j * ls + lc)) & ~fr;
-          const u64x8 seed = (fr >> 1) | (next << 63);
-          const u64x8 f = ks_west((seed | carry) & am, am);
-          storeu(l_row + j * ls + lc, f);
-          carry = (f & 1) << 63;
-          next = fr;
-        }
-      } else {
-        u64x8 prev{};
-        for (std::size_t j = 0; j < nw; ++j) {
-          const u64x8 fr = loadu<u64x8>(f_row + j * ls + lc);
-          const u64x8 am = (loadu<u64x8>(f_adj + j * ls + lc) |
-                            loadu<u64x8>(l_adj + j * ls + lc)) & ~fr;
-          u64x8 seed = (fr << 1) | (prev >> 63);
-          if (j + 1 == nw) seed &= tail;
-          const u64x8 f = ks_east((seed | carry) & am, am);
-          storeu(l_row + j * ls + lc, f);
-          carry = f >> 63;
-          prev = fr;
-        }
-      }
-    }
-  };
-  for (Dist y = h - 1; y-- > 0;) {
-    sweep(fp.row(y + 1), up.row(y + 1), fp.row(y), up.row(y), /*fill_west_dir=*/type_one);
-  }
-  for (Dist y = 1; y < h; ++y) {
-    sweep(fp.row(y - 1), cp.row(y - 1), fp.row(y), cp.row(y), /*fill_west_dir=*/!type_one);
-  }
-}
-
-[[gnu::always_inline]] inline void batch_reach_fill_vec(const BitGridBatch& blocked, Coord source,
-                                                        BitGridBatch& out, SweepScratch& s) {
-  out.resize(blocked.width(), blocked.height(), blocked.lanes());
-  if (source.x < 0 || source.x >= blocked.width() || source.y < 0 ||
-      source.y >= blocked.height()) {
-    return;
-  }
-  const std::size_t nw = blocked.words_per_row();
-  const std::size_t ls = blocked.lane_stride();
-  const Dist h = blocked.height();
-  build_side_masks(nw, blocked.tail_mask(), static_cast<std::size_t>(source.x), s.row_c, s.row_d);
-  const std::uint64_t* me = s.row_c.data();
-  const std::uint64_t* mw = s.row_d.data();
-  s.row_a.resize(nw * ls);  // east fills
-
-  // Per-lane source seeding: a lane whose source node is blocked stays an
-  // empty plane, exactly like the single-lane kernel's early return.
-  const std::size_t sj = static_cast<std::size_t>(source.x) >> 6;
-  const std::uint64_t sbit = std::uint64_t{1} << (source.x & 63);
-  {
-    const std::uint64_t* b = blocked.row(source.y) + sj * ls;
-    std::uint64_t* r = out.row(source.y) + sj * ls;
-    // Real lanes only — padding lanes must stay empty planes.
-    for (int l = 0; l < blocked.lanes(); ++l) {
-      if ((b[l] & sbit) == 0) r[l] |= sbit;
-    }
-  }
-
-  const auto sweep_row = [&](std::uint64_t* rp, const std::uint64_t* bp,
-                             const std::uint64_t* prevp) {
-    for (std::size_t lc = 0; lc < ls; lc += 8) {
-      u64x8 carry{};
-      for (std::size_t j = 0; j < nw; ++j) {
-        const u64x8 allowed = ~loadu<u64x8>(bp + j * ls + lc) & me[j];
-        const u64x8 seed = loadu<u64x8>(prevp + j * ls + lc) & allowed;
-        const u64x8 f = ks_east((seed | carry) & allowed, allowed);
-        storeu(s.row_a.data() + j * ls + lc, f);
-        carry = f >> 63;
-      }
-      carry = u64x8{};
-      for (std::size_t j = nw; j-- > 0;) {
-        const u64x8 allowed = ~loadu<u64x8>(bp + j * ls + lc) & mw[j];
-        const u64x8 seed = loadu<u64x8>(prevp + j * ls + lc) & allowed;
-        const u64x8 f = ks_west((seed | carry) & allowed, allowed);
-        carry = (f & 1) << 63;
-        storeu(rp + j * ls + lc,
-               loadu<u64x8>(rp + j * ls + lc) | loadu<u64x8>(s.row_a.data() + j * ls + lc) | f);
-      }
-    }
-  };
-  sweep_row(out.row(source.y), blocked.row(source.y), out.row(source.y));
-  for (Dist y = source.y + 1; y < h; ++y) sweep_row(out.row(y), blocked.row(y), out.row(y - 1));
-  for (Dist y = source.y; y-- > 0;) sweep_row(out.row(y), blocked.row(y), out.row(y + 1));
-}
-
 // ===========================================================================
 // Tier instantiation: Generic at the baseline ISA, Native under target(avx2).
 // ===========================================================================
@@ -887,17 +680,6 @@ void reach_fill_generic(const BitGrid& b, Coord src, BitGrid& out, SweepScratch&
 }
 void safety_fill_generic(const BitGrid& o, std::int32_t* aos, SweepScratch& s) {
   safety_fill_vec(o, aos, s);
-}
-void batch_block_fixpoint_generic(BitGridBatch& bad, SweepScratch& s) {
-  batch_block_fixpoint_vec(bad, s);
-}
-void batch_mcc_sweeps_generic(const BitGridBatch& fp, BitGridBatch& up, BitGridBatch& cp, bool t1,
-                              SweepScratch& s) {
-  batch_mcc_sweeps_vec(fp, up, cp, t1, s);
-}
-void batch_reach_fill_generic(const BitGridBatch& b, Coord src, BitGridBatch& out,
-                              SweepScratch& s) {
-  batch_reach_fill_vec(b, src, out, s);
 }
 
 #if defined(MESHROUTE_SIMD_NATIVE) && (defined(__x86_64__) || defined(__i386__))
@@ -917,24 +699,13 @@ MESHROUTE_TARGET_AVX2 void safety_fill_native(const BitGrid& o, std::int32_t* ao
                                               SweepScratch& s) {
   safety_fill_vec(o, aos, s);
 }
-MESHROUTE_TARGET_AVX2 void batch_block_fixpoint_native(BitGridBatch& bad, SweepScratch& s) {
-  batch_block_fixpoint_vec(bad, s);
-}
-MESHROUTE_TARGET_AVX2 void batch_mcc_sweeps_native(const BitGridBatch& fp, BitGridBatch& up,
-                                                   BitGridBatch& cp, bool t1, SweepScratch& s) {
-  batch_mcc_sweeps_vec(fp, up, cp, t1, s);
-}
-MESHROUTE_TARGET_AVX2 void batch_reach_fill_native(const BitGridBatch& b, Coord src,
-                                                   BitGridBatch& out, SweepScratch& s) {
-  batch_reach_fill_vec(b, src, out, s);
-}
 #define MESHROUTE_HAVE_NATIVE 1
 
 // The AVX-512 tier re-instantiates the identical source once more under
 // target("avx512f") (which implies AVX2 on GCC, so the u64x4/i32x8 paths
-// still lower natively): every u64x8 op in the batch kernels becomes one zmm
-// instruction instead of a split ymm pair. Selected at runtime only when
-// __builtin_cpu_supports("avx512f") agrees (simd.hpp tier ladder).
+// still lower natively, with the EVEX encodings and register file).
+// Selected at runtime only when __builtin_cpu_supports("avx512f") agrees
+// (simd.hpp tier ladder).
 #define MESHROUTE_TARGET_AVX512 __attribute__((target("avx512f")))
 MESHROUTE_TARGET_AVX512 void block_fixpoint_native512(BitGrid& bad, SweepScratch& s) {
   block_fixpoint_vec(bad, s);
@@ -950,18 +721,6 @@ MESHROUTE_TARGET_AVX512 void reach_fill_native512(const BitGrid& b, Coord src, B
 MESHROUTE_TARGET_AVX512 void safety_fill_native512(const BitGrid& o, std::int32_t* aos,
                                                    SweepScratch& s) {
   safety_fill_vec(o, aos, s);
-}
-MESHROUTE_TARGET_AVX512 void batch_block_fixpoint_native512(BitGridBatch& bad, SweepScratch& s) {
-  batch_block_fixpoint_vec(bad, s);
-}
-MESHROUTE_TARGET_AVX512 void batch_mcc_sweeps_native512(const BitGridBatch& fp, BitGridBatch& up,
-                                                        BitGridBatch& cp, bool t1,
-                                                        SweepScratch& s) {
-  batch_mcc_sweeps_vec(fp, up, cp, t1, s);
-}
-MESHROUTE_TARGET_AVX512 void batch_reach_fill_native512(const BitGridBatch& b, Coord src,
-                                                        BitGridBatch& out, SweepScratch& s) {
-  batch_reach_fill_vec(b, src, out, s);
 }
 #endif
 
@@ -1000,17 +759,6 @@ void reach_fill(const BitGrid& blocked, Coord source, BitGrid& out, SweepScratch
 }
 void safety_fill(const BitGrid& obstacles, std::int32_t* aos, SweepScratch& scratch) {
   MESHROUTE_DISPATCH(safety_fill, obstacles, aos, scratch);
-}
-void batch_block_fixpoint(BitGridBatch& bad, SweepScratch& scratch) {
-  MESHROUTE_DISPATCH(batch_block_fixpoint, bad, scratch);
-}
-void batch_mcc_sweeps(const BitGridBatch& fault, BitGridBatch& useless, BitGridBatch& cant,
-                      bool type_one, SweepScratch& scratch) {
-  MESHROUTE_DISPATCH(batch_mcc_sweeps, fault, useless, cant, type_one, scratch);
-}
-void batch_reach_fill(const BitGridBatch& blocked, Coord source, BitGridBatch& out,
-                      SweepScratch& scratch) {
-  MESHROUTE_DISPATCH(batch_reach_fill, blocked, source, out, scratch);
 }
 
 }  // namespace meshroute::core::simd

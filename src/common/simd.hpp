@@ -12,10 +12,8 @@
 //     __attribute__((target("avx2"))), selected at runtime only when
 //     __builtin_cpu_supports("avx2") says so. Compiled in only when the
 //     MESHROUTE_SIMD CMake option is ON (the default).
-//   * Native512 — the same source once more under target("avx512f"): the
-//     u64x8 batch lanes lower to single zmm ops instead of split ymm pairs,
-//     so the batch-of-meshes sweeps double their per-op lane width. Selected
-//     only when __builtin_cpu_supports("avx512f") agrees.
+//   * Native512 — the same source once more under target("avx512f").
+//     Selected only when __builtin_cpu_supports("avx512f") agrees.
 //
 // Tier resolution: the MESHROUTE_SIMD environment variable ("scalar",
 // "generic", "native", "native512") forces a tier; otherwise the best
@@ -26,18 +24,12 @@
 //
 // All tiers produce BIT-IDENTICAL fixpoints (tests/test_simd.cpp and the
 // simd_dispatch ctest assert byte equality); only throughput differs.
-//
-// The batch entry points run the same sweeps over a core::BitGridBatch —
-// 8-64 independent trials' planes interleaved word-by-word — where every
-// word-at-a-time operation becomes one vector op across lanes with no
-// cross-lane carries at all (lanes are independent meshes).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/coord.hpp"
 
 namespace meshroute::core::simd {
@@ -112,22 +104,5 @@ void reach_fill(const BitGrid& blocked, Coord source, BitGrid& out, SweepScratch
 /// segment ramps; N/S are planar column recurrences riding the same vector
 /// row path (8 int32 lanes per op) instead of per-column scalar counters.
 void safety_fill(const BitGrid& obstacles, std::int32_t* aos, SweepScratch& scratch);
-
-// ---------------------------------------------------------------------------
-// Batch kernels (BitGridBatch): identical sweeps across every lane in
-// lockstep. Converged lanes ride along idempotently — the fixpoint is
-// monotone, so re-sweeping a stable lane is a no-op — and every word
-// operation covers lane_stride() trials at once.
-// ---------------------------------------------------------------------------
-
-void batch_block_fixpoint(BitGridBatch& bad, SweepScratch& scratch);
-
-void batch_mcc_sweeps(const BitGridBatch& fault, BitGridBatch& useless, BitGridBatch& cant,
-                      bool type_one, SweepScratch& scratch);
-
-/// Reachability for every lane from one common source (the sweep engine's
-/// batches share the mesh center).
-void batch_reach_fill(const BitGridBatch& blocked, Coord source, BitGridBatch& out,
-                      SweepScratch& scratch);
 
 }  // namespace meshroute::core::simd

@@ -1,7 +1,6 @@
 #include "cond/wang.hpp"
 
 #include <deque>
-#include <stdexcept>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -59,9 +58,6 @@ Rect swap_axes(const Rect& r) { return Rect{r.ymin, r.ymax, r.xmin, r.xmax}; }
 
 void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord source,
                            Grid<bool>& out) {
-#if defined(MESHROUTE_FORCE_SCALAR)
-  monotone_reachability_scalar(mesh, blocked, source, out);
-#else
   thread_local core::BitGrid bplane;
   thread_local core::BitGrid rplane;
   bplane.assign(blocked);
@@ -70,7 +66,6 @@ void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord 
     out = Grid<bool>(mesh.width(), mesh.height(), false);
   }
   rplane.unpack(out);
-#endif
 }
 
 void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coord source,
@@ -82,15 +77,6 @@ void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coo
   (void)mesh;  // dimensions ride on the bit plane
   thread_local core::simd::SweepScratch scratch;
   core::simd::reach_fill(blocked, source, out, scratch);
-}
-
-void monotone_reachability_batch(const Mesh2D& mesh, const core::BitGridBatch& blocked,
-                                 Coord source, core::BitGridBatch& out) {
-  if (blocked.width() != mesh.width() || blocked.height() != mesh.height()) {
-    throw std::invalid_argument("monotone_reachability_batch: plane/mesh dimension mismatch");
-  }
-  thread_local core::simd::SweepScratch scratch;
-  core::simd::batch_reach_fill(blocked, source, out, scratch);
 }
 
 void monotone_reachability_scalar(const Mesh2D& mesh, const Grid<bool>& blocked, Coord source,

@@ -14,7 +14,6 @@
 #include <span>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/coord.hpp"
 #include "common/grid.hpp"
 #include "common/rect.hpp"
@@ -43,18 +42,9 @@ void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord 
 
 /// Bit-plane overload: the same four-quadrant DP as one occluded fill pair
 /// per row (reach = fill(prev-row reach, ~blocked) on each side of the
-/// source column). The byte-grid overload packs/unpacks around this kernel
-/// unless MESHROUTE_FORCE_SCALAR pins it to the scalar sweep.
+/// source column). The byte-grid overload packs/unpacks around this kernel.
 void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coord source,
                            core::BitGrid& out);
-
-/// Batch oracle: per-lane four-quadrant reachability from one shared source
-/// over a BitGridBatch of blocked planes — every word op advances
-/// lane_stride() trials at once, so a batch of B trials costs roughly one
-/// trial's sweep. Lane l of `out` equals the single-lane kernel's output for
-/// lane l of `blocked`; `out` is resized to `blocked`'s geometry.
-void monotone_reachability_batch(const Mesh2D& mesh, const core::BitGridBatch& blocked,
-                                 Coord source, core::BitGridBatch& out);
 
 /// The scalar reference sweep — the oracle the bit-plane kernel is tested
 /// against.

@@ -1,8 +1,5 @@
 #include "core/fault_tolerant_mesh.hpp"
 
-#include <array>
-
-#include "common/bitgrid.hpp"
 #include "cond/wang.hpp"
 #include "mesh/frame.hpp"
 
@@ -29,16 +26,9 @@ struct FaultTolerantMesh::Derived {
         fb_mask(info::obstacle_mask(mesh, blocks)),
         mcc1_mask(info::obstacle_mask(mesh, mcc.type_one)),
         mcc2_mask(info::obstacle_mask(mesh, mcc.type_two)) {
-    // One batch call fills all three safety grids of the snapshot; each lane
-    // is the same vector fill compute_safety_levels runs (DESIGN §12), so
-    // the epoch rebuild result is bit-identical to three separate calls.
-    std::array<core::BitGrid, 3> planes;
-    planes[0].assign(fb_mask);
-    planes[1].assign(mcc1_mask);
-    planes[2].assign(mcc2_mask);
-    const std::array<const core::BitGrid*, 3> in{&planes[0], &planes[1], &planes[2]};
-    const std::array<info::SafetyGrid*, 3> out{&fb_safety, &mcc1_safety, &mcc2_safety};
-    info::compute_safety_levels_batch(mesh, in, out);
+    info::compute_safety_levels(mesh, fb_mask, fb_safety);
+    info::compute_safety_levels(mesh, mcc1_mask, mcc1_safety);
+    info::compute_safety_levels(mesh, mcc2_mask, mcc2_safety);
   }
 };
 

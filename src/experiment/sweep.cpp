@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/simd.hpp"
 #include "experiment/json.hpp"
 #include "experiment/workspace.hpp"
 #include "obs/export.hpp"
@@ -36,15 +35,12 @@ int parse_int(const std::string& flag, const char* value) {
 std::string SweepConfig::usage() {
   return
       "usage: <bench> [--trials=N] [--dests=N] [--n=N] [--seed=S] [--threads=T]\n"
-      "               [--batch=B] [--json=FILE|-] [--metrics=FILE|-] [--quick]\n"
+      "               [--json=FILE|-] [--metrics=FILE|-] [--quick]\n"
       "  --trials=N     fault configurations per sweep point   (default 60)\n"
       "  --dests=N      destinations per configuration          (default 40)\n"
       "  --n=N          mesh side                               (default 200)\n"
       "  --seed=S       base seed, decimal or 0x hex            (default 0x5eed2002)\n"
       "  --threads=T    worker threads, 0 = hardware            (default 0)\n"
-      "  --batch=B      trials prebuilt per worker claim via the SoA batch\n"
-      "                 kernels, 1-64; results identical to B=1; 0 = auto,\n"
-      "                 scaled to threads x SIMD tier             (default 0)\n"
       "  --json=FILE    structured output; '-' writes the JSON as stdout's last line\n"
       "  --metrics=FILE flat counter/histogram snapshot (obs registry); '-' = stdout\n"
       "  --quick        smoke-test sweep (trials=8, dests=10)\n";
@@ -77,11 +73,6 @@ std::optional<SweepConfig> SweepConfig::try_parse(int argc, char** argv, std::st
         }
       } else if (const char* v = value_of("--threads=")) {
         cfg.threads = parse_int("--threads", v);
-      } else if (const char* v = value_of("--batch=")) {
-        cfg.batch = parse_int("--batch", v);
-        if (cfg.batch > 64) {
-          throw std::invalid_argument("--batch must be in [0, 64] (0 = auto)");
-        }
       } else if (const char* v = value_of("--json=")) {
         if (*v == '\0') throw std::invalid_argument("--json expects a file name or '-'");
         cfg.json_path = v;
@@ -116,17 +107,7 @@ int SweepConfig::resolved_threads() const {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-int SweepConfig::resolved_batch() const {
-  if (batch > 0) return batch;
-  return default_batch_for(resolved_threads(), core::simd::active_tier());
-}
-
-int default_batch_for(int threads, core::simd::Tier tier) noexcept {
-  // Memory-bound prebuilds (DESIGN §12): narrow runs get nothing from wide
-  // claims, and the scalar tier has no word-parallel sweeps to amortize.
-  if (threads <= 2 || tier == core::simd::Tier::Scalar) return 1;
-  return std::min(64, 8 * std::max(1, threads / 4));
-}
+int SweepConfig::resolved_batch() const { return std::max(1, batch); }
 
 std::string SweepConfig::setup_string() const {
   return "n=" + std::to_string(n) + ", " + std::to_string(trials) + " trials x " +
@@ -229,9 +210,8 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const TrialFn& fn) 
   obs::Counter& cells_ctr = obs::Registry::global().counter("sweep.cells");
   obs::Histogram& build_us_hist = obs::Registry::global().histogram("sweep.build_us");
   obs::Histogram& route_us_hist = obs::Registry::global().histogram("sweep.route_us");
-  obs::Histogram& prebuild_us_hist = obs::Registry::global().histogram("sweep.prebuild_us");
 
-  const auto batch = static_cast<std::size_t>(std::max(1, config_.resolved_batch()));
+  const auto batch = static_cast<std::size_t>(config_.resolved_batch());
   const auto worker = [&]() {
     TrialWorkspace workspace;
     // Each worker thread collects trace events into its own buffer; the
@@ -239,66 +219,29 @@ SweepResult SweepRunner::run(std::vector<SweepPoint> points, const TrialFn& fn) 
     // cells never shows in sorted output.
     std::optional<obs::TraceScope> scope;
     if (trace_sink_ != nullptr) scope.emplace(*trace_sink_);
-    std::vector<TrialConfig> lane_configs;
-    std::vector<Rng> lane_rngs;
-    const auto record_error = [&] {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    };
     for (;;) {
       const std::size_t begin = next.fetch_add(batch, std::memory_order_relaxed);
       if (begin >= cells.size()) return;
       const std::size_t end = std::min(cells.size(), begin + batch);
-      std::size_t i = begin;
-      while (i < end) {
-        // With --batch > 1 the claimed strip's trials are prebuilt through
-        // the SoA batch kernels, one prebuild per run of equal mesh side;
-        // the functor then consumes them via make_trial's exact (config,
-        // rng-state) match, so results are identical to --batch=1. Cells
-        // whose functor requests a different config simply miss the match
-        // and build directly.
-        std::size_t strip = i + 1;
-        if (batch > 1) {
-          while (strip < end && points[cells[strip].point].n == points[cells[i].point].n) {
-            ++strip;
-          }
-          const auto p0 = std::chrono::steady_clock::now();
-          lane_configs.clear();
-          lane_rngs.clear();
-          for (std::size_t c = i; c < strip; ++c) {
-            const SweepPoint& p = points[cells[c].point];
-            lane_configs.push_back(TrialConfig{.n = p.n, .faults = p.faults, .source = {}});
-            lane_rngs.emplace_back(cell_seed(config_.seed, p.faults, p.n, cells[c].trial));
-          }
-          try {
-            prebuild_trials(lane_configs, lane_rngs, workspace);
-          } catch (...) {
-            record_error();
-            return;
-          }
-          prebuild_us_hist.observe(std::chrono::duration_cast<std::chrono::microseconds>(
-                                       std::chrono::steady_clock::now() - p0)
-                                       .count());
-        }
-        for (; i < strip; ++i) {
-          const CellRef& ref = cells[i];
-          const SweepPoint& p = points[ref.point];
-          Rng rng(cell_seed(config_.seed, p.faults, p.n, ref.trial));
-          try {
-            workspace.build_us = 0.0;
-            const auto c0 = std::chrono::steady_clock::now();
-            fn(SweepCell{p, ref.trial, ref.point}, rng, workspace, raw[i]);
-            const auto c1 = std::chrono::steady_clock::now();
-            cells_ctr.add(1);
-            const auto total_us =
-                std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0).count();
-            const auto build_us = static_cast<std::int64_t>(workspace.build_us);
-            build_us_hist.observe(std::min<std::int64_t>(build_us, total_us));
-            route_us_hist.observe(std::max<std::int64_t>(total_us - build_us, 0));
-          } catch (...) {
-            record_error();
-            return;
-          }
+      for (std::size_t i = begin; i < end; ++i) {
+        const CellRef& ref = cells[i];
+        const SweepPoint& p = points[ref.point];
+        Rng rng(cell_seed(config_.seed, p.faults, p.n, ref.trial));
+        try {
+          workspace.build_us = 0.0;
+          const auto c0 = std::chrono::steady_clock::now();
+          fn(SweepCell{p, ref.trial, ref.point}, rng, workspace, raw[i]);
+          const auto c1 = std::chrono::steady_clock::now();
+          cells_ctr.add(1);
+          const auto total_us =
+              std::chrono::duration_cast<std::chrono::microseconds>(c1 - c0).count();
+          const auto build_us = static_cast<std::int64_t>(workspace.build_us);
+          build_us_hist.observe(std::min<std::int64_t>(build_us, total_us));
+          route_us_hist.observe(std::max<std::int64_t>(total_us - build_us, 0));
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+          return;
         }
       }
     }

@@ -2,12 +2,9 @@
 // bench: the paper's Monte Carlo grid (fault-count k x trial) fanned across
 // a fixed-size thread pool.
 //
-// Determinism contract: results are bit-identical for ANY --threads AND
-// --batch value. --batch only moves trial construction into SoA prebuilds
-// that make_trial consumes on exact (config, rng-state) matches, so the
-// trials themselves are bit-identical (tests/test_batch.cpp asserts it).
-// Two mechanisms guarantee thread independence (verified by
-// tests/test_experiment.cpp):
+// Determinism contract: results are bit-identical for ANY --threads value
+// and ANY worker-claim size (SweepConfig::batch). Two mechanisms guarantee
+// it (verified by tests/test_experiment.cpp):
 //
 //   1. Seed-splitting, never a shared stream. Each (point, trial) cell gets
 //      an independent Rng seeded by hashing (base_seed, k, n, trial_index)
@@ -54,16 +51,12 @@ namespace meshroute::obs {
 class TraceSink;
 }  // namespace meshroute::obs
 
-namespace meshroute::core::simd {
-enum class Tier : std::uint8_t;
-}  // namespace meshroute::core::simd
-
 namespace meshroute::experiment {
 
 struct TrialWorkspace;
 
 /// Shared bench configuration, parsed from the common flag set:
-///   --trials=N --dests=N --n=N --seed=S --threads=T --batch=B
+///   --trials=N --dests=N --n=N --seed=S --threads=T
 ///   --json=FILE|- --metrics=FILE|- --quick
 /// Unknown flags are rejected with a usage message (parse() exits; try_parse
 /// reports the error for tests).
@@ -73,9 +66,7 @@ struct SweepConfig {
   int dests = 40;                  ///< destinations per configuration
   std::uint64_t seed = 0x5eed2002; ///< base seed (hex accepted on the flag)
   int threads = 0;                 ///< worker threads; 0 = hardware concurrency
-  int batch = 0;                   ///< cells per worker claim; >1 prebuilds their
-                                   ///< trials via the SoA batch kernels; 0 = auto
-                                   ///< (default_batch_for(threads, tier))
+  int batch = 0;                   ///< cells per worker claim (see resolved_batch)
   std::string json_path;           ///< --json target; "" = off, "-" = stdout
   std::string metrics_path;        ///< --metrics target; "" = off, "-" = stdout
   bool quick = false;              ///< --quick given (trials=8, dests=10)
@@ -99,9 +90,7 @@ struct SweepConfig {
   /// Worker-thread count after resolving 0 to the hardware concurrency.
   [[nodiscard]] int resolved_threads() const;
 
-  /// Worker-claim size after resolving 0 (auto) through
-  /// default_batch_for(resolved_threads(), active SIMD tier). Explicit
-  /// --batch values pass through untouched.
+  /// Worker-claim size: max(1, batch). Results do not depend on it.
   [[nodiscard]] int resolved_batch() const;
 
   /// "n=200, 60 trials x 40 destinations" — the benches' title suffix.
@@ -235,17 +224,6 @@ class SweepRunner {
   std::vector<std::string> columns_;
   obs::TraceSink* trace_sink_ = nullptr;
 };
-
-/// Core-scaled default worker-claim size for --batch=0 (auto). The SoA
-/// prebuild path is memory-bound (DESIGN §12): with few threads the shared
-/// LLC absorbs the lane arenas and batching buys little, while wide runs
-/// amortize the per-claim sweep setup across more lanes before the memory
-/// system saturates. Hence 1 (plain claims) for <= 2 threads or the Scalar
-/// tier (no SIMD sweeps to amortize), else ~8 lanes per 4 cores, capped at
-/// the kernels' 64-lane maximum. The crossover behind these constants is
-/// measured by microbench's batch-sweep and recorded in BENCH_core.json
-/// meta (`batch_sweep`).
-[[nodiscard]] int default_batch_for(int threads, core::simd::Tier tier) noexcept;
 
 /// Points with x = k for a plain fault-count sweep.
 [[nodiscard]] std::vector<SweepPoint> fault_count_points(const std::vector<std::size_t>& ks);

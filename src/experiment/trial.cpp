@@ -1,8 +1,6 @@
 #include "experiment/trial.hpp"
 
 #include <chrono>
-#include <numeric>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -38,28 +36,6 @@ Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace
       obs::Registry::global().counter("experiment.trials.workspace_cold");
   static obs::Counter& trials_ctr = obs::Registry::global().counter("experiment.trials.built");
 
-  // Consume the front prebuilt trial on an exact (config, rng state) match.
-  // The match implies a direct build would reproduce the slot bit for bit
-  // (the builders draw nothing beyond the fault samples), so this is pure
-  // timing: the model sweeps already ran inside a SoA batch.
-  if (workspace.prebuilt_head < workspace.prebuilt_count) {
-    PrebuiltTrial& pb = workspace.prebuilt[workspace.prebuilt_head];
-    if (pb.trial && pb.config == config && pb.rng_before == rng.engine()) {
-      ++workspace.prebuilt_head;
-      rng.engine() = pb.rng_after;
-      trials_ctr.add(1);
-      if (!workspace.trial) {
-        cold_ctr.add(1);
-        workspace.trial.emplace(std::move(*pb.trial));
-        pb.trial.reset();
-      } else {
-        std::swap(*workspace.trial, *pb.trial);  // recycle both slots' buffers
-      }
-      charge_build_time();
-      return *workspace.trial;
-    }
-  }
-
   const Mesh2D mesh = Mesh2D::square(config.n);
   const Coord source = config.source.value_or(mesh.center());
   if (!mesh.in_bounds(source)) throw std::invalid_argument("make_trial: source outside mesh");
@@ -91,149 +67,15 @@ Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace
     trial.faulty_mask = trial.faults.mask();
     info::obstacle_mask(mesh, trial.blocks, trial.fb_mask);
     info::obstacle_mask(mesh, trial.mcc1, trial.mcc_mask);
-#if defined(MESHROUTE_FORCE_SCALAR)
-    info::compute_safety_levels(mesh, trial.fb_mask, trial.fb_safety);
-    info::compute_safety_levels(mesh, trial.mcc_mask, trial.mcc_safety);
-#else
     // The builders leave their final obstacle planes in the scratch
     // (bad_plane = union of block rects, labeled_plane = MCC status != 0),
     // so the safety sweeps skip the byte-mask pack.
     info::compute_safety_levels(mesh, workspace.block.bad_plane, trial.fb_safety);
     info::compute_safety_levels(mesh, workspace.mcc.labeled_plane, trial.mcc_safety);
-#endif
     charge_build_time();
     return trial;
   }
   throw std::runtime_error("make_trial: could not place source outside all blocks");
-}
-
-void prebuild_trials(std::span<const TrialConfig> configs, std::span<Rng> rngs,
-                     TrialWorkspace& workspace) {
-  if (configs.size() != rngs.size()) {
-    throw std::invalid_argument("prebuild_trials: configs/rngs size mismatch");
-  }
-  workspace.prebuilt_head = 0;
-  workspace.prebuilt_count = 0;
-  if (configs.empty()) return;
-  for (const TrialConfig& c : configs) {
-    if (c.n != configs[0].n) {
-      throw std::invalid_argument("prebuild_trials: lanes must share the mesh side");
-    }
-  }
-  const std::size_t lanes = configs.size();
-  if (workspace.prebuilt.size() < lanes) workspace.prebuilt.resize(lanes);
-
-#if defined(MESHROUTE_FORCE_SCALAR)
-  // No batch kernels exist on the scalar build; run the per-lane path, which
-  // is by definition what the batch path below must reproduce.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    PrebuiltTrial& pb = workspace.prebuilt[l];
-    pb.config = configs[l];
-    pb.rng_before = rngs[l].engine();
-    Trial& t = make_trial(configs[l], rngs[l], workspace);
-    pb.rng_after = rngs[l].engine();
-    if (!pb.trial) {
-      pb.trial.emplace(t);  // copy: workspace.trial must stay intact for lane l+1
-    } else {
-      std::swap(*pb.trial, t);
-    }
-  }
-#else
-  const Mesh2D mesh = Mesh2D::square(configs[0].n);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    PrebuiltTrial& pb = workspace.prebuilt[l];
-    pb.config = configs[l];
-    pb.rng_before = rngs[l].engine();
-    const Coord source = configs[l].source.value_or(mesh.center());
-    if (!mesh.in_bounds(source)) throw std::invalid_argument("make_trial: source outside mesh");
-    if (!pb.trial) {
-      pb.trial.emplace(Trial{mesh, source, fault::FaultSet{}, fault::BlockSet{},
-                             fault::MccSet{}, Grid<bool>{}, Grid<bool>{}, Grid<bool>{},
-                             info::SafetyGrid{}, info::SafetyGrid{}});
-    } else {
-      pb.trial->mesh = mesh;
-      pb.trial->source = source;
-    }
-  }
-
-  // Lockstep reroll rounds: every still-pending lane draws its faults (from
-  // its own engine — lane order inside a round is immaterial), then all
-  // pending lanes' models are built by the SoA batch sweeps. A lane whose
-  // source lands inside a block/MCC goes around again, exactly like one
-  // make_trial attempt; its round count equals the attempt count the
-  // single-trial path would have used.
-  std::vector<int> pending(lanes);
-  std::iota(pending.begin(), pending.end(), 0);
-  std::vector<int> next_pending;
-  std::vector<int> mcc_lanes;
-  std::vector<const fault::FaultSet*> fault_ptrs;
-  std::vector<fault::BlockSet*> block_ptrs;
-  std::vector<fault::MccSet*> mcc_ptrs;
-  const auto trial_of = [&](int l) -> Trial& {
-    return *workspace.prebuilt[static_cast<std::size_t>(l)].trial;
-  };
-
-  constexpr int kMaxRerolls = 1000;  // same reroll budget as make_trial
-  for (int attempt = 0; attempt < kMaxRerolls && !pending.empty(); ++attempt) {
-    for (const int l : pending) {
-      Trial& t = trial_of(l);
-      fault::uniform_random_faults(mesh, configs[static_cast<std::size_t>(l)].faults,
-                                   rngs[static_cast<std::size_t>(l)], t.source, t.faults,
-                                   workspace.sample);
-    }
-    next_pending.clear();
-    mcc_lanes.clear();
-    fault_ptrs.clear();
-    block_ptrs.clear();
-    for (const int l : pending) {
-      fault_ptrs.push_back(&trial_of(l).faults);
-      block_ptrs.push_back(&trial_of(l).blocks);
-    }
-    // The per-lane hook runs while the lane's final obstacle plane is still
-    // in scratch.bad_plane, so the fb mask and safety levels come straight
-    // off it — the same shortcut make_trial takes.
-    fault::build_faulty_blocks_batch(mesh, fault_ptrs, block_ptrs, workspace.block,
-                                     [&](int i) {
-      const int l = pending[static_cast<std::size_t>(i)];
-      Trial& t = trial_of(l);
-      if (t.blocks.is_block_node(t.source)) {
-        next_pending.push_back(l);
-        return;
-      }
-      info::obstacle_mask(mesh, t.blocks, t.fb_mask);
-      info::compute_safety_levels(mesh, workspace.block.bad_plane, t.fb_safety);
-      mcc_lanes.push_back(l);
-    });
-
-    if (!mcc_lanes.empty()) {
-      fault_ptrs.clear();
-      mcc_ptrs.clear();
-      for (const int l : mcc_lanes) {
-        fault_ptrs.push_back(&trial_of(l).faults);
-        mcc_ptrs.push_back(&trial_of(l).mcc1);
-      }
-      fault::build_mcc_batch(mesh, fault_ptrs, fault::MccKind::TypeOne, mcc_ptrs,
-                             workspace.mcc, [&](int i) {
-        const int l = mcc_lanes[static_cast<std::size_t>(i)];
-        PrebuiltTrial& pb = workspace.prebuilt[static_cast<std::size_t>(l)];
-        Trial& t = *pb.trial;
-        if (t.mcc1.is_mcc_node(t.source)) {
-          next_pending.push_back(l);
-          return;
-        }
-        t.faulty_mask = t.faults.mask();
-        info::obstacle_mask(mesh, t.mcc1, t.mcc_mask);
-        info::compute_safety_levels(mesh, workspace.mcc.labeled_plane, t.mcc_safety);
-        pb.rng_after = rngs[static_cast<std::size_t>(l)].engine();
-      });
-    }
-    pending.swap(next_pending);
-  }
-  if (!pending.empty()) {
-    throw std::runtime_error("make_trial: could not place source outside all blocks");
-  }
-#endif
-  workspace.prebuilt_count = lanes;
 }
 
 Coord sample_quadrant1_dest(const Trial& trial, Rng& rng) {

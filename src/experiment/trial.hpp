@@ -25,10 +25,6 @@ struct TrialConfig {
   Dist n = 200;             ///< mesh side
   std::size_t faults = 0;   ///< k
   std::optional<Coord> source = std::nullopt;  ///< defaults to the mesh center
-
-  /// Exact-match comparison, used by make_trial to decide whether a prebuilt
-  /// trial (experiment/workspace.hpp) answers this request.
-  friend bool operator==(const TrialConfig&, const TrialConfig&) = default;
 };
 
 /// All per-configuration state shared by destination samples.

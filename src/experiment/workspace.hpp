@@ -17,25 +17,9 @@
 // (the allocating entry points delegate to them).
 #pragma once
 
-#include <random>
-#include <span>
-#include <vector>
-
 #include "experiment/trial.hpp"
 
 namespace meshroute::experiment {
-
-/// One trial built ahead of time by prebuild_trials, tagged with the exact
-/// request it answers: the config plus the engine state the builder started
-/// from. make_trial consumes a slot only when BOTH match its own arguments —
-/// in which case building directly would reproduce the slot bit for bit, so
-/// the batch path can change timing but never results.
-struct PrebuiltTrial {
-  TrialConfig config;
-  std::mt19937_64 rng_before;  ///< engine state the build consumed from
-  std::mt19937_64 rng_after;   ///< engine state after all fault draws
-  std::optional<Trial> trial;  ///< the finished trial (slot storage is reused)
-};
 
 struct TrialWorkspace {
   std::optional<Trial> trial;      ///< rebuilt in place by make_trial
@@ -48,32 +32,11 @@ struct TrialWorkspace {
   /// functor call and splits the functor's wall time into
   /// sweep.build_us / sweep.route_us from it.
   double build_us = 0.0;
-  /// Prebuilt-trial queue: slots [prebuilt_head, prebuilt_count) are
-  /// unconsumed, in the cell order prebuild_trials received. Slots beyond
-  /// the queue keep their storage for reuse by the next prebuild.
-  std::vector<PrebuiltTrial> prebuilt;
-  std::size_t prebuilt_head = 0;
-  std::size_t prebuilt_count = 0;
 };
 
 /// Workspace overload of make_trial: rebuilds workspace.trial in place and
 /// returns a reference to it (invalidated by the next call). Zero
 /// allocations in steady state; bit-identical to the allocating overload.
-/// When the front of workspace.prebuilt matches (config, rng state) exactly,
-/// the prebuilt trial is consumed instead of rebuilding — see PrebuiltTrial.
 Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace);
-
-/// Build one whole trial per lane ahead of time with the SoA batch kernels
-/// (fault::build_faulty_blocks_batch / build_mcc_batch), filling
-/// workspace.prebuilt in lane order. All configs must share the mesh side
-/// (one BitGridBatch geometry); fault counts may differ per lane. Each
-/// rngs[l] is advanced to its post-build state, exactly as make_trial would
-/// have advanced it — per-lane rerolls (source swallowed by a block/MCC) are
-/// replayed in lockstep rounds, so every lane's draw sequence is identical
-/// to the single-trial path. Under MESHROUTE_FORCE_SCALAR the lanes are
-/// built one at a time through make_trial itself (no batch kernels exist
-/// there), which is the behavior the batch path must reproduce.
-void prebuild_trials(std::span<const TrialConfig> configs, std::span<Rng> rngs,
-                     TrialWorkspace& workspace);
 
 }  // namespace meshroute::experiment

@@ -95,8 +95,7 @@ void merge_overlapping(std::vector<Rect>& boxes) {
 /// The tail of the bit-plane builder: assumes scratch.bad_plane already sits
 /// at the disable fixed point and scratch.fault_plane holds the raw faults.
 /// Runs the rectangular closure to stability (re-running the fixed point
-/// whenever a box grew) and assembles `out`. Shared by the single-lane and
-/// batch builders, which differ only in how the fixed point was reached.
+/// whenever a box grew) and assembles `out`.
 void finish_blocks_from_fixpoint(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                  BlockScratch& scratch) {
   const Dist w = mesh.width();
@@ -234,11 +233,7 @@ BlockSet build_faulty_blocks(const Mesh2D& mesh, const FaultSet& faults) {
 
 void build_faulty_blocks(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                          BlockScratch& scratch) {
-#if defined(MESHROUTE_FORCE_SCALAR)
-  build_faulty_blocks_scalar(mesh, faults, out, scratch);
-#else
   build_faulty_blocks_bitplane(mesh, faults, out, scratch);
-#endif
 }
 
 void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
@@ -317,32 +312,6 @@ void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, Bl
   // loop as the scalar builder).
   core::simd::block_fixpoint(bad, scratch.simd);
   finish_blocks_from_fixpoint(mesh, faults, out, scratch);
-}
-
-void build_faulty_blocks_batch(const Mesh2D& mesh, std::span<const FaultSet* const> faults,
-                               std::span<BlockSet* const> out, BlockScratch& scratch,
-                               const std::function<void(int)>& after_lane) {
-  if (faults.size() != out.size()) {
-    throw std::invalid_argument("build_faulty_blocks_batch: faults/out size mismatch");
-  }
-  const int lanes = static_cast<int>(faults.size());
-  if (lanes == 0) return;
-  core::BitGridBatch& batch = scratch.batch_plane;
-  batch.resize(mesh.width(), mesh.height(), lanes);
-  for (int l = 0; l < lanes; ++l) {
-    for (const Coord f : faults[static_cast<std::size_t>(l)]->faults()) batch.set(l, f);
-  }
-  // One SoA sweep drives every lane to the (unique, monotone) disable fixed
-  // point; converged lanes ride along idempotently.
-  core::simd::batch_block_fixpoint(batch, scratch.simd);
-  for (int l = 0; l < lanes; ++l) {
-    const FaultSet& fs = *faults[static_cast<std::size_t>(l)];
-    batch.extract_lane(l, scratch.bad_plane);
-    scratch.fault_plane.resize(mesh.width(), mesh.height());
-    for (const Coord f : fs.faults()) scratch.fault_plane.set(f);
-    finish_blocks_from_fixpoint(mesh, fs, *out[static_cast<std::size_t>(l)], scratch);
-    if (after_lane) after_lane(l);
-  }
 }
 
 }  // namespace meshroute::fault

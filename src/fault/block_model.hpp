@@ -14,12 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/coord.hpp"
 #include "common/grid.hpp"
 #include "common/rect.hpp"
@@ -100,7 +97,6 @@ struct BlockScratch {
   // rects) — make_trial feeds it straight into the safety sweeps.
   core::BitGrid bad_plane;
   core::BitGrid fault_plane;
-  core::BitGridBatch batch_plane;  ///< SoA planes of the batch builder
   core::simd::SweepScratch simd;
   detail::RunCC cc;
 };
@@ -111,8 +107,8 @@ struct BlockScratch {
 
 /// In-place overload: rebuilds `out` reusing its storage and `scratch`'s
 /// buffers; zero allocations in steady state. The allocating overload
-/// delegates here, so the two produce identical BlockSets. Dispatches to the
-/// bit-plane kernel (the scalar one under MESHROUTE_FORCE_SCALAR).
+/// delegates here, so the two produce identical BlockSets. Runs the
+/// bit-plane kernel.
 void build_faulty_blocks(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                          BlockScratch& scratch);
 
@@ -127,19 +123,6 @@ void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, Bloc
 /// BlockSet identical (blocks, labels, ids) to the scalar builder.
 void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                   BlockScratch& scratch);
-
-/// Batch-of-meshes builder: `faults.size()` independent fault sets over the
-/// same mesh, driven to the disable fixed point in ONE SoA sweep
-/// (core::simd::batch_block_fixpoint — every word op advances all lanes),
-/// then finished per lane exactly like build_faulty_blocks_bitplane. Each
-/// `out[l]` is identical to what the single-lane builder produces from
-/// `faults[l]`. `after_lane(l)` (optional) runs right after lane l's BlockSet
-/// is assigned, while scratch.bad_plane still holds that lane's final
-/// obstacle plane — the hook the trial prebuilder uses to derive safety
-/// levels without re-extracting the lane.
-void build_faulty_blocks_batch(const Mesh2D& mesh, std::span<const FaultSet* const> faults,
-                               std::span<BlockSet* const> out, BlockScratch& scratch,
-                               const std::function<void(int)>& after_lane = {});
 
 /// Just the disable-labeling fixed point (no rectangular closure); exposed
 /// separately so tests can assert the classic "components are rectangles"

@@ -3,7 +3,6 @@
 #include <array>
 #include <numeric>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 namespace meshroute::fault {
@@ -64,8 +63,7 @@ void propagate_label(const Mesh2D& mesh, Grid<std::uint8_t>& status,
 
 /// The tail of the bit-plane builder: assumes scratch's fault/useless/
 /// cant-reach planes hold the label fixed points; assembles the labeled
-/// plane, the status grid, the components, and `out`. Shared by the
-/// single-lane and batch builders.
+/// plane, the status grid, the components, and `out`.
 void finish_mcc_from_planes(const Mesh2D& mesh, const FaultSet& faults, MccKind kind,
                             MccSet& out, MccScratch& scratch) {
   const Dist w = mesh.width();
@@ -153,11 +151,7 @@ MccSet build_mcc(const Mesh2D& mesh, const FaultSet& faults, MccKind kind) {
 
 void build_mcc(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, MccSet& out,
                MccScratch& scratch) {
-#if defined(MESHROUTE_FORCE_SCALAR)
-  build_mcc_scalar(mesh, faults, kind, out, scratch);
-#else
   build_mcc_bitplane(mesh, faults, kind, out, scratch);
-#endif
 }
 
 void build_mcc_scalar(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, MccSet& out,
@@ -240,37 +234,6 @@ void build_mcc_bitplane(const Mesh2D& mesh, const FaultSet& faults, MccKind kind
   const bool type_one = kind == MccKind::TypeOne;
   core::simd::mcc_sweeps(fp, up, cp, type_one, scratch.simd);
   finish_mcc_from_planes(mesh, faults, kind, out, scratch);
-}
-
-void build_mcc_batch(const Mesh2D& mesh, std::span<const FaultSet* const> faults, MccKind kind,
-                     std::span<MccSet* const> out, MccScratch& scratch,
-                     const std::function<void(int)>& after_lane) {
-  if (faults.size() != out.size()) {
-    throw std::invalid_argument("build_mcc_batch: faults/out size mismatch");
-  }
-  const int lanes = static_cast<int>(faults.size());
-  if (lanes == 0) return;
-  const Dist w = mesh.width();
-  const Dist h = mesh.height();
-  core::BitGridBatch& fb = scratch.fault_batch;
-  core::BitGridBatch& ub = scratch.useless_batch;
-  core::BitGridBatch& cb = scratch.cant_reach_batch;
-  fb.resize(w, h, lanes);
-  ub.resize(w, h, lanes);
-  cb.resize(w, h, lanes);
-  for (int l = 0; l < lanes; ++l) {
-    for (const Coord f : faults[static_cast<std::size_t>(l)]->faults()) fb.set(l, f);
-  }
-  // Both directed closures for every lane in one SoA pass each.
-  core::simd::batch_mcc_sweeps(fb, ub, cb, kind == MccKind::TypeOne, scratch.simd);
-  for (int l = 0; l < lanes; ++l) {
-    fb.extract_lane(l, scratch.fault_plane);
-    ub.extract_lane(l, scratch.useless_plane);
-    cb.extract_lane(l, scratch.cant_reach_plane);
-    finish_mcc_from_planes(mesh, *faults[static_cast<std::size_t>(l)], kind,
-                           *out[static_cast<std::size_t>(l)], scratch);
-    if (after_lane) after_lane(l);
-  }
 }
 
 MccModel build_mcc_model(const Mesh2D& mesh, const FaultSet& faults) {

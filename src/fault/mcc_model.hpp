@@ -16,12 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/coord.hpp"
 #include "common/grid.hpp"
 #include "common/rect.hpp"
@@ -125,9 +122,6 @@ struct MccScratch {
   core::BitGrid useless_plane;
   core::BitGrid cant_reach_plane;
   core::BitGrid labeled_plane;
-  core::BitGridBatch fault_batch;       ///< SoA planes of the batch builder
-  core::BitGridBatch useless_batch;
-  core::BitGridBatch cant_reach_batch;
   core::simd::SweepScratch simd;
   detail::RunCC cc;
 };
@@ -137,8 +131,7 @@ struct MccScratch {
 
 /// In-place overload: rebuilds `out` reusing its storage and `scratch`'s
 /// buffers. The allocating overload delegates here, so the two produce
-/// identical MccSets. Dispatches to the bit-plane kernel (the scalar one
-/// under MESHROUTE_FORCE_SCALAR).
+/// identical MccSets. Runs the bit-plane kernel.
 void build_mcc(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, MccSet& out,
                MccScratch& scratch);
 
@@ -153,17 +146,6 @@ void build_mcc_scalar(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, 
 /// run-union components. Identical output to the scalar builder.
 void build_mcc_bitplane(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, MccSet& out,
                         MccScratch& scratch);
-
-/// Batch-of-meshes builder: `faults.size()` independent fault sets over the
-/// same mesh, both directed label closures run as ONE SoA sweep each
-/// (core::simd::batch_mcc_sweeps), then finished per lane exactly like
-/// build_mcc_bitplane. Each `out[l]` is identical to the single-lane result
-/// for `faults[l]`. `after_lane(l)` (optional) runs right after lane l's
-/// MccSet is assigned, while scratch.labeled_plane still holds that lane's
-/// obstacle plane.
-void build_mcc_batch(const Mesh2D& mesh, std::span<const FaultSet* const> faults, MccKind kind,
-                     std::span<MccSet* const> out, MccScratch& scratch,
-                     const std::function<void(int)>& after_lane = {});
 
 /// Both labelings; every node carries the paper's dual status
 /// (status1 for quadrant I/III, status2 for quadrant II/IV).

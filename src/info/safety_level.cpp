@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -79,15 +77,11 @@ SafetyGrid compute_safety_levels(const Mesh2D& mesh, const Grid<bool>& obstacles
 }
 
 void compute_safety_levels(const Mesh2D& mesh, const Grid<bool>& obstacles, SafetyGrid& out) {
-#if defined(MESHROUTE_FORCE_SCALAR)
-  compute_safety_levels_scalar(mesh, obstacles, out);
-#else
   // Pack into a per-thread plane and run the bit kernel; packing is one
   // byte-compare pass and the kernel then touches only obstacle positions.
   thread_local core::BitGrid plane;
   plane.assign(obstacles);
   compute_safety_levels(mesh, plane, out);
-#endif
 }
 
 void compute_safety_levels_scalar(const Mesh2D& mesh, const Grid<bool>& obstacles,
@@ -155,17 +149,6 @@ void compute_safety_levels(const Mesh2D& mesh, const core::BitGrid& obstacles, S
   static_assert(offsetof(ExtendedSafetyLevel, n) == 3 * sizeof(std::int32_t));
   thread_local core::simd::SweepScratch scratch;
   core::simd::safety_fill(obstacles, reinterpret_cast<std::int32_t*>(out.data().data()), scratch);
-}
-
-void compute_safety_levels_batch(const Mesh2D& mesh,
-                                 std::span<const core::BitGrid* const> obstacles,
-                                 std::span<SafetyGrid* const> out) {
-  if (obstacles.size() != out.size()) {
-    throw std::invalid_argument("compute_safety_levels_batch: obstacles/out size mismatch");
-  }
-  for (std::size_t l = 0; l < obstacles.size(); ++l) {
-    compute_safety_levels(mesh, *obstacles[l], *out[l]);
-  }
 }
 
 }  // namespace meshroute::info

@@ -9,8 +9,6 @@
 // (the paper's default (inf, inf, inf, inf)).
 #pragma once
 
-#include <span>
-
 #include "common/bitgrid.hpp"
 #include "common/coord.hpp"
 #include "common/grid.hpp"
@@ -81,18 +79,8 @@ void compute_safety_levels(const Mesh2D& mesh, const Grid<bool>& obstacles, Safe
 void compute_safety_levels(const Mesh2D& mesh, const core::BitGrid& obstacles, SafetyGrid& out);
 
 /// The scalar reference sweeps — the oracle the bit-plane kernel is tested
-/// against, and the body behind the public entry under
-/// MESHROUTE_FORCE_SCALAR.
+/// against.
 void compute_safety_levels_scalar(const Mesh2D& mesh, const Grid<bool>& obstacles,
                                   SafetyGrid& out);
-
-/// Batch variant matching the fault builders' batch API: one obstacle plane
-/// and output grid per lane, all over the same mesh. Runs the vector kernel
-/// per lane — the AoS field interleave dominates this fill, so lanes gain
-/// nothing from SoA here; the batch form exists so batch pipelines have one
-/// call per model stage (and one place to upgrade later).
-void compute_safety_levels_batch(const Mesh2D& mesh,
-                                 std::span<const core::BitGrid* const> obstacles,
-                                 std::span<SafetyGrid* const> out);
 
 }  // namespace meshroute::info

@@ -1,13 +1,11 @@
 #include "serve/builder.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "info/safety_level.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -27,7 +25,7 @@ dynamic::DynamicMeshState seeded_state(Mesh2D mesh, std::span<const Coord> initi
   return state;
 }
 
-/// Per-epoch rebuild latency, sequential and batched alike: snapshot build
+/// Per-epoch rebuild latency, publish() and flush() alike: snapshot build
 /// plus the store swap (which reclaims retired snapshots) — the
 /// epoch-pipeline headline (BENCH_serve.json rebuild_p99_us).
 obs::Histogram& rebuild_histogram() {
@@ -197,45 +195,18 @@ std::uint64_t SnapshotBuilder::flush(
     ++epoch;
   };
 
-#if defined(MESHROUTE_FORCE_SCALAR)
-  // The builders are pinned to their scalar reference kernels: rebuild each
-  // queued world from scratch sequentially (same results, no SoA flight).
-  constexpr bool kBatch = false;
-#else
-  const bool kBatch = k >= 2;
-#endif
-  if (kBatch) {
-    std::vector<const fault::FaultSet*> worlds(k);
-    for (std::size_t l = 0; l < k; ++l) worlds[l] = &pending_[l].faults;
-    std::vector<SnapshotParts> parts(k);
-    rebuilder_.build(mesh(), worlds, scratch_, parts);
-#if !defined(NDEBUG)
-    // The flight's last lane is the live world: its block planes must
-    // coincide with the incrementally-maintained state — the same
-    // equivalence the delta-vs-scratch snapshot test pins.
-    assert(info::obstacle_mask(mesh(), parts.back().blocks) == state_.obstacle_mask());
-    assert(parts.back().fb_safety == state_.safety());
-#endif
-    for (std::size_t l = 0; l < k; ++l) {
-      publish_one(
-          std::make_unique<const RoutingSnapshot>(mesh(), std::move(parts[l]), epoch));
-    }
-    stats_.batched_epochs += k;
-  } else if (k == 1) {
-    // Single pending epoch: the live state IS that world — take the same
-    // delta-fed path as publish(), so flight=1 costs exactly one publish.
-    publish_one(std::make_unique<const RoutingSnapshot>(state_, epoch, scratch_));
-  } else {
-    for (std::size_t l = 0; l < k; ++l) {
-      publish_one(std::make_unique<const RoutingSnapshot>(mesh(), pending_[l].faults, epoch,
-                                                          scratch_));
-    }
+  // Every queued world but the last is rebuilt from scratch; the last one
+  // IS the live state, so it takes the same delta-fed path as publish() and
+  // a flight of one costs exactly one publish.
+  for (std::size_t l = 0; l + 1 < k; ++l) {
+    publish_one(
+        std::make_unique<const RoutingSnapshot>(mesh(), pending_[l].faults, epoch, scratch_));
   }
+  publish_one(std::make_unique<const RoutingSnapshot>(state_, epoch, scratch_));
   pending_.clear();
   stats_.pending_injections = 0;
-  // Per-epoch share of the flight's wall time: the batched path amortizes
-  // the sweeps, so this is the number that must not regress at flight=1 and
-  // must drop at flight>=4 (BENCH_serve.json rebuild_p99_us).
+  // Per-epoch share of the flight's wall time, comparable with publish()'s
+  // (BENCH_serve.json rebuild_p99_us).
   const std::int64_t per_epoch =
       (now_us() - t0 + static_cast<std::int64_t>(k) / 2) / static_cast<std::int64_t>(k);
   for (std::size_t l = 0; l < k; ++l) rebuild_histogram().observe(per_epoch);

@@ -27,10 +27,9 @@
 //     max-staleness guard bounds.
 //
 // Epoch pipeline (DESIGN §15): enqueue() queues each injection as its own
-// pending epoch; flush() publishes the whole flight in epoch order, and with
-// >= 2 pending epochs builds every snapshot in ONE batched SoA pass
-// (BatchRebuilder — the block/MCC/safety sweeps advance all pending worlds
-// per word op). Bit-identical to the sequential path, epoch by epoch.
+// pending epoch; flush() publishes the whole flight in epoch order as k
+// sequential publishes. Bit-identical to the inject_publish() path, epoch by
+// epoch.
 //
 // Single-writer: inject()/publish()/enqueue()/flush() must come from one
 // thread (or be externally serialized). Readers need no coordination with
@@ -51,7 +50,6 @@
 #include "dynamic/dynamic_state.hpp"
 #include "fault/fault_set.hpp"
 #include "mesh/mesh2d.hpp"
-#include "serve/batch_rebuilder.hpp"
 #include "serve/journal.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
@@ -67,7 +65,6 @@ struct BuilderStats {
   std::uint64_t dropped_publishes = 0;   ///< pubdrop chaos: epochs that never landed
   std::uint64_t forced_rebuilds = 0;     ///< watchdog-forced from-scratch rebuilds
   std::uint64_t recovered_records = 0;   ///< journal records replayed at recovery
-  std::uint64_t batched_epochs = 0;      ///< epochs published through the SoA flight path
 };
 
 class SnapshotBuilder {
@@ -129,12 +126,11 @@ class SnapshotBuilder {
   /// Number of epochs currently queued for the next flush().
   [[nodiscard]] std::size_t queued_epochs() const noexcept { return pending_.size(); }
 
-  /// Publish every queued epoch in order through the RCU store. With >= 2
-  /// queued epochs the snapshots are built by one batched SoA flight
-  /// (BatchRebuilder: the block/MCC/safety sweeps each run once across all
-  /// pending worlds as BitGridBatch lanes); a single queued epoch takes the
-  /// same delta-fed path as publish(). The flight's build-plus-swap time,
-  /// divided per epoch, feeds the serve.rebuild_us histogram either way.
+  /// Publish every queued epoch in order through the RCU store. Each queued
+  /// world but the last is built from scratch; the last one is the live
+  /// state and takes the same delta-fed path as publish(). The flight's
+  /// build-plus-swap time, divided per epoch, feeds the serve.rebuild_us
+  /// histogram.
   /// `on_publish` (optional; used by the epoch-equality tests) observes each
   /// snapshot right before its swap.
   /// Serve-chaos events do NOT apply here — their ordinals count publish()
@@ -186,7 +182,6 @@ class SnapshotBuilder {
   std::vector<chaos::ServeChaosEvent> chaos_events_;  ///< builder kinds only
   std::uint64_t publish_ordinal_ = 0;                 ///< 1-based chaos SEQ counter
   std::vector<PendingEpoch> pending_;                 ///< flight queued by enqueue()
-  BatchRebuilder rebuilder_;                          ///< retained flight buffers
   SnapshotStore store_;  ///< last: its initial snapshot is built from state_
 };
 

@@ -177,7 +177,6 @@ experiment::json::Value QueryServer::stats_json() const {
   o["dropped_publishes"] = Value(static_cast<double>(bs.dropped_publishes));
   o["forced_rebuilds"] = Value(static_cast<double>(bs.forced_rebuilds));
   o["recovered_records"] = Value(static_cast<double>(bs.recovered_records));
-  o["batched_epochs"] = Value(static_cast<double>(bs.batched_epochs));
   o["readers"] = Value(static_cast<double>(store.registered_readers()));
   o["retired"] = Value(static_cast<double>(store.retired_count()));
   o["model"] = Value(route::to_string(config_.model));

@@ -59,13 +59,9 @@ RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faul
       blocks_(build_blocks_scratch(mesh_, faults_, scratch.block)),
       boundary_(mesh_, blocks_) {
   info::obstacle_mask(mesh_, blocks_, fb_mask_);
-#if defined(MESHROUTE_FORCE_SCALAR)
-  info::compute_safety_levels(mesh_, fb_mask_, fb_safety_);
-#else
   // The block builder leaves its final obstacle plane (the union of the
   // block rects) in the scratch; feed it straight into the safety sweep.
   info::compute_safety_levels(mesh_, scratch.block.bad_plane, fb_safety_);
-#endif
   finish_derived(scratch);
 }
 
@@ -83,36 +79,14 @@ RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::ui
   finish_derived(scratch);
 }
 
-RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, SnapshotParts parts, std::uint64_t epoch)
-    : epoch_(epoch),
-      mesh_(mesh),
-      faults_(std::move(parts.faults)),
-      blocks_(std::move(parts.blocks)),
-      mcc1_(std::move(parts.mcc1)),
-      mcc2_(std::move(parts.mcc2)),
-      boundary_(mesh_, blocks_),
-      fb_safety_(std::move(parts.fb_safety)),
-      mcc1_safety_(std::move(parts.mcc1_safety)),
-      mcc2_safety_(std::move(parts.mcc2_safety)) {
-  faulty_mask_ = faults_.mask();
-  info::obstacle_mask(mesh_, blocks_, fb_mask_);
-  info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
-  info::obstacle_mask(mesh_, mcc2_, mcc2_mask_);
-}
-
 void RoutingSnapshot::finish_derived(SnapshotScratch& scratch) {
   faulty_mask_ = faults_.mask();
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, mcc1_, scratch.mcc1);
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, mcc2_, scratch.mcc2);
   info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
   info::obstacle_mask(mesh_, mcc2_, mcc2_mask_);
-#if defined(MESHROUTE_FORCE_SCALAR)
-  info::compute_safety_levels(mesh_, mcc1_mask_, mcc1_safety_);
-  info::compute_safety_levels(mesh_, mcc2_mask_, mcc2_safety_);
-#else
   info::compute_safety_levels(mesh_, scratch.mcc1.labeled_plane, mcc1_safety_);
   info::compute_safety_levels(mesh_, scratch.mcc2.labeled_plane, mcc2_safety_);
-#endif
 }
 
 route::QueryView RoutingSnapshot::query_view() const noexcept {

@@ -56,22 +56,6 @@ struct SnapshotScratch {
   fault::MccScratch mcc2;
 };
 
-/// Pre-built fault-model components for one epoch, produced by the
-/// BatchRebuilder's SoA flight (batch_rebuilder.hpp): everything the
-/// from-scratch constructor would compute with the single-lane kernels,
-/// already materialized per lane. The parts constructor below derives the
-/// O(area) byte masks and the boundary deposits from them; the deposits'
-/// two-pass ring-and-trail walk (info/boundary.hpp) is the larger of the two.
-struct SnapshotParts {
-  fault::FaultSet faults;
-  fault::BlockSet blocks;
-  fault::MccSet mcc1;
-  fault::MccSet mcc2;
-  info::SafetyGrid fb_safety;
-  info::SafetyGrid mcc1_safety;
-  info::SafetyGrid mcc2_safety;
-};
-
 class RoutingSnapshot final : public route::FaultView {
  public:
   /// From-scratch build against a fault set (bit-plane kernels throughout).
@@ -84,13 +68,6 @@ class RoutingSnapshot final : public route::FaultView {
   /// kernels against `scratch`, and the boundary deposits by their walk.
   RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                   SnapshotScratch& scratch);
-
-  /// Batched build: adopts one lane of a BatchRebuilder flight — every
-  /// fixpoint arrives pre-built, so no sweep kernel runs here at all; the
-  /// byte masks and the boundary deposits are derived. Bit-identical to the
-  /// other two constructors for the same fault set (tests/test_serve.cpp
-  /// asserts the three-way equivalence epoch by epoch).
-  RoutingSnapshot(const Mesh2D& mesh, SnapshotParts parts, std::uint64_t epoch);
 
   RoutingSnapshot(const RoutingSnapshot&) = delete;
   RoutingSnapshot& operator=(const RoutingSnapshot&) = delete;

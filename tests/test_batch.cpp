@@ -1,8 +1,9 @@
-// Equivalence tests for the batch-of-meshes (SoA) pipeline: the batch fault
-// builders, the batch safety/reachability entry points, the trial prebuilder,
-// and the SweepRunner --batch flag must all be bit-identical to their
-// single-lane counterparts — the figure benches' determinism contract rides
-// on it.
+// Equivalence tests for batches of independent worlds built back to back:
+// the fault builders, safety fills and reachability sweeps reuse one scratch
+// across a run of worlds (as a sweep worker or a flush() flight does), and
+// every world must still come out bit-identical to the scalar oracle run on
+// that world alone. The SweepRunner's worker-claim size must not change
+// results either — the figure benches' determinism contract rides on it.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -21,9 +22,7 @@ namespace meshroute {
 namespace {
 
 using experiment::make_trial;
-using experiment::prebuild_trials;
 using experiment::Trial;
-using experiment::TrialConfig;
 using experiment::TrialWorkspace;
 
 /// A spread of independent fault sets over one mesh (varying k per lane).
@@ -53,24 +52,14 @@ TEST(BlockBatch, MatchesSingleLaneBuilder) {
   const Mesh2D mesh(70, 50);
   for (const int lanes : {1, 3, 8, 11}) {
     const auto sets = random_fault_sets(mesh, lanes, 0xb10c + static_cast<std::uint64_t>(lanes));
-    std::vector<const fault::FaultSet*> in;
-    std::vector<fault::BlockSet> batch_out(static_cast<std::size_t>(lanes));
-    std::vector<fault::BlockSet*> out;
-    for (int l = 0; l < lanes; ++l) {
-      in.push_back(&sets[static_cast<std::size_t>(l)]);
-      out.push_back(&batch_out[static_cast<std::size_t>(l)]);
-    }
-    fault::BlockScratch scratch;
-    int hook_calls = 0;
-    fault::build_faulty_blocks_batch(mesh, in, out, scratch, [&](int l) {
-      EXPECT_EQ(l, hook_calls);
-      ++hook_calls;
-    });
-    EXPECT_EQ(hook_calls, lanes);
-    for (int l = 0; l < lanes; ++l) {
-      const fault::BlockSet single =
-          fault::build_faulty_blocks(mesh, sets[static_cast<std::size_t>(l)]);
-      expect_same_blocks(single, batch_out[static_cast<std::size_t>(l)]);
+    fault::BlockScratch shared;
+    fault::BlockSet out;  // rebuilt in place, lane after lane
+    for (const fault::FaultSet& fs : sets) {
+      fault::build_faulty_blocks(mesh, fs, out, shared);
+      fault::BlockScratch fresh;
+      fault::BlockSet single;
+      fault::build_faulty_blocks_scalar(mesh, fs, single, fresh);
+      expect_same_blocks(single, out);
     }
   }
 }
@@ -79,26 +68,22 @@ TEST(MccBatch, MatchesSingleLaneBuilder) {
   const Mesh2D mesh(60, 45);
   for (const fault::MccKind kind : {fault::MccKind::TypeOne, fault::MccKind::TypeTwo}) {
     const auto sets = random_fault_sets(mesh, 7, 0x3cc);
-    std::vector<const fault::FaultSet*> in;
-    std::vector<fault::MccSet> batch_out(sets.size());
-    std::vector<fault::MccSet*> out;
-    for (std::size_t l = 0; l < sets.size(); ++l) {
-      in.push_back(&sets[l]);
-      out.push_back(&batch_out[l]);
-    }
-    fault::MccScratch scratch;
-    fault::build_mcc_batch(mesh, in, kind, out, scratch);
-    for (std::size_t l = 0; l < sets.size(); ++l) {
-      const fault::MccSet single = fault::build_mcc(mesh, sets[l], kind);
-      ASSERT_EQ(single.components().size(), batch_out[l].components().size());
-      EXPECT_EQ(single.status_grid(), batch_out[l].status_grid());
+    fault::MccScratch shared;
+    fault::MccSet out;
+    for (const fault::FaultSet& fs : sets) {
+      fault::build_mcc(mesh, fs, kind, out, shared);
+      fault::MccScratch fresh;
+      fault::MccSet single;
+      fault::build_mcc_scalar(mesh, fs, kind, single, fresh);
+      ASSERT_EQ(single.components().size(), out.components().size());
+      EXPECT_EQ(single.status_grid(), out.status_grid());
       for (std::size_t c = 0; c < single.components().size(); ++c) {
-        EXPECT_EQ(single.components()[c].bbox, batch_out[l].components()[c].bbox);
-        EXPECT_EQ(single.components()[c].size, batch_out[l].components()[c].size);
-        EXPECT_EQ(single.components()[c].faulty_count, batch_out[l].components()[c].faulty_count);
+        EXPECT_EQ(single.components()[c].bbox, out.components()[c].bbox);
+        EXPECT_EQ(single.components()[c].size, out.components()[c].size);
+        EXPECT_EQ(single.components()[c].faulty_count, out.components()[c].faulty_count);
       }
       mesh.for_each_node([&](Coord c) {
-        EXPECT_EQ(single.component_id(c), batch_out[l].component_id(c));
+        EXPECT_EQ(single.component_id(c), out.component_id(c));
       });
     }
   }
@@ -107,21 +92,14 @@ TEST(MccBatch, MatchesSingleLaneBuilder) {
 TEST(SafetyBatch, MatchesPerLaneFill) {
   const Mesh2D mesh(80, 33);
   const auto sets = random_fault_sets(mesh, 5, 0x5afe);
-  std::vector<core::BitGrid> planes(sets.size());
-  std::vector<const core::BitGrid*> in;
-  std::vector<info::SafetyGrid> batch_out(sets.size());
-  std::vector<info::SafetyGrid*> out;
-  for (std::size_t l = 0; l < sets.size(); ++l) {
-    planes[l].resize(mesh.width(), mesh.height());
-    for (const Coord f : sets[l].faults()) planes[l].set(f);
-    in.push_back(&planes[l]);
-    out.push_back(&batch_out[l]);
-  }
-  info::compute_safety_levels_batch(mesh, in, out);
-  for (std::size_t l = 0; l < sets.size(); ++l) {
+  info::SafetyGrid out;
+  for (const fault::FaultSet& fs : sets) {
+    core::BitGrid plane(mesh.width(), mesh.height());
+    for (const Coord f : fs.faults()) plane.set(f);
+    info::compute_safety_levels(mesh, plane, out);
     info::SafetyGrid single;
-    info::compute_safety_levels(mesh, planes[l], single);
-    EXPECT_EQ(single, batch_out[l]);
+    info::compute_safety_levels_scalar(mesh, fs.mask(), single);
+    EXPECT_EQ(single, out);
   }
 }
 
@@ -129,82 +107,16 @@ TEST(ReachBatch, MatchesSingleLaneKernel) {
   const Mesh2D mesh(90, 40);
   const Coord source = mesh.center();
   const auto sets = random_fault_sets(mesh, 9, 0x4ea7);
-  core::BitGridBatch blocked(mesh.width(), mesh.height(), static_cast<int>(sets.size()));
+  core::BitGrid reach;
+  Grid<bool> lane_reach, expect;
   for (std::size_t l = 0; l < sets.size(); ++l) {
-    for (const Coord f : sets[l].faults()) blocked.set(static_cast<int>(l), f);
-  }
-  core::BitGridBatch reach;
-  cond::monotone_reachability_batch(mesh, blocked, source, reach);
-  core::BitGrid lane_blocked, lane_reach, expect;
-  for (std::size_t l = 0; l < sets.size(); ++l) {
-    blocked.extract_lane(static_cast<int>(l), lane_blocked);
-    cond::monotone_reachability(mesh, lane_blocked, source, expect);
-    reach.extract_lane(static_cast<int>(l), lane_reach);
+    core::BitGrid blocked(mesh.width(), mesh.height());
+    for (const Coord f : sets[l].faults()) blocked.set(f);
+    cond::monotone_reachability(mesh, blocked, source, reach);
+    reach.unpack(lane_reach);
+    cond::monotone_reachability_scalar(mesh, sets[l].mask(), source, expect);
     EXPECT_EQ(expect, lane_reach) << "lane " << l;
   }
-  EXPECT_THROW(cond::monotone_reachability_batch(Mesh2D(3, 3), blocked, source, reach),
-               std::invalid_argument);
-}
-
-void expect_same_trial(const Trial& a, const Trial& b) {
-  EXPECT_EQ(a.source, b.source);
-  EXPECT_EQ(a.faults.faults(), b.faults.faults());
-  expect_same_blocks(a.blocks, b.blocks);
-  EXPECT_EQ(a.mcc1.status_grid(), b.mcc1.status_grid());
-  EXPECT_EQ(a.faulty_mask, b.faulty_mask);
-  EXPECT_EQ(a.fb_mask, b.fb_mask);
-  EXPECT_EQ(a.mcc_mask, b.mcc_mask);
-  EXPECT_EQ(a.fb_safety, b.fb_safety);
-  EXPECT_EQ(a.mcc_safety, b.mcc_safety);
-}
-
-TEST(Prebuild, TrialsAndRngStatesMatchTheDirectPath) {
-  // Small mesh with heavy fault loads so source-in-block rerolls actually
-  // happen in some lanes — the lockstep reroll rounds must replay the exact
-  // per-lane attempt sequence.
-  const Dist n = 24;
-  std::vector<TrialConfig> configs;
-  std::vector<Rng> rngs;
-  for (int l = 0; l < 10; ++l) {
-    configs.push_back(TrialConfig{.n = n, .faults = static_cast<std::size_t>(20 + 8 * l)});
-    rngs.emplace_back(0xfeed + static_cast<std::uint64_t>(l));
-  }
-  TrialWorkspace batch_ws;
-  prebuild_trials(configs, rngs, batch_ws);
-  ASSERT_EQ(batch_ws.prebuilt_count, configs.size());
-
-  for (std::size_t l = 0; l < configs.size(); ++l) {
-    Rng direct_rng(0xfeed + static_cast<std::uint64_t>(l));
-    TrialWorkspace direct_ws;
-    const Trial& direct = make_trial(configs[l], direct_rng, direct_ws);
-    ASSERT_TRUE(batch_ws.prebuilt[l].trial.has_value());
-    expect_same_trial(direct, *batch_ws.prebuilt[l].trial);
-    // The recorded engine states bracket exactly the draws make_trial used.
-    EXPECT_TRUE(batch_ws.prebuilt[l].rng_after == direct_rng.engine());
-  }
-
-  // Consumption: a make_trial with the matching (config, rng) pops the slot;
-  // a mismatching one builds directly and leaves the queue alone.
-  Rng consume_rng(0xfeed);
-  const Trial& consumed = make_trial(configs[0], consume_rng, batch_ws);
-  EXPECT_EQ(batch_ws.prebuilt_head, 1u);
-  Rng direct_rng(0xfeed);
-  TrialWorkspace direct_ws;
-  const Trial& direct = make_trial(configs[0], direct_rng, direct_ws);
-  expect_same_trial(direct, consumed);
-  EXPECT_TRUE(direct_rng.engine() == consume_rng.engine());
-
-  Rng mismatch_rng(0xdead);
-  (void)make_trial(configs[1], mismatch_rng, batch_ws);  // wrong rng state
-  EXPECT_EQ(batch_ws.prebuilt_head, 1u);  // slot 1 not consumed
-}
-
-TEST(Prebuild, RejectsMixedMeshSides) {
-  std::vector<TrialConfig> configs{TrialConfig{.n = 10, .faults = 2},
-                                   TrialConfig{.n = 12, .faults = 2}};
-  std::vector<Rng> rngs{Rng(1), Rng(2)};
-  TrialWorkspace ws;
-  EXPECT_THROW(prebuild_trials(configs, rngs, ws), std::invalid_argument);
 }
 
 experiment::SweepResult run_batched_sweep(int batch) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "experiment/json.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/table.hpp"
@@ -152,38 +151,23 @@ TEST(SweepConfig, RejectsUnknownAndMalformedFlags) {
   EXPECT_GE(parse_flags({}, &error)->resolved_threads(), 1);
 }
 
-TEST(SweepConfig, BatchAutoResolvesThroughCoreScaledDefault) {
-  std::string error;
-  // 0 is the auto default; explicit values pass through; > 64 is rejected.
-  const auto auto_cfg = parse_flags({"--batch=0"}, &error);
-  ASSERT_TRUE(auto_cfg.has_value()) << error;
-  EXPECT_EQ(auto_cfg->batch, 0);
-  EXPECT_GE(auto_cfg->resolved_batch(), 1);
-  EXPECT_LE(auto_cfg->resolved_batch(), 64);
-  const auto explicit_cfg = parse_flags({"--batch=16"}, &error);
-  ASSERT_TRUE(explicit_cfg.has_value()) << error;
-  EXPECT_EQ(explicit_cfg->resolved_batch(), 16);
-  EXPECT_FALSE(parse_flags({"--batch=65"}, &error).has_value());
-  EXPECT_EQ(SweepConfig{}.batch, 0);
-
-  // The heuristic: no batching for narrow runs or the scalar tier (DESIGN
-  // §12's memory-bound finding); ~8 lanes per 4 cores otherwise, capped at
-  // the kernels' 64-lane maximum, monotone in the thread count.
-  using meshroute::core::simd::Tier;
-  EXPECT_EQ(default_batch_for(1, Tier::Generic), 1);
-  EXPECT_EQ(default_batch_for(2, Tier::Native), 1);
-  EXPECT_EQ(default_batch_for(16, Tier::Scalar), 1);
-  EXPECT_EQ(default_batch_for(4, Tier::Generic), 8);
-  EXPECT_EQ(default_batch_for(8, Tier::Native), 16);
-  EXPECT_EQ(default_batch_for(16, Tier::Native512), 32);
-  EXPECT_EQ(default_batch_for(32, Tier::Native), 64);
-  EXPECT_EQ(default_batch_for(256, Tier::Native512), 64);  // cap
-  int prev = 0;
-  for (int t = 1; t <= 64; ++t) {
-    const int b = default_batch_for(t, Tier::Generic);
-    EXPECT_GE(b, prev) << "threads=" << t;
-    prev = b;
+TEST(SweepConfig, ResolvedBatchIsWorkerClaimSize) {
+  // The claim size is max(1, batch): no flag sets it and no auto default
+  // scales it.
+  SweepConfig cfg;
+  EXPECT_EQ(cfg.batch, 0);
+  EXPECT_EQ(cfg.resolved_batch(), 1);
+  for (const int b : {1, 3, 8, 64}) {
+    cfg.batch = b;
+    EXPECT_EQ(cfg.resolved_batch(), b);
   }
+  cfg.batch = -2;
+  EXPECT_EQ(cfg.resolved_batch(), 1);
+
+  std::string error;
+  EXPECT_FALSE(parse_flags({"--batch=8"}, &error).has_value());
+  EXPECT_NE(error.find("unknown flag '--batch=8'"), std::string::npos) << error;
+  EXPECT_EQ(SweepConfig::usage().find("--batch"), std::string::npos);
 }
 
 TEST(Sweep, CellSeedsPairwiseDistinct) {

@@ -111,7 +111,7 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
   EXPECT_EQ(reach_live, reach_ref);
 }
 
-// ---- Epoch pipeline: batched flush vs sequential, epoch by epoch ----------
+// ---- Epoch pipeline: flushed flight vs sequential, epoch by epoch --------
 
 TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
   const Mesh2D mesh = Mesh2D::square(32);
@@ -142,9 +142,9 @@ TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
     epochs.push_back(readers.back()->acquire());
   }
 
-  // Flight under test: every site queued, then one flush through the batched
-  // SoA rebuild. Each published snapshot must match its sequential epoch in
-  // every plane a query can observe.
+  // Flight under test: every site queued, then one flush. Each published
+  // snapshot must match its sequential epoch in every plane a query can
+  // observe.
   serve::SnapshotBuilder flight(mesh, initial.faults());
   for (const Coord c : sites) flight.enqueue(c);
   EXPECT_EQ(flight.queued_epochs(), sites.size());
@@ -179,9 +179,6 @@ TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
   EXPECT_EQ(flight.queued_epochs(), 0u);
   EXPECT_EQ(flight.stats().published, sites.size());
   EXPECT_EQ(flight.stats().pending_injections, 0u);
-#if !defined(MESHROUTE_FORCE_SCALAR)
-  EXPECT_EQ(flight.stats().batched_epochs, sites.size());
-#endif
 
   // Singleton flight (the delta-fed k == 1 path) and the empty no-op flush.
   seq.inject_publish({5, 5});
@@ -259,7 +256,9 @@ TEST(SnapshotStore, RetiresUntilReadersRelease) {
 // preset (ASan/UBSan) is the real assertion here — a snapshot freed while an
 // announced epoch could still reference it is a use-after-free — and at the
 // end, with every Ref dropped, one more publish must sweep the history to
-// empty (no retired snapshot leaks past its last reader).
+// empty (no retired snapshot leaks past its last reader). The writer starts
+// only once every churner holds its first Ref, so publishes always overlap
+// live readers however the threads get scheduled.
 TEST(SnapshotStore, ReclaimsEpochsUnderReaderChurn) {
   const Mesh2D mesh = Mesh2D::square(16);
   serve::SnapshotBuilder builder(mesh);
@@ -269,16 +268,22 @@ TEST(SnapshotStore, ReclaimsEpochsUnderReaderChurn) {
   constexpr int kEpochs = 60;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> acquires{0};
+  std::atomic<int> started{0};
   std::vector<std::thread> churners;
   churners.reserve(kChurners);
   for (int t = 0; t < kChurners; ++t) {
     churners.emplace_back([&, t] {
       Rng rng(static_cast<std::uint64_t>(t) + 77);
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         // A short-lived Reader: registration churn, not just Ref churn.
         serve::SnapshotStore::Reader reader(store);
         for (int i = 0; i < 8; ++i) {
           const serve::SnapshotStore::Ref ref = reader.acquire();
+          if (first) {
+            first = false;
+            started.fetch_add(1, std::memory_order_release);
+          }
           // Touch the snapshot so a premature free is an ASan hit, and
           // hold some Refs across a few publishes.
           ASSERT_LE(ref->epoch(), store.current_epoch());
@@ -292,6 +297,7 @@ TEST(SnapshotStore, ReclaimsEpochsUnderReaderChurn) {
     });
   }
 
+  while (started.load(std::memory_order_acquire) < kChurners) std::this_thread::yield();
   for (int e = 0; e < kEpochs; ++e) {
     builder.inject_publish({static_cast<Dist>(e % 16), static_cast<Dist>((e / 16) % 16)});
   }

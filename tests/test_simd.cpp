@@ -1,5 +1,5 @@
 // Equivalence gate for the SIMD tier layer (DESIGN §12): every vector tier
-// and every batch kernel must be BYTE-identical to the pinned scalar kernels,
+// must be BYTE-identical to the pinned scalar kernels,
 // including the tail bits and the kRowPad words past the last row. Also the
 // exhaustive thin-grid transpose sweep (1xN / Nx1 / widths straddling the
 // word boundary) against a per-bit oracle.
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/coord.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -241,32 +240,32 @@ TEST(TierEquivalence, SafetyFill) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch kernels: every lane must equal the single-lane kernel run on that
-// lane's plane, under every tier.
+// Batches of independent planes: one SweepScratch carried through a run of
+// kernel calls (as a sweep worker or a flush() flight carries it) must leave
+// every plane byte-identical to a fresh-scratch scalar run on that plane.
 // ---------------------------------------------------------------------------
 
 TEST(BatchEquivalence, BlockFixpoint) {
   TierRestorer restore;
   Rng rng(5);
-  SweepScratch scratch;
   for (const int lanes : {1, 3, 8, 13}) {
     const Dist w = 80, h = 40;
     std::vector<BitGrid> planes;
-    BitGridBatch batch(w, h, lanes);
-    for (int l = 0; l < lanes; ++l) {
-      planes.push_back(random_grid(w, h, 0.25, rng));
-      batch.load_lane(l, planes.back());
+    for (int l = 0; l < lanes; ++l) planes.push_back(random_grid(w, h, 0.25, rng));
+    simd::force_tier(Tier::Scalar);
+    std::vector<BitGrid> expect = planes;
+    for (BitGrid& e : expect) {
+      SweepScratch fresh;
+      simd::block_fixpoint(e, fresh);
     }
     for (const Tier t : testable_tiers()) {
       simd::force_tier(t);
-      BitGridBatch b = batch;
-      simd::batch_block_fixpoint(b, scratch);
+      SweepScratch shared;
       for (int l = 0; l < lanes; ++l) {
-        BitGrid expect = planes[static_cast<std::size_t>(l)];
-        simd::block_fixpoint(expect, scratch);
-        BitGrid got;
-        b.extract_lane(l, got);
-        EXPECT_EQ(got, expect) << simd::tier_name(t) << " lanes=" << lanes << " lane=" << l;
+        BitGrid got = planes[static_cast<std::size_t>(l)];
+        simd::block_fixpoint(got, shared);
+        EXPECT_EQ(got, expect[static_cast<std::size_t>(l)])
+            << simd::tier_name(t) << " lanes=" << lanes << " lane=" << l;
       }
     }
   }
@@ -275,28 +274,29 @@ TEST(BatchEquivalence, BlockFixpoint) {
 TEST(BatchEquivalence, MccSweeps) {
   TierRestorer restore;
   Rng rng(6);
-  SweepScratch scratch;
   const Dist w = 100, h = 50;
   const int lanes = 11;
   std::vector<BitGrid> planes;
-  BitGridBatch batch(w, h, lanes);
-  for (int l = 0; l < lanes; ++l) {
-    planes.push_back(random_grid(w, h, 0.2, rng));
-    batch.load_lane(l, planes.back());
-  }
+  for (int l = 0; l < lanes; ++l) planes.push_back(random_grid(w, h, 0.2, rng));
   for (const bool type_one : {false, true}) {
+    simd::force_tier(Tier::Scalar);
+    std::vector<BitGrid> expect_u, expect_c;
+    for (const BitGrid& p : planes) {
+      SweepScratch fresh;
+      BitGrid eu(w, h), ec(w, h);
+      simd::mcc_sweeps(p, eu, ec, type_one, fresh);
+      expect_u.push_back(std::move(eu));
+      expect_c.push_back(std::move(ec));
+    }
     for (const Tier t : testable_tiers()) {
       simd::force_tier(t);
-      BitGridBatch useless(w, h, lanes), cant(w, h, lanes);
-      simd::batch_mcc_sweeps(batch, useless, cant, type_one, scratch);
+      SweepScratch shared;
       for (int l = 0; l < lanes; ++l) {
-        BitGrid eu(w, h), ec(w, h);
-        simd::mcc_sweeps(planes[static_cast<std::size_t>(l)], eu, ec, type_one, scratch);
-        BitGrid gu, gc;
-        useless.extract_lane(l, gu);
-        cant.extract_lane(l, gc);
-        EXPECT_EQ(gu, eu) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
-        EXPECT_EQ(gc, ec) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
+        const auto i = static_cast<std::size_t>(l);
+        BitGrid gu(w, h), gc(w, h);
+        simd::mcc_sweeps(planes[i], gu, gc, type_one, shared);
+        EXPECT_EQ(gu, expect_u[i]) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
+        EXPECT_EQ(gc, expect_c[i]) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
       }
     }
   }
@@ -305,28 +305,28 @@ TEST(BatchEquivalence, MccSweeps) {
 TEST(BatchEquivalence, ReachFillIncludingBlockedSourceLane) {
   TierRestorer restore;
   Rng rng(7);
-  SweepScratch scratch;
   const Dist w = 90, h = 45;
   const int lanes = 9;
   const Coord src{w / 2, h / 2};
   std::vector<BitGrid> planes;
-  BitGridBatch batch(w, h, lanes);
   for (int l = 0; l < lanes; ++l) {
     BitGrid p = random_grid(w, h, 0.3, rng);
     if (l == 4) p.set(src);  // one lane with a blocked source: empty result
-    batch.load_lane(l, p);
     planes.push_back(std::move(p));
+  }
+  simd::force_tier(Tier::Scalar);
+  std::vector<BitGrid> expect(planes.size());
+  for (std::size_t l = 0; l < planes.size(); ++l) {
+    SweepScratch fresh;
+    simd::reach_fill(planes[l], src, expect[l], fresh);
   }
   for (const Tier t : testable_tiers()) {
     simd::force_tier(t);
-    BitGridBatch out;
-    simd::batch_reach_fill(batch, src, out, scratch);
+    SweepScratch shared;
+    BitGrid got;  // reused across lanes, like the per-thread output planes
     for (int l = 0; l < lanes; ++l) {
-      BitGrid expect;
-      simd::reach_fill(planes[static_cast<std::size_t>(l)], src, expect, scratch);
-      BitGrid got;
-      out.extract_lane(l, got);
-      EXPECT_EQ(got, expect) << simd::tier_name(t) << " lane=" << l;
+      simd::reach_fill(planes[static_cast<std::size_t>(l)], src, got, shared);
+      EXPECT_EQ(got, expect[static_cast<std::size_t>(l)]) << simd::tier_name(t) << " lane=" << l;
       if (l == 4) {
         EXPECT_FALSE(got.any());
       }
@@ -376,33 +376,6 @@ TEST(SimdInvariants, KernelsPreserveTailBitsAndRowPadding) {
       BitGrid rebuilt(w, h);
       bad.for_each_set([&](Coord c) { rebuilt.set(c); });
       EXPECT_EQ(bad, rebuilt) << simd::tier_name(t) << " " << w << "x" << h;
-    }
-  }
-}
-
-TEST(SimdInvariants, BatchPaddingLanesStayEmpty) {
-  TierRestorer restore;
-  Rng rng(9);
-  SweepScratch scratch;
-  const Dist w = 70, h = 30;
-  const int lanes = 5;  // stride 8 -> 3 padding lanes
-  BitGridBatch batch(w, h, lanes);
-  for (int l = 0; l < lanes; ++l) batch.load_lane(l, random_grid(w, h, 0.4, rng));
-  for (const Tier t : testable_tiers()) {
-    simd::force_tier(t);
-    BitGridBatch b = batch;
-    simd::batch_block_fixpoint(b, scratch);
-    BitGridBatch out;
-    simd::batch_reach_fill(b, {w / 2, h / 2}, out, scratch);
-    for (Dist y = 0; y < h; ++y) {
-      const std::uint64_t* br = b.row(y);
-      const std::uint64_t* orow = out.row(y);
-      for (std::size_t j = 0; j < b.words_per_row(); ++j) {
-        for (std::size_t l = static_cast<std::size_t>(lanes); l < b.lane_stride(); ++l) {
-          EXPECT_EQ(br[j * b.lane_stride() + l], 0u) << simd::tier_name(t);
-          EXPECT_EQ(orow[j * out.lane_stride() + l], 0u) << simd::tier_name(t);
-        }
-      }
     }
   }
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/bitgrid.hpp"
-#include "common/bitgrid_batch.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "cond/wang.hpp"
@@ -141,27 +140,5 @@ int main(int argc, char** argv) {
   cond::monotone_reachability(mesh, fplane, source, reach);
   emit("reach", digest_bits(mesh, reach));
 
-  // Batch kernels: the same fault plane replicated with per-lane extras, so
-  // every lane converges at a different sweep count.
-  constexpr int kLanes = 5;
-  core::BitGridBatch blocked(mesh.width(), mesh.height(), kLanes);
-  Rng extra(seed ^ 0xabcdef);
-  for (int l = 0; l < kLanes; ++l) {
-    blocked.load_lane(l, fplane);
-    for (int e = 0; e < 7 * l; ++e) {
-      const Coord c{static_cast<Dist>(extra.uniform(0, mesh.width() - 1)),
-                    static_cast<Dist>(extra.uniform(0, mesh.height() - 1))};
-      if (c != source) blocked.set(l, c);
-    }
-  }
-  core::BitGridBatch reach_batch;
-  cond::monotone_reachability_batch(mesh, blocked, source, reach_batch);
-  core::BitGrid lane;
-  Digest batch_digest;
-  for (int l = 0; l < kLanes; ++l) {
-    reach_batch.extract_lane(l, lane);
-    batch_digest.add(digest_bits(mesh, lane));
-  }
-  emit("batch_reach", batch_digest.h);
   return 0;
 }
