@@ -1,8 +1,10 @@
 // Ablation: how much does the information model matter to the router?
 //
 // For each fault level we route the same (source, destination) pairs with
-//   * BoundaryInfo — the paper's model (only deposited node-local records),
-//   * GlobalInfo   — every node knows every block (the traditional model),
+//   * boundary information — the paper's model (only deposited node-local
+//     records),
+//   * global information — every node knows every block (the traditional
+//     model; a QueryView with a null boundary map),
 // split by whether the source was SAFE (Definition 3). The paper's guarantee
 // is that for safe sources the two are indistinguishable. With uniformly
 // scattered faults blocks stay tiny and even unsafe sources almost always
@@ -22,7 +24,7 @@
 #include "fault/fault_set.hpp"
 #include "info/boundary.hpp"
 #include "info/safety_level.hpp"
-#include "route/router.hpp"
+#include "route/query.hpp"
 
 using namespace meshroute;
 
@@ -64,17 +66,17 @@ experiment::Table run_workload(const experiment::SweepRunner& runner, bool clust
         const World w(mesh, fs);
         if (w.mask[source]) return;
         cond::monotone_reachability(mesh, w.mask, source, ws.reach);
-        const route::MinimalRouter br(mesh, w.blocks, &w.boundary,
-                                      route::InfoPolicy::BoundaryInfo);
-        const route::MinimalRouter gr(mesh, w.blocks, nullptr, route::InfoPolicy::GlobalInfo);
+        const route::QueryView boundary_view{.mesh = &mesh, .blocks = &w.blocks,
+                                             .boundary = &w.boundary};
+        const route::QueryView global_view{.mesh = &mesh, .blocks = &w.blocks};
         for (int s = 0; s < cfg.dests; ++s) {
           const Coord d{static_cast<Dist>(rng.uniform(source.x + 1, cfg.n - 1)),
                         static_cast<Dist>(rng.uniform(source.y + 1, cfg.n - 1))};
           if (w.mask[d]) continue;
           const cond::RoutingProblem p{&mesh, &w.mask, &w.safety, source, d};
           const bool safe = cond::source_safe(p);
-          const bool b_min = br.route(source, d, &rng).delivered();
-          const bool g_min = gr.route(source, d, &rng).delivered();
+          const bool b_min = route::route(boundary_view, source, d, &rng).delivered();
+          const bool g_min = route::route(global_view, source, d, &rng).delivered();
           if (safe) {
             out.count(kSafeBoundary, b_min);
             out.count(kSafeGlobal, g_min);

@@ -7,7 +7,7 @@
 #include "experiment/trial.hpp"
 #include "info/boundary.hpp"
 #include "info/pivots.hpp"
-#include "route/router.hpp"
+#include "route/query.hpp"
 
 namespace {
 
@@ -125,8 +125,8 @@ BENCHMARK(BM_WangCoverageCondition);
 
 void BM_RouteBoundaryInfo(benchmark::State& state) {
   auto& fx = fixture();
-  const route::MinimalRouter router(fx.trial.mesh, fx.trial.blocks, &fx.boundary,
-                                    route::InfoPolicy::BoundaryInfo);
+  const route::QueryView view{.mesh = &fx.trial.mesh, .blocks = &fx.trial.blocks,
+                              .boundary = &fx.boundary};
   // Pick a safe destination so the route always completes.
   Coord d = fx.dest();
   for (int tries = 0; tries < 1000; ++tries) {
@@ -134,22 +134,21 @@ void BM_RouteBoundaryInfo(benchmark::State& state) {
     d = fx.dest();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.route(fx.trial.source, d));
+    benchmark::DoNotOptimize(route::route(view, fx.trial.source, d));
   }
 }
 BENCHMARK(BM_RouteBoundaryInfo);
 
 void BM_RouteGlobalInfo(benchmark::State& state) {
   auto& fx = fixture();
-  const route::MinimalRouter router(fx.trial.mesh, fx.trial.blocks, nullptr,
-                                    route::InfoPolicy::GlobalInfo);
+  const route::QueryView view{.mesh = &fx.trial.mesh, .blocks = &fx.trial.blocks};
   Coord d = fx.dest();
   for (int tries = 0; tries < 1000; ++tries) {
     if (cond::monotone_path_exists(fx.trial.mesh, fx.trial.fb_mask, fx.trial.source, d)) break;
     d = fx.dest();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.route(fx.trial.source, d));
+    benchmark::DoNotOptimize(route::route(view, fx.trial.source, d));
   }
 }
 BENCHMARK(BM_RouteGlobalInfo);

@@ -50,7 +50,7 @@ int main() {
       for (Dist y = 5; y <= 7; ++y) ftm.inject_fault({x, y});
     for (Dist x = 10; x <= 13; ++x)
       for (Dist y = 12; y <= 15; ++y) ftm.inject_fault({x, y});
-    const auto r = ftm.route({2, 2}, {12, 21});
+    const auto r = route::route(ftm.query_view(), {2, 2}, {12, 21});
     std::cout << "Wu-protocol route (" << (r.delivered() ? "delivered" : "failed")
               << ", length " << r.path.length() << "):\n";
     render::Image img =
@@ -66,7 +66,7 @@ int main() {
     Rng rng(11);
     const auto fs = fault::uniform_random_faults(ftm.mesh(), 60, rng);
     ftm.inject_faults(fs.faults());
-    const auto& safety = ftm.safety(FaultModel::FaultyBlock, Quadrant::I);
+    const auto& safety = ftm.query_view().safety(FaultModel::FaultyBlock, Quadrant::I);
     std::cout << "Safety heatmap:\n";
     save(render::render_safety(ftm.mesh(), safety, Direction::East), "safety_east", 6);
   }

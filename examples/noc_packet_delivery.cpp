@@ -19,6 +19,7 @@
 #include "experiment/table.hpp"
 #include "fault/fault_set.hpp"
 #include "route/path.hpp"
+#include "route/query.hpp"
 #include "route/router.hpp"
 
 using namespace meshroute;
@@ -47,7 +48,10 @@ int main() {
     analysis::Proportion xy_delivered;
     analysis::Accumulator stretch;
 
-    const auto& mask = ftm.obstacles(FaultModel::FaultyBlock, Quadrant::I);
+    const route::QueryView view = ftm.query_view();
+    route::QueryView global_view = view;
+    global_view.boundary = nullptr;  // every node knows every block
+    const auto& mask = view.obstacles(FaultModel::FaultyBlock, Quadrant::I);
     Rng traffic = rng.fork();
     for (int pkt = 0; pkt < kPackets; ++pkt) {
       const Coord s{static_cast<Dist>(traffic.uniform(0, kSide - 1)),
@@ -56,16 +60,15 @@ int main() {
                     static_cast<Dist>(traffic.uniform(0, kSide - 1))};
       if (s == d || mask[s] || mask[d]) continue;
 
-      // Source-side decision (extension 1 gives a via-node certificate).
-      const cond::RoutingProblem problem = ftm.problem(s, d, FaultModel::FaultyBlock);
+      // Source-side decision (extension 1 gives a via-node certificate;
+      // via stays s when it does not decide, and route_via(s, s, d) is a
+      // plain single-phase route).
+      const cond::RoutingProblem problem = view.problem(s, d, FaultModel::FaultyBlock);
       Coord via = s;
       const cond::Decision dec = cond::extension1(problem, &via);
       decided.add(dec != cond::Decision::Unknown);
 
-      route::RouteResult r = dec == cond::Decision::Unknown || via == s
-                                 ? ftm.route(s, d, route::InfoPolicy::BoundaryInfo, &traffic)
-                                 : ftm.route_via(s, via, d, route::InfoPolicy::BoundaryInfo,
-                                                 &traffic);
+      const route::LadderResult r = route::route_via(view, s, via, d, &traffic);
       delivered.add(r.delivered());
       // Non-minimal recovery: packets the minimal machinery strands fall
       // back to shortest-around-blocks routing.
@@ -84,8 +87,7 @@ int main() {
         stretch.add(static_cast<double>(r.path.length()) /
                     static_cast<double>(std::max<Dist>(1, manhattan(s, d))));
       }
-      global_delivered.add(
-          ftm.route(s, d, route::InfoPolicy::GlobalInfo, &traffic).delivered());
+      global_delivered.add(route::route(global_view, s, d, &traffic).delivered());
       xy_delivered.add(route::route_dimension_order(ftm.mesh(), mask, s, d).delivered());
     }
 

@@ -60,10 +60,12 @@ int main() {
             << " disabled nodes (vs " << ftm.blocks().total_disabled()
             << " under the block model)\n\n";
 
-  // 3. Extended safety level of the source.
+  // 3. Extended safety level of the source. Every read goes through the
+  //    facade's query view.
+  const route::QueryView view = ftm.query_view();
   const Coord src{2, 2};
   const Coord dst{16, 17};
-  const auto& level = ftm.safety(FaultModel::FaultyBlock, Quadrant::I)[src];
+  const auto& level = view.safety(FaultModel::FaultyBlock, Quadrant::I)[src];
   const auto show = [](Dist v) {
     return is_infinite(v) ? std::string("inf") : std::to_string(v);
   };
@@ -71,8 +73,9 @@ int main() {
             << ", S=" << show(level.s) << ", W=" << show(level.w) << ", N=" << show(level.n)
             << ")\n";
 
-  // 4. Decision at the source (Definition 3 + extensions).
-  const auto decision = ftm.decide(src, dst, FaultModel::FaultyBlock);
+  // 4. Decision at the source (Definition 3 + extensions 1 and 2).
+  const auto decision = route::decide_strategy(view, src, dst, FaultModel::FaultyBlock,
+                                               cond::StrategyId::S1, {}, {.segment_size = 1});
   std::cout << "decision for " << to_string(src) << " -> " << to_string(dst) << ": "
             << (decision == cond::Decision::Minimal
                     ? "minimal path guaranteed"
@@ -80,10 +83,10 @@ int main() {
                                                              : "unknown")
             << "\n";
   std::cout << "ground truth: minimal path "
-            << (ftm.minimal_path_exists(src, dst) ? "exists" : "does not exist") << "\n\n";
+            << (route::minimal_path_exists(view, src, dst) ? "exists" : "does not exist") << "\n\n";
 
   // 5. Route with node-local boundary information only.
-  const auto result = ftm.route(src, dst);
+  const auto result = route::route(view, src, dst);
   if (result.delivered()) {
     std::cout << "routed in " << result.path.length() << " hops (Manhattan distance "
               << manhattan(src, dst) << ", minimal="

@@ -1,72 +1,34 @@
 // The library facade: one object that owns a mesh, its fault set, both fault
-// models, all derived limited-global information, and exposes the paper's
-// decision procedures and routing. This is the API the examples and most
-// downstream users consume; the per-module headers remain available for
-// finer-grained use.
+// models and all derived limited-global information, rebuilt lazily after
+// fault injection. It owns state only; every read — decisions, routing,
+// ground truth — goes through its route::QueryView (route/query.hpp).
 //
 //   FaultTolerantMesh ftm(200, 200);
 //   ftm.inject_fault({57, 80});
-//   auto decision = ftm.decide(src, dst, FaultModel::FaultyBlock, opts);
-//   auto result   = ftm.route(src, dst);
+//   const route::QueryView view = ftm.query_view();
+//   const auto cert = cond::explain_strategy(view.problem(src, dst, FaultModel::FaultyBlock),
+//                                            cond::StrategyId::S1, {}, {});
+//   const auto walk = route::route_via(view, src, cert.via, dst);
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/coord.hpp"
-#include "common/grid.hpp"
-#include "common/rng.hpp"
-#include "cond/conditions.hpp"
-#include "cond/strategies.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/mcc_model.hpp"
 #include "info/boundary.hpp"
-#include "info/safety_level.hpp"
 #include "mesh/mesh2d.hpp"
 #include "route/query.hpp"
-#include "route/router.hpp"
 
 namespace meshroute {
 
-/// Which fault model a query runs under. Alias of the consolidated query
-/// surface's model enum (route/query.hpp), kept under the historical name.
+/// Which fault model a query runs under. Alias of the query surface's model
+/// enum (route/query.hpp), kept under the historical name.
 using FaultModel = route::QueryModel;  // to_string comes with it via ADL
 
-/// Which sufficient conditions decide() may use, mirroring the paper's
-/// extensions. Defaults replicate strategy 4 minus pivots.
-struct DecideOptions {
-  bool use_extension1 = true;
-  bool use_extension2 = true;
-  Dist segment_size = 1;          ///< extension-2 info granularity
-  std::vector<Coord> pivots;      ///< extension-3 pivot set (empty = ext3 off)
-};
-
-/// Which machinery produced a decision — the human-readable part of a
-/// routing certificate.
-enum class Method : std::uint8_t {
-  None = 0,           ///< nothing certified (Decision::Unknown)
-  BaseSafe = 1,       ///< Definition 3 at the source
-  Ext1Preferred = 2,  ///< a preferred neighbor is safe (Theorem 1a)
-  Ext1Spare = 3,      ///< a spare neighbor is safe (sub-minimal, Theorem 1a)
-  Ext2Axis = 4,       ///< an axis representative factors the route (Theorem 1b)
-  Ext3Pivot = 5,      ///< a pivot factors the route (Theorem 1c)
-};
-
-[[nodiscard]] const char* to_string(Method m) noexcept;
-
-/// A decision plus the witness that realizes it: route through `via`
-/// (the source itself for BaseSafe) and the promised length holds.
-struct Certificate {
-  cond::Decision decision = cond::Decision::Unknown;
-  Method method = Method::None;
-  Coord via{};
-};
-
-/// Facade over the whole reproduction; owns all derived state and rebuilds
-/// it lazily after fault injection.
+/// Owns a mesh, its fault set and everything derived from it.
 class FaultTolerantMesh {
  public:
   FaultTolerantMesh(Dist width, Dist height);
@@ -87,70 +49,10 @@ class FaultTolerantMesh {
   [[nodiscard]] const fault::MccModel& mcc() const;
   [[nodiscard]] const info::BoundaryInfoMap& boundary() const;
 
-  /// Safety levels under `model` for routes headed into quadrant `q`
-  /// (the quadrant only matters under the MCC model, whose labeling is
-  /// quadrant-dependent).
-  [[nodiscard]] const info::SafetyGrid& safety(FaultModel model, Quadrant q) const;
-
-  /// Obstacle mask matching safety(model, q).
-  [[nodiscard]] const Grid<bool>& obstacles(FaultModel model, Quadrant q) const;
-
-  /// A cond::RoutingProblem wired to this mesh's state.
-  [[nodiscard]] cond::RoutingProblem problem(Coord s, Coord d, FaultModel model) const;
-
-  /// The consolidated read-side bundle over this mesh's current derived
-  /// state (route/query.hpp) — the preferred query surface; the direct
-  /// decide/route methods below are kept for convenience but deprecated for
-  /// new call sites (DESIGN §11). The view borrows the lazily-built derived
-  /// state: it stays valid until the next fault injection / clear_faults().
+  /// The read-side bundle over this mesh's current derived state. It
+  /// borrows the lazily-built state: it stays valid until the next
+  /// inject_fault(s) / clear_faults().
   [[nodiscard]] route::QueryView query_view() const;
-
-  /// Evaluate the sufficient conditions at the source.
-  [[nodiscard]] cond::Decision decide(Coord s, Coord d, FaultModel model,
-                                      const DecideOptions& opts = {}) const;
-
-  /// Like decide(), but report which extension certified and through which
-  /// witness node.
-  [[nodiscard]] Certificate explain(Coord s, Coord d, FaultModel model,
-                                    const DecideOptions& opts = {}) const;
-
-  /// Execute a certificate: single-phase for BaseSafe, two-phase through
-  /// the witness otherwise. Returns SourceBlocked-style failure for a
-  /// Method::None certificate.
-  [[nodiscard]] route::RouteResult route_certified(
-      Coord s, Coord d, const Certificate& cert,
-      route::InfoPolicy policy = route::InfoPolicy::BoundaryInfo, Rng* rng = nullptr) const;
-
-  /// Evaluate one of the paper's combined strategies.
-  [[nodiscard]] cond::Decision decide_strategy(Coord s, Coord d, FaultModel model,
-                                               cond::StrategyId id,
-                                               std::span<const Coord> pivots,
-                                               const cond::StrategyConfig& cfg = {}) const;
-
-  /// Same, but driven by the decide()-style options: the StrategyConfig is
-  /// derived from `opts` (segment size) and `opts.pivots` is the pivot set,
-  /// so callers configure one struct for both entry points.
-  [[nodiscard]] cond::Decision decide_strategy(Coord s, Coord d, FaultModel model,
-                                               cond::StrategyId id,
-                                               const DecideOptions& opts) const;
-
-  /// Wu-protocol routing over the faulty-block model.
-  [[nodiscard]] route::RouteResult route(
-      Coord s, Coord d, route::InfoPolicy policy = route::InfoPolicy::BoundaryInfo,
-      Rng* rng = nullptr) const;
-
-  /// Two-phase routing through `via` (neighbor, axis node, or pivot from a
-  /// decide() certificate).
-  [[nodiscard]] route::RouteResult route_via(
-      Coord s, Coord via, Coord d, route::InfoPolicy policy = route::InfoPolicy::BoundaryInfo,
-      Rng* rng = nullptr) const;
-
-  /// Ground truth: does a minimal path avoiding the *faulty nodes* exist?
-  [[nodiscard]] bool minimal_path_exists(Coord s, Coord d) const;
-
-  /// Batched ground truth: minimal_path_exists(s, d) for every d in one
-  /// O(area) pass (cond::monotone_reachability against the faulty mask).
-  [[nodiscard]] Grid<bool> minimal_reachability(Coord s) const;
 
  private:
   struct Derived;

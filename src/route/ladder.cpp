@@ -12,8 +12,10 @@
 namespace meshroute::route {
 namespace {
 
-/// Identical to router.cpp's tie-break — the rung-0 differential contract
-/// requires the same choice AND the same rng draw per two-way tie.
+/// Pick between two admissible preferred moves: random when rng given,
+/// otherwise along the dimension with more remaining distance (balances the
+/// remaining rectangle, a common adaptive heuristic). The draw sequence is
+/// pinned by the LadderDifferential digests.
 bool pick_first(Coord rel_after_first, Coord rel_after_second, Rng* rng) {
   if (rng != nullptr) return rng->chance(0.5);
   const Dist slack_first = std::max(rel_after_first.x, rel_after_first.y);
@@ -115,7 +117,7 @@ LadderResult route_degradation_ladder(const Mesh2D& mesh, const FaultView& view,
       return cond::monotone_path_exists_rects(believed, v, d);
     };
 
-    // Rung 0 step — Wu's protocol, verbatim from MinimalRouter::route.
+    // Rung 0 step — Wu's protocol.
     std::optional<Coord> move_x;
     std::optional<Coord> move_y;
     if (rel.x >= 1) {

@@ -2,13 +2,12 @@
 // changing while the packet is in flight, failing through three rungs
 // instead of silently sticking.
 //
-//   Rung 0, Minimal        — Wu's protocol exactly as MinimalRouter::route:
-//                            only distance-reducing hops whose target keeps a
-//                            monotone completion per the blocks BELIEVED at
-//                            the current node. Capped at this rung over a
-//                            frozen FaultView, the ladder is hop-for-hop
-//                            (and RNG-draw-for-draw) identical to
-//                            MinimalRouter — the differential anchor.
+//   Rung 0, Minimal        — Wu's protocol, the paper's one routing
+//                            procedure: only distance-reducing hops whose
+//                            target keeps a monotone completion per the
+//                            blocks BELIEVED at the current node.
+//                            route::route (route/query.hpp) is this rung
+//                            alone over a frozen view.
 //   Rung 1, SpareDetour    — Extension 1's spare neighbor: when no minimal
 //                            move is admissible, one sub-minimal detour hop
 //                            to a neighbor that restores a believed monotone
@@ -19,6 +18,21 @@
 //                            with a TTL and per-node revisit caps so a
 //                            livelock is detected and reported rather than
 //                            walked forever.
+//
+// Rung 0 states the paper's two boundary-line rules ("on the left section
+// of L1 ... stay on L1"; "on the lower section of L3 ... stay on L3") as
+// their locally-rational closure: a preferred move is forbidden exactly
+// when, according to the blocks known at the current node, no monotone
+// completion would remain from the next node.
+//   - For a single block this reduces to the paper's case analysis: the move
+//     would enter the dead "shadow" region the L-rules fence off
+//     (Router.DpRuleMatchesWusTextualRuleOnOneBlock).
+//   - For joined boundaries it composes on its own: the turn-and-join trails
+//     deposit every block of a composite barrier on the shared staircase, so
+//     the fence is evaluated with the whole barrier in view. The literal
+//     per-block rule strands packets there (Router.SingleBlockRule* tests).
+//   - Stepping into a block itself is prevented by 1-hop adjacency sensing,
+//     which every node has.
 //
 // Every escalation records which rung was abandoned, where, when, and WHY
 // (the RouteStatus that rung would have returned), so sweeps can attribute
@@ -69,7 +83,7 @@ class FaultView {
 /// Frozen-world adapter over the classic fault structures: truth is the
 /// BlockSet, belief is either the whole set (global information) or the
 /// node-local BoundaryInfoMap deposits, and nothing ever changes or goes
-/// stale. Routing rung 0 over this view reproduces MinimalRouter exactly.
+/// stale. Rung 0 over this view is Wu's protocol.
 class StaticFaultView final : public FaultView {
  public:
   /// `boundary` may be null (global information at every node).
@@ -154,8 +168,9 @@ struct LadderResult {
 };
 
 /// Walk s -> d through `view`, climbing the ladder as rungs fail. `rng` is
-/// only consulted for rung-0 two-way ties, with the same draw sequence as
-/// MinimalRouter::route; all degradation choices are deterministic.
+/// only consulted for rung-0 two-way ties (one chance(0.5) draw each; with
+/// no rng the tie goes to the dimension with more remaining distance); all
+/// degradation choices are deterministic.
 [[nodiscard]] LadderResult route_degradation_ladder(const Mesh2D& mesh, const FaultView& view,
                                                     Coord s, Coord d,
                                                     const LadderOptions& opts = {},

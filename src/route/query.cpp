@@ -57,6 +57,7 @@ cond::RoutingProblem QueryView::problem(Coord s, Coord d, QueryModel model) cons
 }
 
 StaticFaultView QueryView::fault_view() const {
+  if (mesh == nullptr) missing_plane("mesh");
   if (blocks == nullptr) missing_plane("block");
   return StaticFaultView(*blocks, boundary);
 }
@@ -91,12 +92,22 @@ void minimal_reachability(const QueryView& view, Coord s, Grid<bool>& out) {
   cond::monotone_reachability(*view.mesh, *view.faulty_mask, s, out);
 }
 
-RouteResult route(const QueryView& view, Coord s, Coord d, InfoPolicy policy, Rng* rng) {
-  if (view.mesh == nullptr || view.blocks == nullptr) {
-    throw std::invalid_argument("QueryView: block plane is not populated");
-  }
-  const MinimalRouter router(*view.mesh, *view.blocks, view.boundary, policy);
-  return router.route(s, d, rng);
+LadderResult route(const QueryView& view, Coord s, Coord d, Rng* rng) {
+  return route_ladder(view, s, d, LadderOptions{.max_rung = Rung::Minimal}, rng);
+}
+
+LadderResult route_via(const QueryView& view, Coord s, Coord via, Coord d, Rng* rng) {
+  LadderResult walk = route(view, s, via, rng);
+  if (!walk.delivered()) return walk;
+  const LadderOptions second_phase{.max_rung = Rung::Minimal, .start_time = walk.end_time};
+  const LadderResult rest = route_ladder(view, via, d, second_phase, rng);
+  if (rest.status == RouteStatus::SourceBlocked) return rest;  // d itself is unusable
+  // Rung 0 never detours or escalates: only the path and hop count add up.
+  walk.path.hops.insert(walk.path.hops.end(), rest.path.hops.begin() + 1, rest.path.hops.end());
+  walk.status = rest.status;
+  walk.end_time = rest.end_time;
+  walk.stats.hops += rest.stats.hops;
+  return walk;
 }
 
 LadderResult route_ladder(const QueryView& view, Coord s, Coord d, const LadderOptions& opts,

@@ -1,11 +1,7 @@
-// The consolidated public query API (one header for the whole read path).
+// The public query API: one header for the whole read path.
 //
-// Before this header the query surface was scattered: decide_strategy and
-// minimal_reachability lived on the mutable core::FaultTolerantMesh facade,
-// degradation-ladder routing took a FaultView directly, and the raw
-// cond::monotone_reachability oracle took ad-hoc grids. Every one of those
-// entry points is a pure function of derived fault information, so they all
-// collapse onto one read-side bundle:
+// Every query is a pure function of derived fault information, so they all
+// take one read-side bundle:
 //
 //   route::QueryView — const pointers to every plane a query consumes
 //     (masks, safety grids, blocks, boundary deposits). Producers:
@@ -15,13 +11,14 @@
 //
 // All functions here are const, allocation-free (given an out-buffer), and
 // thread-safe over a shared QueryView — the property the epoch-snapshotted
-// query server (src/serve) is built on. The direct query methods on the
-// mutable facade remain for convenience but are deprecated for new call
-// sites (see DESIGN §11); benches and the CLI route through this header.
+// query server (src/serve) is built on. The producers own state; every read
+// goes through this header (DESIGN §11).
 //
 // route::FaultView (ladder.hpp) stays the single *time-varying* read-side
 // abstraction: QueryView::fault_view() adapts the frozen world onto it, so
-// the ladder never takes ad-hoc grids.
+// the ladder never takes ad-hoc grids. Routing is one procedure — Wu's
+// protocol as ladder rung 0 — whether a caller wants rung 0 alone (route,
+// route_via) or the whole ladder (route_ladder, route_batch).
 #pragma once
 
 #include <cstdint>
@@ -54,8 +51,8 @@ enum class QueryModel : std::uint8_t { FaultyBlock = 0, Mcc = 1 };
 /// the optional ones must be non-null.
 ///
 /// Optional members:
-///   boundary     — null means global information at every node (the router
-///                  and ladder then see the whole block list everywhere).
+///   boundary     — null means global information at every node (routing
+///                  then sees the whole block list everywhere).
 ///   mcc2_*       — null means type-two MCC planes were not built; Mcc-model
 ///                  queries into quadrants II/IV then throw. Producers that
 ///                  only serve quadrant-I destinations (experiment::Trial)
@@ -82,7 +79,9 @@ struct QueryView {
 
   /// The frozen-world FaultView over this bundle (truth = blocks, belief =
   /// boundary deposits or the whole list). The adapter borrows `blocks` and
-  /// `boundary`; keep the producer alive for the adapter's lifetime.
+  /// `boundary`; keep the producer alive for the adapter's lifetime. Every
+  /// routing entry point passes here, so a view without `mesh` or `blocks`
+  /// throws std::invalid_argument before any walk starts.
   [[nodiscard]] StaticFaultView fault_view() const;
 };
 
@@ -106,8 +105,8 @@ struct RouteAnswer {
 // ---- Decision queries -----------------------------------------------------
 
 /// Evaluate one of the paper's combined strategies (Section 5) against the
-/// view. Bit-identical to core::FaultTolerantMesh::decide_strategy on the
-/// same fault set.
+/// view: cond::run_strategy on view.problem(s, d, model). For the witness
+/// as well, call cond::explain_strategy on the same problem.
 [[nodiscard]] cond::Decision decide_strategy(const QueryView& view, Coord s, Coord d,
                                              QueryModel model, cond::StrategyId id,
                                              std::span<const Coord> pivots,
@@ -132,13 +131,20 @@ void minimal_reachability(const QueryView& view, Coord s, Grid<bool>& out);
 
 // ---- Routing --------------------------------------------------------------
 
-/// Wu-protocol minimal routing over the view's frozen world.
-[[nodiscard]] RouteResult route(const QueryView& view, Coord s, Coord d,
-                                InfoPolicy policy = InfoPolicy::BoundaryInfo,
-                                Rng* rng = nullptr);
+/// Wu's protocol over the view's frozen world: the ladder capped at rung 0
+/// (route_ladder with max_rung = Rung::Minimal). A null `view.boundary`
+/// gives every node global information. `rng` breaks two-way ties.
+[[nodiscard]] LadderResult route(const QueryView& view, Coord s, Coord d, Rng* rng = nullptr);
 
-/// Degradation-ladder routing over the view's frozen world (rung 0 over a
-/// QueryView reproduces route() hop for hop; see ladder.hpp).
+/// Two-phase routing through a certificate's witness (cond::Certificate::
+/// via): route(s, via), then route(via, d) with the hop clock carried on,
+/// concatenated. Stops at the first phase that fails; an unusable `d` is
+/// SourceBlocked with no path, as in route(). With via == s it equals
+/// route(s, d).
+[[nodiscard]] LadderResult route_via(const QueryView& view, Coord s, Coord via, Coord d,
+                                     Rng* rng = nullptr);
+
+/// Degradation-ladder routing over the view's frozen world (see ladder.hpp).
 [[nodiscard]] LadderResult route_ladder(const QueryView& view, Coord s, Coord d,
                                         const LadderOptions& opts = {}, Rng* rng = nullptr);
 

@@ -1,26 +1,9 @@
 #include "route/router.hpp"
 
-#include <stdexcept>
-
-#include "cond/wang.hpp"
-#include "mesh/frame.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include <utility>
+#include <vector>
 
 namespace meshroute::route {
-namespace {
-
-/// Pick between two admissible preferred moves: random when rng given,
-/// otherwise along the dimension with more remaining distance (balances the
-/// remaining rectangle, a common adaptive heuristic).
-bool pick_first(Coord rel_after_first, Coord rel_after_second, Rng* rng) {
-  if (rng != nullptr) return rng->chance(0.5);
-  const Dist slack_first = std::max(rel_after_first.x, rel_after_first.y);
-  const Dist slack_second = std::max(rel_after_second.x, rel_after_second.y);
-  return slack_first <= slack_second;
-}
-
-}  // namespace
 
 const char* to_string(RouteStatus status) noexcept {
   switch (status) {
@@ -32,136 +15,6 @@ const char* to_string(RouteStatus status) noexcept {
     case RouteStatus::TtlExceeded: return "ttl_exceeded";
   }
   return "unknown";
-}
-
-MinimalRouter::MinimalRouter(const Mesh2D& mesh, const fault::BlockSet& blocks,
-                             const info::BoundaryInfoMap* boundary, InfoPolicy policy)
-    : mesh_(mesh), blocks_(blocks), boundary_(boundary), policy_(policy) {
-  if (policy_ != InfoPolicy::GlobalInfo && boundary_ == nullptr) {
-    throw std::invalid_argument("MinimalRouter: this policy requires a BoundaryInfoMap");
-  }
-}
-
-std::vector<Rect> MinimalRouter::known_rects(Coord at) const {
-  std::vector<Rect> rects;
-  if (policy_ == InfoPolicy::GlobalInfo) {
-    rects.reserve(blocks_.block_count());
-    for (const auto& b : blocks_.blocks()) rects.push_back(b.rect);
-    return rects;
-  }
-  for (const std::int32_t id : boundary_->known_blocks(at)) {
-    rects.push_back(blocks_.blocks()[static_cast<std::size_t>(id)].rect);
-  }
-  return rects;
-}
-
-RouteResult MinimalRouter::route(Coord s, Coord d, Rng* rng) const {
-  static obs::Counter& walks_ctr = obs::Registry::global().counter("route.minimal.walks");
-  static obs::Counter& delivered_ctr =
-      obs::Registry::global().counter("route.minimal.delivered");
-  static obs::Counter& hops_ctr = obs::Registry::global().counter("route.minimal.hops");
-
-  RouteResult result;
-  const auto finish = [&]() -> RouteResult& {
-    walks_ctr.add(1);
-    if (result.delivered()) delivered_ctr.add(1);
-    if (!result.path.hops.empty()) {
-      hops_ctr.add(static_cast<std::int64_t>(result.path.hops.size()) - 1);
-    }
-    return result;
-  };
-  if (!mesh_.in_bounds(s) || !mesh_.in_bounds(d) || blocks_.is_block_node(s) ||
-      blocks_.is_block_node(d)) {
-    result.status = RouteStatus::SourceBlocked;
-    return finish();
-  }
-  result.path.hops.push_back(s);
-
-  Coord cur = s;
-  while (cur != d) {
-    const QuadrantFrame frame(cur, d);
-    const Coord rel = frame.to_frame(d);
-    const std::vector<Rect> known = known_rects(cur);
-
-    // Literal single-block reading of the L1/L3 shadow rules (ablation
-    // policy): a position is dead w.r.t. one block when the destination sits
-    // in that block's north (resp. east) shadow and the position can no
-    // longer pass on the open side. Evaluated block by block, without
-    // composing the joint barrier.
-    const auto dead_by_single_block = [&](Coord v) {
-      const Coord q = frame.to_frame(v);
-      for (const Rect& r : known) {
-        const Coord a = frame.to_frame({r.xmin, r.ymin});
-        const Coord b = frame.to_frame({r.xmax, r.ymax});
-        const Rect bf{std::min(a.x, b.x), std::max(a.x, b.x), std::min(a.y, b.y),
-                      std::max(a.y, b.y)};
-        if (bf.contains(q)) return true;
-        const bool north_shadow = rel.y > bf.ymax && rel.x <= bf.xmax && rel.x >= bf.xmin;
-        if (north_shadow && q.x >= bf.xmin && q.y <= bf.ymax) return true;
-        const bool east_shadow = rel.x > bf.xmax && rel.y <= bf.ymax && rel.y >= bf.ymin;
-        if (east_shadow && q.y >= bf.ymin && q.x <= bf.xmax) return true;
-      }
-      return false;
-    };
-
-    // A candidate is admissible when the node is physically usable (1-hop
-    // sensing: not a block node) and, per the blocks known here, a monotone
-    // completion from it still exists.
-    const auto admissible = [&](Coord v) {
-      if (!mesh_.in_bounds(v) || blocks_.is_block_node(v)) return false;
-      if (policy_ == InfoPolicy::SingleBlockShadow) return !dead_by_single_block(v);
-      return cond::monotone_path_exists_rects(known, v, d);
-    };
-
-    std::optional<Coord> move_x;
-    std::optional<Coord> move_y;
-    if (rel.x >= 1) {
-      const Coord v = neighbor(cur, frame.to_mesh_dir(Direction::East));
-      if (admissible(v)) move_x = v;
-    }
-    if (rel.y >= 1) {
-      const Coord v = neighbor(cur, frame.to_mesh_dir(Direction::North));
-      if (admissible(v)) move_y = v;
-    }
-
-    Coord next;
-    if (move_x && move_y) {
-      const Coord after_x = Coord{rel.x - 1, rel.y};
-      const Coord after_y = Coord{rel.x, rel.y - 1};
-      next = pick_first(after_x, after_y, rng) ? *move_x : *move_y;
-    } else if (move_x) {
-      next = *move_x;
-    } else if (move_y) {
-      next = *move_y;
-    } else {
-      result.status = RouteStatus::Stuck;
-      return finish();
-    }
-    result.path.hops.push_back(next);
-    cur = next;
-    MESHROUTE_TRACE_EVENT(obs::EventKind::RouteHop, 0,
-                          static_cast<std::int64_t>(result.path.hops.size()) - 1, next,
-                          static_cast<std::int64_t>(result.path.hops.size()) - 1, 0);
-  }
-  result.status = RouteStatus::Delivered;
-  return finish();
-}
-
-RouteResult MinimalRouter::route_via(Coord s, Coord via, Coord d, Rng* rng) const {
-  RouteResult first = route(s, via, rng);
-  if (!first.delivered()) return first;
-  RouteResult second = route(via, d, rng);
-  if (!second.delivered()) {
-    // Keep the combined walk for diagnostics.
-    first.path.hops.insert(first.path.hops.end(), second.path.hops.begin() + 1,
-                           second.path.hops.end());
-    first.status = second.status;
-    return first;
-  }
-  first.path.hops.insert(first.path.hops.end(), second.path.hops.begin() + 1,
-                         second.path.hops.end());
-  first.status = RouteStatus::Delivered;
-  return first;
 }
 
 RouteResult route_shortest_bfs(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s,
@@ -229,49 +82,6 @@ RouteResult route_dimension_order(const Mesh2D& mesh, const Grid<bool>& blocked,
       next.y += cur.y < d.y ? 1 : -1;
     }
     if (blocked[next]) {
-      result.status = RouteStatus::Stuck;
-      return result;
-    }
-    result.path.hops.push_back(next);
-    cur = next;
-  }
-  result.status = RouteStatus::Delivered;
-  return result;
-}
-
-RouteResult route_greedy_global(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s, Coord d,
-                                Rng* rng) {
-  RouteResult result;
-  if (!mesh.in_bounds(s) || !mesh.in_bounds(d) || blocked[s] || blocked[d]) {
-    result.status = RouteStatus::SourceBlocked;
-    return result;
-  }
-  result.path.hops.push_back(s);
-  Coord cur = s;
-  while (cur != d) {
-    const QuadrantFrame frame(cur, d);
-    const Coord rel = frame.to_frame(d);
-    const auto admissible = [&](Coord v) {
-      return mesh.in_bounds(v) && !blocked[v] && cond::monotone_path_exists(mesh, blocked, v, d);
-    };
-    std::optional<Coord> move_x;
-    std::optional<Coord> move_y;
-    if (rel.x >= 1) {
-      const Coord v = neighbor(cur, frame.to_mesh_dir(Direction::East));
-      if (admissible(v)) move_x = v;
-    }
-    if (rel.y >= 1) {
-      const Coord v = neighbor(cur, frame.to_mesh_dir(Direction::North));
-      if (admissible(v)) move_y = v;
-    }
-    Coord next;
-    if (move_x && move_y) {
-      next = pick_first({rel.x - 1, rel.y}, {rel.x, rel.y - 1}, rng) ? *move_x : *move_y;
-    } else if (move_x) {
-      next = *move_x;
-    } else if (move_y) {
-      next = *move_y;
-    } else {
       result.status = RouteStatus::Stuck;
       return result;
     }

@@ -1,53 +1,22 @@
-// Wu's protocol: hop-by-hop minimal routing driven by the faulty-block
-// information stored at the node a packet currently occupies.
-//
-// The paper states the protocol as two boundary-line rules ("on the left
-// section of L1 ... stay on L1"; "on the lower section of L3 ... stay on
-// L3"). We implement their locally-rational closure: a preferred move is
-// forbidden exactly when, according to the blocks KNOWN AT THE CURRENT NODE,
-// no monotone completion would remain from the next node. For a single block
-// this reduces to the paper's case analysis (the move would enter the dead
-// "shadow" region the L-rules fence off); for joined boundaries it composes
-// automatically — the turn-and-join trails deposit every block of a
-// composite barrier on the shared staircase, so the fence is evaluated with
-// the full barrier in view. Stepping into a block itself is prevented by
-// 1-hop adjacency sensing, which every node has.
-//
-// InfoPolicy::GlobalInfo gives the router the whole block list at every hop
-// (the traditional global-information model); it succeeds whenever a minimal
-// path exists at all, and serves as the optimality baseline and as a
-// differential-testing partner for the boundary-information policy.
+// Routing outcomes and the fault-intolerant / non-minimal baselines that
+// Wu's protocol is compared against. The protocol itself is rung 0 of the
+// degradation ladder (route/ladder.hpp); route::route (route/query.hpp) is
+// its entry point.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "common/coord.hpp"
 #include "common/grid.hpp"
-#include "common/rng.hpp"
-#include "fault/block_model.hpp"
-#include "info/boundary.hpp"
 #include "mesh/mesh2d.hpp"
 #include "route/path.hpp"
 
 namespace meshroute::route {
 
-enum class InfoPolicy : std::uint8_t {
-  BoundaryInfo = 0,  ///< the paper's model: only node-local deposited info
-  GlobalInfo = 1,    ///< every node knows every block
-  /// Node-local deposited info, but each known block's shadow rule is
-  /// applied in isolation (the literal single-block reading of Wu's L1/L3
-  /// case analysis, without composing the joint barrier). Provided as an
-  /// ablation: it strands packets in traps formed by stacked blocks, which
-  /// is precisely what the turn-and-join composition prevents.
-  SingleBlockShadow = 2,
-};
-
-/// Why a routing attempt ended. The first three cover the frozen-world
-/// routers; the rest are produced by the degradation ladder (route/ladder.hpp)
-/// when the fault picture changes mid-flight, replacing what would otherwise
-/// be a silent Stuck with the actual failure reason.
+/// Why a routing attempt ended. The first three cover frozen worlds; the
+/// rest are produced by the degradation ladder (route/ladder.hpp) when the
+/// fault picture changes mid-flight, replacing what would otherwise be a
+/// silent Stuck with the actual failure reason.
 enum class RouteStatus : std::uint8_t {
   Delivered = 0,
   Stuck = 1,            ///< no preferred move is admissible at some node
@@ -67,36 +36,6 @@ struct RouteResult {
   [[nodiscard]] bool delivered() const noexcept { return status == RouteStatus::Delivered; }
 };
 
-/// Minimal router over the faulty-block model.
-class MinimalRouter {
- public:
-  /// `boundary` may be null only under GlobalInfo.
-  MinimalRouter(const Mesh2D& mesh, const fault::BlockSet& blocks,
-                const info::BoundaryInfoMap* boundary, InfoPolicy policy);
-
-  /// Route s -> d taking only preferred (distance-reducing) hops. When two
-  /// moves are admissible the tie is broken adaptively: random if `rng` is
-  /// given, otherwise toward the dimension with more remaining distance.
-  /// Never backtracks: a Stuck result means the guarantee conditions did not
-  /// hold at the source (never happens from a safe source — property-tested).
-  [[nodiscard]] RouteResult route(Coord s, Coord d, Rng* rng = nullptr) const;
-
-  /// Two-phase routing through `via` (extension 1/2/3 factorizations):
-  /// concatenates route(s, via) and route(via, d).
-  [[nodiscard]] RouteResult route_via(Coord s, Coord via, Coord d, Rng* rng = nullptr) const;
-
-  [[nodiscard]] InfoPolicy policy() const noexcept { return policy_; }
-
- private:
-  /// Blocks known at `at`, as rectangles (includes blocks adjacent to `at`).
-  [[nodiscard]] std::vector<Rect> known_rects(Coord at) const;
-
-  const Mesh2D& mesh_;
-  const fault::BlockSet& blocks_;
-  const info::BoundaryInfoMap* boundary_;
-  InfoPolicy policy_;
-};
-
 /// Classic dimension-order (XY) routing: all x hops first, then all y hops,
 /// no adaptivity. Gets stuck at the first block in the way — the standard
 /// fault-intolerant baseline the faulty-block literature improves on.
@@ -110,12 +49,5 @@ class MinimalRouter {
 /// paper's sub-minimal (one-detour) routing.
 [[nodiscard]] RouteResult route_shortest_bfs(const Mesh2D& mesh, const Grid<bool>& blocked,
                                              Coord s, Coord d);
-
-/// Fully-informed greedy minimal router over an arbitrary obstacle mask
-/// (works for MCCs too): at every hop takes a preferred move that keeps a
-/// monotone completion, per the whole mask. Delivers iff a minimal path
-/// exists.
-[[nodiscard]] RouteResult route_greedy_global(const Mesh2D& mesh, const Grid<bool>& blocked,
-                                              Coord s, Coord d, Rng* rng = nullptr);
 
 }  // namespace meshroute::route

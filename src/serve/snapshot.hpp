@@ -94,7 +94,8 @@ class RoutingSnapshot final : public route::FaultView {
   void reachability(Coord src, Grid<bool>& out) const;
 
   // route::FaultView — the frozen-world reading; routing a ladder over a
-  // snapshot at rung 0 is hop-for-hop MinimalRouter on its block world.
+  // snapshot at rung 0 is Wu's protocol on its block world, hop for hop the
+  // walk route::route takes over query_view().
   [[nodiscard]] bool truly_bad(Coord c, std::int64_t time) const override;
   void believed_blocks(Coord at, std::int64_t time, std::vector<Rect>& out) const override;
   [[nodiscard]] bool is_stale(Coord at, std::int64_t time) const override;

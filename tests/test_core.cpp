@@ -1,5 +1,8 @@
-// Tests for the FaultTolerantMesh facade.
+// Tests for the FaultTolerantMesh facade and the reads through its
+// QueryView: certificates (cond::explain_strategy), decisions and routing.
 #include <gtest/gtest.h>
+
+#include <span>
 
 #include "core/fault_tolerant_mesh.hpp"
 #include "info/pivots.hpp"
@@ -8,12 +11,23 @@
 namespace meshroute {
 namespace {
 
+/// Certificate for s -> d under strategy `id` with segment size 1. The
+/// default S1 chain (extensions 1 and 2) is what `meshroutectl decide`
+/// explains when no pivots are distributed.
+cond::Certificate explain(const FaultTolerantMesh& ftm, Coord s, Coord d,
+                          FaultModel model = FaultModel::FaultyBlock,
+                          cond::StrategyId id = cond::StrategyId::S1,
+                          std::span<const Coord> pivots = {}) {
+  return cond::explain_strategy(ftm.query_view().problem(s, d, model), id, {.segment_size = 1},
+                                pivots);
+}
+
 TEST(FaultTolerantMesh, FreshMeshHasNoBlocks) {
   const FaultTolerantMesh ftm(20, 20);
   EXPECT_EQ(ftm.blocks().block_count(), 0u);
   EXPECT_TRUE(ftm.mcc().type_one.components().empty());
-  EXPECT_EQ(ftm.decide({1, 1}, {15, 15}, FaultModel::FaultyBlock), cond::Decision::Minimal);
-  const auto r = ftm.route({1, 1}, {15, 15});
+  EXPECT_EQ(explain(ftm, {1, 1}, {15, 15}).decision, cond::Decision::Minimal);
+  const auto r = route::route(ftm.query_view(), {1, 1}, {15, 15});
   ASSERT_TRUE(r.delivered());
   EXPECT_TRUE(route::path_is_minimal(r.path));
 }
@@ -37,11 +51,11 @@ TEST(FaultTolerantMesh, ClearFaultsRestoresTheFaultFreeState) {
   ftm.clear_faults();
   EXPECT_EQ(ftm.faults().count(), 0u);
   EXPECT_EQ(ftm.blocks().block_count(), 0u);
-  EXPECT_EQ(ftm.decide({1, 1}, {15, 15}, FaultModel::FaultyBlock), cond::Decision::Minimal);
+  EXPECT_EQ(explain(ftm, {1, 1}, {15, 15}).decision, cond::Decision::Minimal);
   // The mesh is reusable: new faults rebuild derived state from scratch.
   ftm.inject_fault({5, 5});
   EXPECT_EQ(ftm.blocks().block_count(), 1u);
-  EXPECT_TRUE((ftm.obstacles(FaultModel::FaultyBlock, Quadrant::I)[{5, 5}]));
+  EXPECT_TRUE((ftm.query_view().obstacles(FaultModel::FaultyBlock, Quadrant::I)[{5, 5}]));
 }
 
 TEST(FaultTolerantMesh, FaultModelNames) {
@@ -55,14 +69,15 @@ TEST(FaultTolerantMesh, SafetyGridsDifferPerModelAndQuadrant) {
   // type-one but fault-free under type-two.
   ftm.inject_fault({10, 11});
   ftm.inject_fault({11, 10});
-  const auto& fb = ftm.obstacles(FaultModel::FaultyBlock, Quadrant::I);
-  const auto& m1 = ftm.obstacles(FaultModel::Mcc, Quadrant::I);
-  const auto& m2 = ftm.obstacles(FaultModel::Mcc, Quadrant::II);
+  const route::QueryView view = ftm.query_view();
+  const auto& fb = view.obstacles(FaultModel::FaultyBlock, Quadrant::I);
+  const auto& m1 = view.obstacles(FaultModel::Mcc, Quadrant::I);
+  const auto& m2 = view.obstacles(FaultModel::Mcc, Quadrant::II);
   EXPECT_TRUE((fb[{10, 10}]));  // block fills the 2x2 square
   EXPECT_TRUE((m1[{10, 10}]));
   EXPECT_FALSE((m2[{10, 10}]));
-  EXPECT_EQ(&ftm.safety(FaultModel::Mcc, Quadrant::III),
-            &ftm.safety(FaultModel::Mcc, Quadrant::I));
+  EXPECT_EQ(&view.safety(FaultModel::Mcc, Quadrant::III),
+            &view.safety(FaultModel::Mcc, Quadrant::I));
 }
 
 TEST(FaultTolerantMesh, DecideUsesConfiguredExtensions) {
@@ -74,13 +89,15 @@ TEST(FaultTolerantMesh, DecideUsesConfiguredExtensions) {
     for (Dist y = 4; y <= 5; ++y) ftm.inject_fault({x, y});
   const Coord s{1, 1};
   const Coord d{10, 10};
-  DecideOptions base;
-  base.use_extension1 = false;
-  base.use_extension2 = false;
-  EXPECT_EQ(ftm.decide(s, d, FaultModel::FaultyBlock, base), cond::Decision::Unknown);
-  DecideOptions with_pivot = base;
-  with_pivot.pivots = {{3, 3}};
-  EXPECT_EQ(ftm.decide(s, d, FaultModel::FaultyBlock, with_pivot), cond::Decision::Minimal);
+  // S2 chains extensions 1 and 3: extension 1 alone cannot tell, and the
+  // pivot inside the pinch certifies.
+  const cond::StrategyId s2 = cond::StrategyId::S2;
+  EXPECT_EQ(explain(ftm, s, d, FaultModel::FaultyBlock, s2).decision, cond::Decision::Unknown);
+  const std::vector<Coord> pivot{{3, 3}};
+  const cond::Certificate cert = explain(ftm, s, d, FaultModel::FaultyBlock, s2, pivot);
+  EXPECT_EQ(cert.decision, cond::Decision::Minimal);
+  EXPECT_EQ(cert.method, cond::Method::Ext3Pivot);
+  EXPECT_EQ(cert.via, (Coord{3, 3}));
 }
 
 TEST(FaultTolerantMesh, DecideStrategyAndGroundTruth) {
@@ -92,47 +109,53 @@ TEST(FaultTolerantMesh, DecideStrategyAndGroundTruth) {
   }
   const Coord s{2, 2};
   const Coord d{27, 27};
-  if (!ftm.obstacles(FaultModel::FaultyBlock, Quadrant::I)[s] &&
-      !ftm.obstacles(FaultModel::FaultyBlock, Quadrant::I)[d]) {
+  const route::QueryView view = ftm.query_view();
+  if (!view.obstacles(FaultModel::FaultyBlock, Quadrant::I)[s] &&
+      !view.obstacles(FaultModel::FaultyBlock, Quadrant::I)[d]) {
     const auto pivots =
         info::generate_pivots(Rect{2, 27, 2, 27}, 3, info::PivotPlacement::Center);
-    const auto dec =
-        ftm.decide_strategy(s, d, FaultModel::FaultyBlock, cond::StrategyId::S4, pivots);
+    const auto dec = route::decide_strategy(view, s, d, FaultModel::FaultyBlock,
+                                            cond::StrategyId::S4, pivots);
     if (dec == cond::Decision::Minimal) {
-      EXPECT_TRUE(ftm.minimal_path_exists(s, d));
-      const auto r = ftm.route(s, d);
+      EXPECT_TRUE(route::minimal_path_exists(view, s, d));
+      const auto r = route::route(view, s, d);
       EXPECT_TRUE(r.delivered());
     }
   }
 }
 
-TEST(FaultTolerantMesh, DecideStrategyAcceptsDecideOptions) {
-  // The DecideOptions overload must agree with the explicit
-  // (pivots, StrategyConfig) one when fed the equivalent configuration.
+TEST(FaultTolerantMesh, ExplainStrategyAgreesWithDecideStrategy) {
+  // One extension chain: the certificate's decision is exactly what
+  // decide_strategy answers for every strategy, its method is None exactly
+  // when nothing certified, and a base-safe certificate names the source.
   Rng rng(9);
   FaultTolerantMesh ftm(30, 30);
   for (int i = 0; i < 50; ++i) {
     ftm.inject_fault(
         {static_cast<Dist>(rng.uniform(0, 29)), static_cast<Dist>(rng.uniform(0, 29))});
   }
-  DecideOptions opts;
-  opts.segment_size = 5;
-  opts.pivots = info::generate_pivots(Rect{0, 29, 0, 29}, 2, info::PivotPlacement::Center);
-  const cond::StrategyConfig cfg{.segment_size = opts.segment_size};
+  const route::QueryView view = ftm.query_view();
+  const auto pivots = info::generate_pivots(Rect{0, 29, 0, 29}, 2, info::PivotPlacement::Center);
+  const cond::StrategyConfig cfg{.segment_size = 5};
   int checked = 0;
   for (int t = 0; t < 50; ++t) {
     const Coord s{static_cast<Dist>(rng.uniform(0, 14)), static_cast<Dist>(rng.uniform(0, 14))};
     const Coord d{static_cast<Dist>(rng.uniform(15, 29)), static_cast<Dist>(rng.uniform(15, 29))};
     const Quadrant q = quadrant_of(s, d);
-    if (ftm.obstacles(FaultModel::FaultyBlock, q)[s] ||
-        ftm.obstacles(FaultModel::FaultyBlock, q)[d]) {
+    if (view.obstacles(FaultModel::FaultyBlock, q)[s] ||
+        view.obstacles(FaultModel::FaultyBlock, q)[d]) {
       continue;
     }
     ++checked;
     for (const auto id : {cond::StrategyId::S1, cond::StrategyId::S2, cond::StrategyId::S3,
                           cond::StrategyId::S4}) {
-      EXPECT_EQ(ftm.decide_strategy(s, d, FaultModel::FaultyBlock, id, opts),
-                ftm.decide_strategy(s, d, FaultModel::FaultyBlock, id, opts.pivots, cfg));
+      const cond::Certificate cert = cond::explain_strategy(
+          view.problem(s, d, FaultModel::FaultyBlock), id, cfg, pivots);
+      EXPECT_EQ(cert.decision,
+                route::decide_strategy(view, s, d, FaultModel::FaultyBlock, id, pivots, cfg));
+      EXPECT_EQ(cert.method == cond::Method::None, cert.decision == cond::Decision::Unknown);
+      EXPECT_EQ(cert.method == cond::Method::BaseSafe,
+                cert.decision != cond::Decision::Unknown && cert.via == s);
     }
   }
   EXPECT_GT(checked, 0);
@@ -142,60 +165,71 @@ TEST(FaultTolerantMesh, RouteViaCompletesTwoPhase) {
   FaultTolerantMesh ftm(14, 14);
   for (Dist x = 4; x <= 6; ++x)
     for (Dist y = 3; y <= 4; ++y) ftm.inject_fault({x, y});
-  const auto r = ftm.route_via({3, 3}, {3, 2}, {6, 9});
+  const route::QueryView view = ftm.query_view();
+  const auto r = route::route_via(view, {3, 3}, {3, 2}, {6, 9});
   ASSERT_TRUE(r.delivered());
   EXPECT_EQ(r.path.length(), manhattan(Coord{3, 3}, Coord{6, 9}) + 2);
+  EXPECT_EQ(r.stats.hops, r.path.length());
+  // Through the source itself, two-phase routing is plain routing: same
+  // walk, same tie-break draws.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng a(seed);
+    Rng b(seed);
+    const auto via_self = route::route_via(view, {1, 1}, {1, 1}, {12, 11}, &a);
+    const auto direct = route::route(view, {1, 1}, {12, 11}, &b);
+    EXPECT_EQ(via_self.status, direct.status);
+    EXPECT_EQ(via_self.path.hops, direct.path.hops);
+    EXPECT_EQ(via_self.stats, direct.stats);
+    EXPECT_EQ(via_self.end_time, direct.end_time);
+    EXPECT_EQ(a.uniform01(), b.uniform01());  // same number of draws consumed
+  }
 }
 
 TEST(FaultTolerantMesh, ExplainNamesTheCertifyingExtension) {
   FaultTolerantMesh ftm(16, 16);
   // Clear mesh: base condition.
-  const Certificate clear = ftm.explain({1, 1}, {10, 10}, FaultModel::FaultyBlock);
+  const cond::Certificate clear = explain(ftm, {1, 1}, {10, 10});
   EXPECT_EQ(clear.decision, cond::Decision::Minimal);
-  EXPECT_EQ(clear.method, Method::BaseSafe);
+  EXPECT_EQ(clear.method, cond::Method::BaseSafe);
   EXPECT_EQ(clear.via, (Coord{1, 1}));
 
   // Extension 1 via a preferred neighbor (the test_conditions fixture).
   FaultTolerantMesh e1(12, 12);
   for (Dist x = 3; x <= 4; ++x)
     for (Dist y = 4; y <= 5; ++y) e1.inject_fault({x, y});
-  const Certificate c1 = e1.explain({2, 5}, {6, 9}, FaultModel::FaultyBlock);
-  EXPECT_EQ(c1.method, Method::Ext1Preferred);
+  const cond::Certificate c1 = explain(e1, {2, 5}, {6, 9});
+  EXPECT_EQ(c1.method, cond::Method::Ext1Preferred);
   EXPECT_EQ(c1.via, (Coord{2, 6}));
-  const auto r1 = e1.route_certified({2, 5}, {6, 9}, c1);
+  const auto r1 = route::route_via(e1.query_view(), {2, 5}, c1.via, {6, 9});
   ASSERT_TRUE(r1.delivered());
   EXPECT_TRUE(route::path_is_minimal(r1.path));
 
-  // Extension 1's spare-neighbor sub-minimal certificate.
+  // Extension 1's spare-neighbor sub-minimal certificate (S2 without
+  // pivots is extension 1 alone).
   FaultTolerantMesh e2(14, 14);
   for (Dist x = 4; x <= 6; ++x)
     for (Dist y = 3; y <= 4; ++y) e2.inject_fault({x, y});
-  DecideOptions ext1_only;
-  ext1_only.use_extension2 = false;
-  const Certificate c2 = e2.explain({3, 3}, {6, 9}, FaultModel::FaultyBlock, ext1_only);
-  EXPECT_EQ(c2.method, Method::Ext1Spare);
+  const cond::Certificate c2 =
+      explain(e2, {3, 3}, {6, 9}, FaultModel::FaultyBlock, cond::StrategyId::S2);
+  EXPECT_EQ(c2.method, cond::Method::Ext1Spare);
   EXPECT_EQ(c2.decision, cond::Decision::SubMinimal);
-  const auto r2 = e2.route_certified({3, 3}, {6, 9}, c2);
+  const auto r2 = route::route_via(e2.query_view(), {3, 3}, c2.via, {6, 9});
   ASSERT_TRUE(r2.delivered());
   EXPECT_TRUE(route::path_is_sub_minimal(r2.path));
-
-  // Method::None certificates refuse to route.
-  Certificate none;
-  EXPECT_FALSE(e2.route_certified({3, 3}, {6, 9}, none).delivered());
-  EXPECT_STREQ(to_string(Method::Ext2Axis), "extension 2 (axis representative)");
+  EXPECT_STREQ(to_string(cond::Method::Ext2Axis), "extension 2 (axis representative)");
 }
 
 TEST(FaultTolerantMesh, ExplainPrefersMinimalOverSubMinimal) {
   // Extension 2 can upgrade an Ext1Spare sub-minimal certificate to a
-  // minimal one; explain() must return the minimal certificate.
+  // minimal one; the S1 chain must return the minimal certificate.
   FaultTolerantMesh ftm(14, 14);
   for (Dist x = 4; x <= 6; ++x)
     for (Dist y = 3; y <= 4; ++y) ftm.inject_fault({x, y});
-  const Certificate cert = ftm.explain({3, 3}, {6, 9}, FaultModel::FaultyBlock);
+  const cond::Certificate cert = explain(ftm, {3, 3}, {6, 9});
   // Axis candidates northward from (3,3) rescue this instance minimally.
   EXPECT_EQ(cert.decision, cond::Decision::Minimal);
-  EXPECT_EQ(cert.method, Method::Ext2Axis);
-  const auto r = ftm.route_certified({3, 3}, {6, 9}, cert);
+  EXPECT_EQ(cert.method, cond::Method::Ext2Axis);
+  const auto r = route::route_via(ftm.query_view(), {3, 3}, cert.via, {6, 9});
   ASSERT_TRUE(r.delivered());
   EXPECT_TRUE(route::path_is_minimal(r.path));
 }
@@ -214,13 +248,13 @@ TEST(FaultTolerantMesh, MccDecisionsAreAtLeastAsStrongAsBlockDecisions) {
     const Coord s{static_cast<Dist>(rng.uniform(0, 19)), static_cast<Dist>(rng.uniform(0, 19))};
     const Coord d{static_cast<Dist>(rng.uniform(20, 39)), static_cast<Dist>(rng.uniform(20, 39))};
     const Quadrant q = quadrant_of(s, d);
-    if (ftm.obstacles(FaultModel::FaultyBlock, q)[s] ||
-        ftm.obstacles(FaultModel::FaultyBlock, q)[d]) {
+    if (ftm.query_view().obstacles(FaultModel::FaultyBlock, q)[s] ||
+        ftm.query_view().obstacles(FaultModel::FaultyBlock, q)[d]) {
       continue;
     }
     ++checked;
-    const auto fb = ftm.decide(s, d, FaultModel::FaultyBlock);
-    const auto mcc = ftm.decide(s, d, FaultModel::Mcc);
+    const auto fb = explain(ftm, s, d, FaultModel::FaultyBlock).decision;
+    const auto mcc = explain(ftm, s, d, FaultModel::Mcc).decision;
     if (fb == cond::Decision::Minimal) {
       EXPECT_EQ(mcc, cond::Decision::Minimal)
           << "s=" << to_string(s) << " d=" << to_string(d);

@@ -9,7 +9,7 @@
 #include "info/boundary.hpp"
 #include "info/pivots.hpp"
 #include "route/path.hpp"
-#include "route/router.hpp"
+#include "route/query.hpp"
 #include "simsub/protocols.hpp"
 
 namespace meshroute {
@@ -85,8 +85,8 @@ TEST(EndToEnd, CertificatesConvertToExecutedRoutes) {
   for (const std::size_t k : {30u, 90u, 150u}) {
     const Trial trial = make_trial({.n = 100, .faults = k}, rng);
     const info::BoundaryInfoMap boundary(trial.mesh, trial.blocks);
-    const route::MinimalRouter router(trial.mesh, trial.blocks, &boundary,
-                                      route::InfoPolicy::BoundaryInfo);
+    route::QueryView view = trial.query_view();
+    view.boundary = &boundary;
     for (int t = 0; t < 25; ++t) {
       const Coord d = sample_quadrant1_dest(trial, rng);
       const cond::RoutingProblem p = trial.fb_problem(d);
@@ -94,19 +94,19 @@ TEST(EndToEnd, CertificatesConvertToExecutedRoutes) {
       Coord via{-1, -1};
       const Decision e1 = cond::extension1(p, &via);
       if (e1 == Decision::Minimal) {
-        const auto r = router.route_via(trial.source, via, d, &rng);
+        const auto r = route::route_via(view, trial.source, via, d, &rng);
         ASSERT_TRUE(r.delivered());
         EXPECT_TRUE(route::path_is_minimal(r.path));
         EXPECT_TRUE(route::path_avoids(trial.fb_mask, r.path));
       } else if (e1 == Decision::SubMinimal) {
-        const auto r = router.route_via(trial.source, via, d, &rng);
+        const auto r = route::route_via(view, trial.source, via, d, &rng);
         ASSERT_TRUE(r.delivered());
         EXPECT_TRUE(route::path_is_sub_minimal(r.path));
       }
 
       Coord via2{-1, -1};
       if (cond::extension2(p, 1, &via2) == Decision::Minimal) {
-        const auto r = router.route_via(trial.source, via2, d, &rng);
+        const auto r = route::route_via(view, trial.source, via2, d, &rng);
         ASSERT_TRUE(r.delivered());
         EXPECT_TRUE(route::path_is_minimal(r.path));
       }

@@ -3,7 +3,7 @@
 
 #include "fault/fault_set.hpp"
 #include "render/render.hpp"
-#include "route/router.hpp"
+#include "route/query.hpp"
 
 namespace meshroute::render {
 namespace {
@@ -88,9 +88,8 @@ TEST(Render, OverlayAndAscii) {
   fs.add({3, 3});
   const auto blocks = fault::build_faulty_blocks(mesh, fs);
   const info::BoundaryInfoMap boundary(mesh, blocks);
-  const route::MinimalRouter router(mesh, blocks, &boundary,
-                                    route::InfoPolicy::BoundaryInfo);
-  const auto r = router.route({0, 0}, {5, 5});
+  const route::QueryView view{.mesh = &mesh, .blocks = &blocks, .boundary = &boundary};
+  const auto r = route::route(view, {0, 0}, {5, 5});
   ASSERT_TRUE(r.delivered());
 
   Image img = render_blocks(mesh, fs, blocks);

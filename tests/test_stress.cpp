@@ -14,7 +14,7 @@
 #include "info/pivots.hpp"
 #include "info/safety_level.hpp"
 #include "route/path.hpp"
-#include "route/router.hpp"
+#include "route/query.hpp"
 #include "simsub/protocols.hpp"
 
 namespace meshroute {
@@ -117,8 +117,7 @@ TEST_P(Clustered, CertificatesRemainSound) {
 TEST_P(Clustered, SafeSourcesRouteMinimallyAroundBigBlocks) {
   Rng rng(GetParam() * 131);
   const ClusteredWorld w(rng, 4, 14);
-  const route::MinimalRouter router(w.mesh, w.blocks, &w.boundary,
-                                    route::InfoPolicy::BoundaryInfo);
+  const route::QueryView view{.mesh = &w.mesh, .blocks = &w.blocks, .boundary = &w.boundary};
   int safe_pairs = 0;
   for (int t = 0; t < 400 && safe_pairs < 60; ++t) {
     const Coord s = w.random_free(rng, w.fb_mask);
@@ -126,7 +125,7 @@ TEST_P(Clustered, SafeSourcesRouteMinimallyAroundBigBlocks) {
     const cond::RoutingProblem p{&w.mesh, &w.fb_mask, &w.fb_safety, s, d};
     if (!cond::safe_with_respect_to(p, s, d)) continue;
     ++safe_pairs;
-    const auto r = router.route(s, d, &rng);
+    const auto r = route::route(view, s, d, &rng);
     ASSERT_TRUE(r.delivered()) << "s=" << to_string(s) << " d=" << to_string(d);
     EXPECT_TRUE(route::path_is_minimal(r.path));
     EXPECT_TRUE(route::path_avoids(w.fb_mask, r.path));
@@ -164,12 +163,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Clustered, ::testing::Values(1u, 2u, 3u, 4u, 5u)
 TEST(Fuzz, RouterNeverCrashesOnArbitraryEndpoints) {
   Rng rng(99);
   const ClusteredWorld w(rng, 4, 10);
-  const route::MinimalRouter router(w.mesh, w.blocks, &w.boundary,
-                                    route::InfoPolicy::BoundaryInfo);
+  const route::QueryView view{.mesh = &w.mesh, .blocks = &w.blocks, .boundary = &w.boundary};
   for (int t = 0; t < 500; ++t) {
     const Coord s{static_cast<Dist>(rng.uniform(-2, 49)), static_cast<Dist>(rng.uniform(-2, 49))};
     const Coord d{static_cast<Dist>(rng.uniform(-2, 49)), static_cast<Dist>(rng.uniform(-2, 49))};
-    const auto r = router.route(s, d, &rng);
+    const auto r = route::route(view, s, d, &rng);
     if (!w.mesh.in_bounds(s) || !w.mesh.in_bounds(d) ||
         w.blocks.is_block_node(s) || w.blocks.is_block_node(d)) {
       EXPECT_EQ(r.status, route::RouteStatus::SourceBlocked);
@@ -208,11 +206,11 @@ TEST(Fuzz, FullRowAndColumnBlocks) {
   const auto safety = info::compute_safety_levels(mesh, mask);
   EXPECT_EQ((safety[{3, 2}].n), 2);
   // Wall splits the mesh: no route across.
-  const route::MinimalRouter router(mesh, blocks, &boundary, route::InfoPolicy::BoundaryInfo);
-  const auto r = router.route({3, 2}, {3, 9});
+  const route::QueryView view{.mesh = &mesh, .blocks = &blocks, .boundary = &boundary};
+  const auto r = route::route(view, {3, 2}, {3, 9});
   EXPECT_FALSE(r.delivered());
   // Along the wall: fine.
-  const auto ok = router.route({0, 2}, {11, 4});
+  const auto ok = route::route(view, {0, 2}, {11, 4});
   ASSERT_TRUE(ok.delivered());
   EXPECT_TRUE(route::path_is_minimal(ok.path));
 }

@@ -84,7 +84,7 @@ struct Options {
   Dist segment = 1;
   int pivot_levels = 0;
   std::optional<cond::StrategyId> strategy;
-  route::InfoPolicy policy = route::InfoPolicy::BoundaryInfo;
+  bool global_info = false;          ///< --policy global: every node knows every block
   std::optional<std::string> ppm;
   bool ascii = false;
   std::optional<std::string> chaos;  ///< FaultSchedule file or inline spec
@@ -246,10 +246,8 @@ Options parse(int argc, char** argv) {
       }
     } else if (key == "--policy") {
       const std::string v = next_value(key, attached);
-      if (v == "boundary") {
-        opt.policy = route::InfoPolicy::BoundaryInfo;
-      } else if (v == "global") {
-        opt.policy = route::InfoPolicy::GlobalInfo;
+      if (v == "boundary" || v == "global") {
+        opt.global_info = v == "global";
       } else {
         throw std::invalid_argument("--policy expects boundary or global, got '" + v + "'");
       }
@@ -454,31 +452,34 @@ int run_command(const Options& opt) {
   const Coord s = *opt.src;
   const Coord d = *opt.dst;
 
-  DecideOptions dopts;
-  dopts.segment_size = opt.segment;
+  const cond::StrategyConfig cfg{.segment_size = opt.segment};
+  std::vector<Coord> pivots;
   if (opt.pivot_levels > 0) {
-    dopts.pivots = info::generate_pivots(ftm.mesh().bounds(), opt.pivot_levels,
+    pivots = info::generate_pivots(ftm.mesh().bounds(), opt.pivot_levels,
                                          info::PivotPlacement::Random, &rng);
   }
 
-  // All read-side queries below go through the consolidated query API
-  // (route/query.hpp) over the facade's view — the same surface the serve
-  // layer and the benches use.
-  const route::QueryView view = ftm.query_view();
+  // All read-side queries below go through the query API (route/query.hpp)
+  // over the facade's view — the same surface the serve layer and the
+  // benches use. A null boundary map is global information.
+  route::QueryView view = ftm.query_view();
+  if (opt.global_info) view.boundary = nullptr;
 
   if (opt.command == "decide") {
     std::cout << "model: " << to_string(opt.model) << "\n";
     if (opt.strategy) {
-      const cond::StrategyConfig cfg{.segment_size = opt.segment};
       const cond::Decision dec =
-          route::decide_strategy(view, s, d, opt.model, *opt.strategy, dopts.pivots, cfg);
+          route::decide_strategy(view, s, d, opt.model, *opt.strategy, pivots, cfg);
       std::cout << "decision (" << cond::to_string(*opt.strategy)
                 << "): " << decision_text(dec);
     } else {
-      const Certificate cert = ftm.explain(s, d, opt.model, dopts);
+      // Without --strategy: extensions 1 and 2, then 3 when pivots exist.
+      const cond::StrategyId id = pivots.empty() ? cond::StrategyId::S1 : cond::StrategyId::S4;
+      const cond::Certificate cert =
+          cond::explain_strategy(view.problem(s, d, opt.model), id, cfg, pivots);
       std::cout << "decision: " << decision_text(cert.decision)
                 << "\n  method: " << to_string(cert.method);
-      if (cert.method != Method::None) std::cout << "\n  via: " << to_string(cert.via);
+      if (cert.method != cond::Method::None) std::cout << "\n  via: " << to_string(cert.via);
     }
     std::cout << "\n  ground truth: minimal path "
               << (route::minimal_path_exists(view, s, d) ? "exists" : "does not exist")
@@ -538,7 +539,7 @@ int run_command(const Options& opt) {
   }
 
   // route
-  const auto r = route::route(view, s, d, opt.policy, &rng);
+  const auto r = route::route(view, s, d, &rng);
   if (!r.delivered()) {
     std::cout << "routing failed (" << (r.status == route::RouteStatus::SourceBlocked
                                             ? "endpoint inside a block"
