@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "dynamic/dynamic_state.hpp"
-#include "hypercube/hypercube.hpp"
 #include "simsub/protocols.hpp"
 
 namespace {
@@ -136,16 +135,6 @@ void BM_PivotBroadcast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PivotBroadcast);
-
-void BM_HypercubeSafetyLevels(benchmark::State& state) {
-  cube::Hypercube hc(static_cast<int>(state.range(0)));
-  Rng rng(7);
-  cube::inject_random_faults(hc, hc.node_count() / 16, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cube::compute_safety_levels(hc));
-  }
-}
-BENCHMARK(BM_HypercubeSafetyLevels)->Arg(8)->Arg(12);
 
 void BM_DynamicInjectFault(benchmark::State& state) {
   // Cost of one incremental disturbance on a large mesh. The state is reset

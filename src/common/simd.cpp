@@ -6,6 +6,12 @@
 #include <cstdlib>
 #include <string_view>
 
+// The native tiers exist only on x86, where __builtin_cpu_supports picks
+// them at runtime; every other build runs the scalar tier.
+#if defined(__x86_64__) || defined(__i386__)
+#define MESHROUTE_HAVE_NATIVE 1
+#endif
+
 namespace meshroute::core::simd {
 
 // ===========================================================================
@@ -19,19 +25,15 @@ namespace {
 Tier best_tier() noexcept {
   if (native512_supported()) return Tier::Native512;
   if (native_supported()) return Tier::Native;
-  return Tier::Generic;
+  return Tier::Scalar;
 }
 
 Tier resolve_tier() noexcept {
   if (const char* env = std::getenv("MESHROUTE_SIMD")) {
     const std::string_view v(env);
     if (v == "scalar") return Tier::Scalar;
-    if (v == "generic") return Tier::Generic;
-    if (v == "native") return native_supported() ? Tier::Native : Tier::Generic;
-    if (v == "native512") {
-      if (native512_supported()) return Tier::Native512;
-      return native_supported() ? Tier::Native : Tier::Generic;
-    }
+    if (v == "native") return native_supported() ? Tier::Native : Tier::Scalar;
+    if (v == "native512") return best_tier();
   }
   return best_tier();
 }
@@ -46,23 +48,14 @@ Tier& tier_state() noexcept {
 const char* tier_name(Tier t) noexcept {
   switch (t) {
     case Tier::Scalar: return "scalar";
-    case Tier::Generic: return "generic";
     case Tier::Native: return "native";
     case Tier::Native512: return "native512";
   }
   return "?";
 }
 
-bool native_compiled() noexcept {
-#if defined(MESHROUTE_SIMD_NATIVE)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool native_supported() noexcept {
-#if defined(MESHROUTE_SIMD_NATIVE) && (defined(__x86_64__) || defined(__i386__))
+#if defined(MESHROUTE_HAVE_NATIVE)
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -70,7 +63,7 @@ bool native_supported() noexcept {
 }
 
 bool native512_supported() noexcept {
-#if defined(MESHROUTE_SIMD_NATIVE) && (defined(__x86_64__) || defined(__i386__))
+#if defined(MESHROUTE_HAVE_NATIVE)
   return __builtin_cpu_supports("avx512f") != 0;
 #else
   return false;
@@ -81,7 +74,7 @@ Tier active_tier() noexcept { return tier_state(); }
 
 Tier force_tier(Tier t) noexcept {
   if (t == Tier::Native512 && !native512_supported()) t = Tier::Native;
-  if (t == Tier::Native && !native_supported()) t = Tier::Generic;
+  if (t == Tier::Native && !native_supported()) t = Tier::Scalar;
   tier_state() = t;
   return t;
 }
@@ -124,33 +117,6 @@ void run_dirty_fixpoint(Dist h, std::vector<std::uint64_t>& dirty, SweepFn&& swe
   }
 }
 
-/// E/W safety segment ramps for one row, written to planar int32 buffers.
-/// Values between consecutive obstacles are pure functions of the obstacle
-/// positions (see compute_safety_levels docs); identical to the AoS version
-/// in PR 5 but targeting dense per-field rows the interleave step consumes.
-void safety_ew_row(const std::uint64_t* orow, std::size_t nw, Dist w, std::int32_t* e_buf,
-                   std::int32_t* w_buf) {
-  Dist prev = -1;
-  BitGrid::for_each_set_in_row(orow, nw, [&](Dist o) {
-    if (prev < 0) {
-      for (Dist x = 0; x <= o; ++x) w_buf[x] = kInfiniteDistance;
-    } else {
-      for (Dist x = prev + 1; x <= o; ++x) w_buf[x] = x - prev - 1;
-    }
-    for (Dist x = prev < 0 ? 0 : prev; x < o; ++x) e_buf[x] = o - x - 1;
-    prev = o;
-  });
-  if (prev < 0) {
-    for (Dist x = 0; x < w; ++x) {
-      w_buf[x] = kInfiniteDistance;
-      e_buf[x] = kInfiniteDistance;
-    }
-  } else {
-    for (Dist x = prev + 1; x < w; ++x) w_buf[x] = x - prev - 1;
-    for (Dist x = prev; x < w; ++x) e_buf[x] = kInfiniteDistance;
-  }
-}
-
 /// Reachability side masks: ME keeps bits x >= sx, MW keeps x <= sx (both
 /// include the source column; nothing propagates across it because the
 /// adjacent bit is outside the mask).
@@ -173,8 +139,8 @@ void build_side_masks(std::size_t nw, std::uint64_t tail, std::size_t sx,
 
 // ===========================================================================
 // Scalar tier: the PR-5 single-word-lane kernels, verbatim. These are the
-// pinned oracles the vector tiers are equivalence-tested against and the
-// MESHROUTE_SIMD=scalar escape hatch.
+// pinned oracles the vector tiers are equivalence-tested against, the
+// MESHROUTE_SIMD=scalar escape hatch, and the tier a CPU without AVX2 runs.
 // ===========================================================================
 
 bool block_sweep_row_scalar(BitGrid& bad, Dist y, std::uint64_t* vmask, std::uint64_t* seed,
@@ -337,12 +303,14 @@ void safety_fill_scalar(const BitGrid& obstacles, std::int32_t* aos, SweepScratc
   }
 }
 
+#if defined(MESHROUTE_HAVE_NATIVE)
 // ===========================================================================
 // Vector kernels (GCC vector extensions). Everything below is written once
-// as [[gnu::always_inline]] helpers; the Generic tier instantiates them at
-// the baseline ISA and the Native tier re-instantiates the identical source
-// inside __attribute__((target("avx2"))) wrappers, so the compiler emits two
-// ISA-specific copies of the same code (function multiversioning by hand).
+// as [[gnu::always_inline]] helpers and instantiated only inside the
+// __attribute__((target("avx2"))) and target("avx512f") wrappers at the end,
+// so the compiler emits two ISA-specific copies of the same code (function
+// multiversioning by hand). Nothing here runs at the baseline ISA: there
+// the scalar kernels above are the faster ones (DESIGN §12).
 // ===========================================================================
 
 typedef std::uint64_t u64x4 __attribute__((vector_size(32)));
@@ -578,6 +546,33 @@ template <typename V>
   for (Dist y = source.y; y-- > 0;) sweep_row(out.row(y), blocked.row(y), out.row(y + 1));
 }
 
+/// E/W safety segment ramps for one row, written to planar int32 buffers.
+/// Values between consecutive obstacles are pure functions of the obstacle
+/// positions (see compute_safety_levels docs); identical to the AoS version
+/// in PR 5 but targeting dense per-field rows the interleave step consumes.
+void safety_ew_row(const std::uint64_t* orow, std::size_t nw, Dist w, std::int32_t* e_buf,
+                   std::int32_t* w_buf) {
+  Dist prev = -1;
+  BitGrid::for_each_set_in_row(orow, nw, [&](Dist o) {
+    if (prev < 0) {
+      for (Dist x = 0; x <= o; ++x) w_buf[x] = kInfiniteDistance;
+    } else {
+      for (Dist x = prev + 1; x <= o; ++x) w_buf[x] = x - prev - 1;
+    }
+    for (Dist x = prev < 0 ? 0 : prev; x < o; ++x) e_buf[x] = o - x - 1;
+    prev = o;
+  });
+  if (prev < 0) {
+    for (Dist x = 0; x < w; ++x) {
+      w_buf[x] = kInfiniteDistance;
+      e_buf[x] = kInfiniteDistance;
+    }
+  } else {
+    for (Dist x = prev + 1; x < w; ++x) w_buf[x] = x - prev - 1;
+    for (Dist x = prev; x < w; ++x) e_buf[x] = kInfiniteDistance;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // safety_fill: fused single AoS traversal. A descending pass materializes
 // the N recurrence into a planar int32 grid; the ascending pass computes
@@ -668,21 +663,10 @@ template <typename V>
 }
 
 // ===========================================================================
-// Tier instantiation: Generic at the baseline ISA, Native under target(avx2).
+// Tier instantiation: Native under target(avx2), Native512 under
+// target(avx512f).
 // ===========================================================================
 
-void block_fixpoint_generic(BitGrid& bad, SweepScratch& s) { block_fixpoint_vec(bad, s); }
-void mcc_sweeps_generic(const BitGrid& fp, BitGrid& up, BitGrid& cp, bool t1, SweepScratch& s) {
-  mcc_sweeps_vec(fp, up, cp, t1, s);
-}
-void reach_fill_generic(const BitGrid& b, Coord src, BitGrid& out, SweepScratch& s) {
-  reach_fill_vec(b, src, out, s);
-}
-void safety_fill_generic(const BitGrid& o, std::int32_t* aos, SweepScratch& s) {
-  safety_fill_vec(o, aos, s);
-}
-
-#if defined(MESHROUTE_SIMD_NATIVE) && (defined(__x86_64__) || defined(__i386__))
 #define MESHROUTE_TARGET_AVX2 __attribute__((target("avx2")))
 MESHROUTE_TARGET_AVX2 void block_fixpoint_native(BitGrid& bad, SweepScratch& s) {
   block_fixpoint_vec(bad, s);
@@ -699,7 +683,6 @@ MESHROUTE_TARGET_AVX2 void safety_fill_native(const BitGrid& o, std::int32_t* ao
                                               SweepScratch& s) {
   safety_fill_vec(o, aos, s);
 }
-#define MESHROUTE_HAVE_NATIVE 1
 
 // The AVX-512 tier re-instantiates the identical source once more under
 // target("avx512f") (which implies AVX2 on GCC, so the u64x4/i32x8 paths
@@ -733,18 +716,13 @@ MESHROUTE_TARGET_AVX512 void safety_fill_native512(const BitGrid& o, std::int32_
 #if defined(MESHROUTE_HAVE_NATIVE)
 #define MESHROUTE_DISPATCH(fn, ...)                            \
   switch (tier_state()) {                                      \
-    case Tier::Scalar: return fn##_scalar(__VA_ARGS__);        \
     case Tier::Native: return fn##_native(__VA_ARGS__);        \
     case Tier::Native512: return fn##_native512(__VA_ARGS__);  \
-    case Tier::Generic: break;                                 \
+    case Tier::Scalar: break;                                  \
   }                                                            \
-  return fn##_generic(__VA_ARGS__)
+  return fn##_scalar(__VA_ARGS__)
 #else
-#define MESHROUTE_DISPATCH(fn, ...)                          \
-  switch (tier_state()) {                                    \
-    case Tier::Scalar: return fn##_scalar(__VA_ARGS__);      \
-    default: return fn##_generic(__VA_ARGS__);               \
-  }
+#define MESHROUTE_DISPATCH(fn, ...) return fn##_scalar(__VA_ARGS__)
 #endif
 
 void block_fixpoint(BitGrid& bad, SweepScratch& scratch) {

@@ -1,26 +1,24 @@
 // SIMD tier layer under core::BitGrid (DESIGN §12): the grid-level sweep
 // kernels behind the fault-model fixpoints, the reachability oracle, and the
-// safety-level fill, each available in four tiers selected once per process:
+// safety-level fill, each available in three tiers selected once per process:
 //
 //   * Scalar    — the PR-5 word-loop kernels (one uint64 lane at a time).
-//     The equivalence oracle for the other tiers, and the
-//     MESHROUTE_SIMD=scalar escape hatch.
-//   * Generic   — the same kernels written against GCC vector extensions
-//     (u64x4 / i32x8 lanes) compiled at the baseline ISA. Portable: on
-//     x86-64 it lowers to SSE2, elsewhere to whatever the target has.
-//   * Native    — the identical vector-extension source compiled under
-//     __attribute__((target("avx2"))), selected at runtime only when
-//     __builtin_cpu_supports("avx2") says so. Compiled in only when the
-//     MESHROUTE_SIMD CMake option is ON (the default).
+//     The equivalence oracle for the other tiers, the MESHROUTE_SIMD=scalar
+//     escape hatch, and what every CPU without AVX2 (or a non-x86 build)
+//     runs.
+//   * Native    — one vector source written against GCC vector extensions
+//     (u64x4 / i32x8 lanes), instantiated under
+//     __attribute__((target("avx2"))) and selected at runtime only when
+//     __builtin_cpu_supports("avx2") says so.
 //   * Native512 — the same source once more under target("avx512f").
 //     Selected only when __builtin_cpu_supports("avx512f") agrees.
 //
 // Tier resolution: the MESHROUTE_SIMD environment variable ("scalar",
-// "generic", "native", "native512") forces a tier; otherwise the best
-// available one runs (native512 if compiled in and the CPU agrees, else
-// native, else generic). A forced "native512"/"native" silently degrades
-// down the ladder when unsupported, so the dispatch ctests can run the same
-// command line everywhere. force_tier() overrides both for in-process tests.
+// "native", "native512") forces a tier; otherwise the best one the CPU
+// supports runs. A forced "native512"/"native" silently degrades down the
+// native512 → native → scalar ladder when unsupported, so the dispatch
+// ctests can run the same command line everywhere. force_tier() overrides
+// both for in-process tests.
 //
 // All tiers produce BIT-IDENTICAL fixpoints (tests/test_simd.cpp and the
 // simd_dispatch ctest assert byte equality); only throughput differs.
@@ -34,19 +32,16 @@
 
 namespace meshroute::core::simd {
 
-enum class Tier : std::uint8_t { Scalar = 0, Generic = 1, Native = 2, Native512 = 3 };
+enum class Tier : std::uint8_t { Scalar, Native, Native512 };
 
-/// Stable lowercase tier name ("scalar"/"generic"/"native"/"native512") —
-/// the value the MESHROUTE_SIMD env var accepts and the benches' meta.simd
-/// field records.
+/// Stable lowercase tier name ("scalar"/"native"/"native512") — the value
+/// the MESHROUTE_SIMD env var accepts and the benches' meta.simd field
+/// records.
 [[nodiscard]] const char* tier_name(Tier t) noexcept;
 
-/// True when the native (AVX2/AVX-512) tiers were compiled in
-/// (MESHROUTE_SIMD=ON).
-[[nodiscard]] bool native_compiled() noexcept;
-/// True when the native tier is compiled in AND this CPU supports it.
+/// True on an x86 build running on a CPU with AVX2.
 [[nodiscard]] bool native_supported() noexcept;
-/// True when the native512 tier is compiled in AND this CPU has AVX-512F.
+/// True on an x86 build running on a CPU with AVX-512F.
 [[nodiscard]] bool native512_supported() noexcept;
 
 /// The tier the kernels below dispatch to. Resolved once from the
@@ -54,7 +49,7 @@ enum class Tier : std::uint8_t { Scalar = 0, Generic = 1, Native = 2, Native512 
 [[nodiscard]] Tier active_tier() noexcept;
 
 /// Test hook: pin the dispatch to `t` (degrading down the
-/// Native512→Native→Generic ladder when unsupported) for the rest of the
+/// Native512→Native→Scalar ladder when unsupported) for the rest of the
 /// process, returning the tier actually installed. Not thread-safe against
 /// concurrent kernel calls.
 Tier force_tier(Tier t) noexcept;
@@ -62,10 +57,10 @@ Tier force_tier(Tier t) noexcept;
 /// Reusable per-thread buffers for the row kernels. All vectors are plain
 /// uint64/int32 storage, resized (and retained) by the kernels themselves.
 struct SweepScratch {
-  std::vector<std::uint64_t> row_a;   ///< generic row buffer (vmask/allowed)
-  std::vector<std::uint64_t> row_b;   ///< generic row buffer (seeds)
-  std::vector<std::uint64_t> row_c;   ///< generic row buffer (fills)
-  std::vector<std::uint64_t> row_d;   ///< generic row buffer (side masks)
+  std::vector<std::uint64_t> row_a;   ///< row buffer (vmask/allowed)
+  std::vector<std::uint64_t> row_b;   ///< row buffer (seeds)
+  std::vector<std::uint64_t> row_c;   ///< row buffer (fills)
+  std::vector<std::uint64_t> row_d;   ///< row buffer (side masks)
   std::vector<std::uint64_t> dirty;   ///< dirty-row bitset for the fixpoint
   std::vector<std::int32_t> col_a;    ///< safety planar row buffers (e)
   std::vector<std::int32_t> col_b;    ///< (w)

@@ -19,12 +19,12 @@ namespace {
 using simd::SweepScratch;
 using simd::Tier;
 
-/// Tiers worth testing on this machine: scalar + generic always, the native
-/// tiers only when the CPU/build provide them (force_tier degrades silently
-/// otherwise). Every equivalence/invariant suite below iterates this list,
-/// so an AVX-512 host automatically byte-checks the native512 kernels too.
+/// Tiers worth testing on this machine: scalar always, the native tiers only
+/// when the CPU provides them (force_tier degrades silently otherwise).
+/// Every equivalence/invariant suite below iterates this list, so an AVX-512
+/// host automatically byte-checks the native512 kernels too.
 std::vector<Tier> testable_tiers() {
-  std::vector<Tier> tiers{Tier::Scalar, Tier::Generic};
+  std::vector<Tier> tiers{Tier::Scalar};
   if (simd::native_supported()) tiers.push_back(Tier::Native);
   if (simd::native512_supported()) tiers.push_back(Tier::Native512);
   return tiers;
@@ -126,7 +126,7 @@ TEST(RowFills, EdgeWidthsMatchWalkingOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier equivalence: scalar vs generic vs native, byte-identical outputs.
+// Tier equivalence: scalar vs native vs native512, byte-identical outputs.
 // ---------------------------------------------------------------------------
 
 class TierRestorer {
@@ -241,7 +241,7 @@ TEST(TierEquivalence, SafetyFill) {
 
 // ---------------------------------------------------------------------------
 // Batches of independent planes: one SweepScratch carried through a run of
-// kernel calls (as a sweep worker or a flush() flight carries it) must leave
+// kernel calls (as a sweep worker carries its per-thread scratch) must leave
 // every plane byte-identical to a fresh-scratch scalar run on that plane.
 // ---------------------------------------------------------------------------
 
@@ -342,20 +342,19 @@ TEST(SimdDispatch, ForceTierRoundTripsAndDegrades) {
   TierRestorer restore;
   EXPECT_EQ(simd::force_tier(Tier::Scalar), Tier::Scalar);
   EXPECT_EQ(simd::active_tier(), Tier::Scalar);
-  EXPECT_EQ(simd::force_tier(Tier::Generic), Tier::Generic);
   const Tier native = simd::force_tier(Tier::Native);
-  EXPECT_EQ(native, simd::native_supported() ? Tier::Native : Tier::Generic);
+  EXPECT_EQ(native, simd::native_supported() ? Tier::Native : Tier::Scalar);
+  EXPECT_EQ(simd::active_tier(), native);
   // Native512 degrades down the ladder: AVX-512 host -> Native512, AVX2-only
-  // host -> Native, neither -> Generic. Never an unsupported tier.
+  // host -> Native, neither -> Scalar. Never an unsupported tier.
   const Tier native512 = simd::force_tier(Tier::Native512);
   if (simd::native512_supported()) {
     EXPECT_EQ(native512, Tier::Native512);
   } else {
-    EXPECT_EQ(native512, simd::native_supported() ? Tier::Native : Tier::Generic);
+    EXPECT_EQ(native512, native);
   }
   EXPECT_EQ(simd::active_tier(), native512);
   EXPECT_STREQ(simd::tier_name(Tier::Scalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(Tier::Generic), "generic");
   EXPECT_STREQ(simd::tier_name(Tier::Native), "native");
   EXPECT_STREQ(simd::tier_name(Tier::Native512), "native512");
 }

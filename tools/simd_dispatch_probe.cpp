@@ -1,16 +1,21 @@
 // Runtime-dispatch equivalence probe (the simd_dispatch ctest): run the
 // production kernel entry points once under whatever tier the MESHROUTE_SIMD
 // environment variable selects, and write a canonical digest of every
-// fixpoint to --out=FILE. The ctest runs this binary three times (scalar /
-// generic / native) and asserts the three files are byte-identical — the
-// output deliberately never mentions the tier, only the results.
+// fixpoint to --out=FILE. The ctest runs this binary once per tier (scalar /
+// native / native512) and asserts the files are byte-identical — the output
+// deliberately never mentions the tier, only the results. The probe exits 1
+// when the forced tier is supported on this CPU but a different one is
+// active, so a broken tier mapping cannot pass by comparing a tier with
+// itself.
 //
 //   simd_dispatch_probe --out=FILE [--seed=S]
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bitgrid.hpp"
@@ -102,6 +107,18 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     std::cerr << "simd_dispatch_probe: --out=FILE is required\n";
     return 2;
+  }
+  if (const char* env = std::getenv("MESHROUTE_SIMD")) {
+    namespace simd = core::simd;
+    const std::string_view want(env);
+    const bool supported = want == "scalar" || (want == "native" && simd::native_supported()) ||
+                           (want == "native512" && simd::native512_supported());
+    const char* active = simd::tier_name(simd::active_tier());
+    if (supported && want != active) {
+      std::cerr << "simd_dispatch_probe: MESHROUTE_SIMD=" << want
+                << " is supported here but the active tier is " << active << "\n";
+      return 1;
+    }
   }
   std::ofstream os(out_path, std::ios::trunc);
   if (!os) {
