@@ -25,14 +25,6 @@ dynamic::DynamicMeshState seeded_state(Mesh2D mesh, std::span<const Coord> initi
   return state;
 }
 
-/// Per-epoch rebuild latency, publish() and flush() alike: snapshot build
-/// plus the store swap (which reclaims retired snapshots) — the
-/// epoch-pipeline headline (BENCH_serve.json rebuild_p99_us).
-obs::Histogram& rebuild_histogram() {
-  static obs::Histogram& h = obs::Registry::global().histogram("serve.rebuild_us");
-  return h;
-}
-
 }  // namespace
 
 SnapshotBuilder::SnapshotBuilder(Mesh2D mesh, std::span<const Coord> initial_faults)
@@ -152,65 +144,16 @@ std::uint64_t SnapshotBuilder::publish() {
   ++stats_.published;
   stats_.pending_injections = 0;
   const std::uint64_t published = store_.publish(std::move(snap));
-  // Build plus swap: the same span flush() divides among its epochs.
-  rebuild_histogram().observe(now_us() - t0);
+  // Per-epoch rebuild latency: the build plus the store swap (which reclaims
+  // retired snapshots) — BENCH_serve.json's rebuild_median_us/rebuild_p99_us.
+  static obs::Histogram& rebuild_us = obs::Registry::global().histogram("serve.rebuild_us");
+  rebuild_us.observe(now_us() - t0);
   return published;
 }
 
 std::uint64_t SnapshotBuilder::inject_publish(Coord c) {
   inject(c);
   return publish();
-}
-
-void SnapshotBuilder::enqueue(Coord c) {
-  // Journal under the epoch this injection will publish as — the i-th
-  // queued epoch of the flight — so the journal bytes are identical to the
-  // sequential inject()/publish() interleaving's.
-  if (journal_ != nullptr) {
-    journal_->append(JournalRecord{
-        next_epoch_.load(std::memory_order_relaxed) + pending_.size(), c});
-  }
-  state_.inject_fault(c);
-  const std::size_t delta = state_.last_changed().size();
-  if (delta > 0) {
-    ++stats_.injections;
-    ++stats_.pending_injections;
-    stats_.relabeled_nodes += static_cast<std::int64_t>(delta);
-  }
-  pending_.push_back(PendingEpoch{c, state_.faults()});
-}
-
-std::uint64_t SnapshotBuilder::flush(
-    const std::function<void(const RoutingSnapshot&)>& on_publish) {
-  const std::size_t k = pending_.size();
-  if (k == 0) return store_.current_epoch();
-  const std::int64_t t0 = now_us();
-  std::uint64_t epoch = next_epoch_.load(std::memory_order_relaxed);
-
-  const auto publish_one = [&](std::unique_ptr<const RoutingSnapshot> snap) {
-    if (on_publish) on_publish(*snap);
-    next_epoch_.store(epoch + 1, std::memory_order_relaxed);
-    ++stats_.published;
-    store_.publish(std::move(snap));
-    ++epoch;
-  };
-
-  // Every queued world but the last is rebuilt from scratch; the last one
-  // IS the live state, so it takes the same delta-fed path as publish() and
-  // a flight of one costs exactly one publish.
-  for (std::size_t l = 0; l + 1 < k; ++l) {
-    publish_one(
-        std::make_unique<const RoutingSnapshot>(mesh(), pending_[l].faults, epoch, scratch_));
-  }
-  publish_one(std::make_unique<const RoutingSnapshot>(state_, epoch, scratch_));
-  pending_.clear();
-  stats_.pending_injections = 0;
-  // Per-epoch share of the flight's wall time, comparable with publish()'s
-  // (BENCH_serve.json rebuild_p99_us).
-  const std::int64_t per_epoch =
-      (now_us() - t0 + static_cast<std::int64_t>(k) / 2) / static_cast<std::int64_t>(k);
-  for (std::size_t l = 0; l < k; ++l) rebuild_histogram().observe(per_epoch);
-  return store_.current_epoch();
 }
 
 }  // namespace meshroute::serve

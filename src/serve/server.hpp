@@ -81,22 +81,19 @@ class QueryServer {
   [[nodiscard]] SnapshotBuilder& builder() noexcept { return builder_; }
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
 
-  /// Write side (single-threaded with respect to itself): inject one fault
-  /// and publish the next epoch. Readers racing this stay on the old epoch
-  /// until the swap lands.
-  std::uint64_t inject_publish(Coord c) { return builder_.inject_publish(c); }
-
-  /// Outcome of the instrumented write path (the INJECT protocol command).
+  /// Outcome of the write path (the INJECT protocol command).
   struct InjectResult {
     std::uint64_t epoch = 0;   ///< published epoch
     std::size_t changed = 0;   ///< nodes relabeled by the injection
     bool watchdog = false;     ///< a bstall watchdog trip forced a rebuild
   };
 
-  /// inject_publish plus observability: records an epoch_publish trace/flight
-  /// event, detects a watchdog-forced rebuild (forced_rebuilds moved) and —
-  /// when one fired — records a watchdog_trip event and dumps the flight
-  /// recorder ("watchdog"). Single-writer, like the builder underneath.
+  /// The one server-side write entry: inject one fault and publish the next
+  /// epoch (readers racing this stay on the old epoch until the swap lands).
+  /// Records an epoch_publish trace/flight event, detects a watchdog-forced
+  /// rebuild (forced_rebuilds moved) and — when one fired — records a
+  /// watchdog_trip event and dumps the flight recorder ("watchdog").
+  /// Single-writer, like the builder underneath.
   InjectResult inject_and_publish(Coord c);
 
   /// Server-wide status document (epoch, world shape, write-side work,

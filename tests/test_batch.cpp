@@ -1,6 +1,6 @@
 // Equivalence tests for batches of independent worlds built back to back:
 // the fault builders, safety fills and reachability sweeps reuse one scratch
-// across a run of worlds (as a sweep worker or a flush() flight does), and
+// across a run of worlds (as a sweep worker does), and
 // every world must still come out bit-identical to the scalar oracle run on
 // that world alone. The SweepRunner's worker-claim size must not change
 // results either — the figure benches' determinism contract rides on it.

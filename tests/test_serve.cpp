@@ -111,16 +111,16 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
   EXPECT_EQ(reach_live, reach_ref);
 }
 
-// ---- Epoch pipeline: flushed flight vs sequential, epoch by epoch --------
+// ---- Every published epoch matches its from-scratch world -----------------
 
-TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
+TEST(SnapshotBuilder, EveryEpochMatchesFromScratch) {
   const Mesh2D mesh = Mesh2D::square(32);
   Rng rng(20260809);
   const fault::FaultSet initial = fault::uniform_random_faults(mesh, 24, rng);
 
-  // A chaos schedule of 12 queued epochs: random sites plus the degenerate
-  // cases — a repeated site and a node faulty since epoch 0 (an injection
-  // that changes nothing still publishes its own epoch).
+  // A chaos schedule of 12 epochs: random sites plus the degenerate cases —
+  // a repeated site and a node faulty since epoch 0 (an injection that
+  // changes nothing still publishes its own epoch).
   std::vector<Coord> sites;
   for (int i = 0; i < 10; ++i) {
     sites.push_back({static_cast<Dist>(rng.uniform(0, 31)),
@@ -130,68 +130,38 @@ TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
   sites.push_back(initial.faults().front());
   ASSERT_GE(sites.size(), 8u);
 
-  // Sequential reference: one inject_publish per site; a dedicated Reader
-  // per epoch (a Reader's slot holds a single announcement, so each may pin
-  // only one live Ref) keeps every intermediate epoch from being retired.
-  serve::SnapshotBuilder seq(mesh, initial.faults());
-  std::vector<std::unique_ptr<serve::SnapshotStore::Reader>> readers;
-  std::vector<serve::SnapshotStore::Ref> epochs;
-  for (const Coord c : sites) {
-    seq.inject_publish(c);
-    readers.push_back(std::make_unique<serve::SnapshotStore::Reader>(seq.store()));
-    epochs.push_back(readers.back()->acquire());
-  }
-
-  // Flight under test: every site queued, then one flush. Each published
-  // snapshot must match its sequential epoch in every plane a query can
-  // observe.
-  serve::SnapshotBuilder flight(mesh, initial.faults());
-  for (const Coord c : sites) flight.enqueue(c);
-  EXPECT_EQ(flight.queued_epochs(), sites.size());
-  EXPECT_EQ(flight.store().current_epoch(), 0u);  // nothing published yet
-
-  std::size_t l = 0;
-  const std::uint64_t last = flight.flush([&](const serve::RoutingSnapshot& snap) {
-    ASSERT_LT(l, epochs.size());
-    const serve::RoutingSnapshot& ref = *epochs[l];
-    EXPECT_EQ(snap.epoch(), ref.epoch());
-    EXPECT_EQ(sorted_rects(snap.blocks()), sorted_rects(ref.blocks()));
-    EXPECT_EQ(snap.blocks().labels(), ref.blocks().labels());
-    const route::QueryView a = snap.query_view();
+  // One delta-fed publish per site; each published snapshot must match the
+  // from-scratch build of that epoch's fault world in every plane a query
+  // can observe.
+  serve::SnapshotBuilder builder(mesh, initial.faults());
+  serve::SnapshotStore::Reader reader(builder.store());
+  serve::SnapshotScratch scratch;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const std::uint64_t epoch = builder.inject_publish(sites[i]);
+    EXPECT_EQ(epoch, i + 1);
+    const serve::SnapshotStore::Ref snap = reader.acquire();
+    const serve::RoutingSnapshot ref(mesh, builder.state().faults(), epoch, scratch);
+    EXPECT_EQ(snap->epoch(), epoch);
+    EXPECT_EQ(sorted_rects(snap->blocks()), sorted_rects(ref.blocks()));
+    EXPECT_EQ(snap->blocks().labels(), ref.blocks().labels());
+    const route::QueryView a = snap->query_view();
     const route::QueryView b = ref.query_view();
-    EXPECT_EQ(*a.faulty_mask, *b.faulty_mask) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.fb_mask, *b.fb_mask) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.fb_safety, *b.fb_safety) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.mcc1_mask, *b.mcc1_mask) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.mcc1_safety, *b.mcc1_safety) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.mcc2_mask, *b.mcc2_mask) << "epoch " << snap.epoch();
-    EXPECT_EQ(*a.mcc2_safety, *b.mcc2_safety) << "epoch " << snap.epoch();
-    Grid<bool> reach_flight;
-    Grid<bool> reach_seq;
-    snap.reachability({1, 1}, reach_flight);
-    ref.reachability({1, 1}, reach_seq);
-    EXPECT_EQ(reach_flight, reach_seq) << "epoch " << snap.epoch();
-    ++l;
-  });
-  EXPECT_EQ(l, sites.size());
-  EXPECT_EQ(last, sites.size());
-  EXPECT_EQ(flight.world_epoch(), seq.world_epoch());
-  EXPECT_EQ(flight.queued_epochs(), 0u);
-  EXPECT_EQ(flight.stats().published, sites.size());
-  EXPECT_EQ(flight.stats().pending_injections, 0u);
-
-  // Singleton flight (the delta-fed k == 1 path) and the empty no-op flush.
-  seq.inject_publish({5, 5});
-  flight.enqueue({5, 5});
-  EXPECT_EQ(flight.flush(), seq.store().current_epoch());
-  EXPECT_EQ(flight.flush(), flight.store().current_epoch());
-  serve::SnapshotStore::Reader flight_reader(flight.store());
-  serve::SnapshotStore::Reader seq_reader(seq.store());
-  const serve::SnapshotStore::Ref fin_flight = flight_reader.acquire();
-  const serve::SnapshotStore::Ref fin_seq = seq_reader.acquire();
-  EXPECT_EQ(fin_flight->epoch(), fin_seq->epoch());
-  EXPECT_EQ(*fin_flight->query_view().fb_mask, *fin_seq->query_view().fb_mask);
-  EXPECT_EQ(*fin_flight->query_view().fb_safety, *fin_seq->query_view().fb_safety);
+    EXPECT_EQ(*a.faulty_mask, *b.faulty_mask) << "epoch " << epoch;
+    EXPECT_EQ(*a.fb_mask, *b.fb_mask) << "epoch " << epoch;
+    EXPECT_EQ(*a.fb_safety, *b.fb_safety) << "epoch " << epoch;
+    EXPECT_EQ(*a.mcc1_mask, *b.mcc1_mask) << "epoch " << epoch;
+    EXPECT_EQ(*a.mcc1_safety, *b.mcc1_safety) << "epoch " << epoch;
+    EXPECT_EQ(*a.mcc2_mask, *b.mcc2_mask) << "epoch " << epoch;
+    EXPECT_EQ(*a.mcc2_safety, *b.mcc2_safety) << "epoch " << epoch;
+    Grid<bool> reach_live;
+    Grid<bool> reach_ref;
+    snap->reachability({1, 1}, reach_live);
+    ref.reachability({1, 1}, reach_ref);
+    EXPECT_EQ(reach_live, reach_ref) << "epoch " << epoch;
+  }
+  EXPECT_EQ(builder.world_epoch(), sites.size());
+  EXPECT_EQ(builder.stats().published, sites.size());
+  EXPECT_EQ(builder.stats().pending_injections, 0u);
 }
 
 // ---- Batch answers are bit-identical to single queries --------------------

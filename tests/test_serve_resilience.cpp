@@ -351,14 +351,14 @@ TEST(StalenessGuard, DegradesBeyondBoundAndRecoversOnPublish) {
   EXPECT_EQ(g.lag, 0u);
 
   // Lag 1 == bound: still full fidelity.
-  server.inject_publish({5, 5});
+  server.inject_and_publish({5, 5});
   g = session.route_batch_guarded(specs, answers);
   EXPECT_FALSE(g.degraded);
   EXPECT_EQ(builder.epoch_lag(), 1u);
 
   // Lag 2 > bound: DEGRADED, and any rung abandonment under the stale view
   // is attributed InfoStale (never a bare Stuck).
-  server.inject_publish({6, 5});
+  server.inject_and_publish({6, 5});
   g = session.route_batch_guarded(specs, answers);
   EXPECT_TRUE(g.admitted);
   EXPECT_TRUE(g.degraded);
@@ -372,7 +372,7 @@ TEST(StalenessGuard, DegradesBeyondBoundAndRecoversOnPublish) {
   }
 
   // A successful publish catches the snapshot back up: full fidelity again.
-  server.inject_publish({7, 5});
+  server.inject_and_publish({7, 5});
   g = session.route_batch_guarded(specs, answers);
   EXPECT_FALSE(g.degraded);
   EXPECT_EQ(g.lag, 0u);
