@@ -50,8 +50,10 @@ struct Certificate {
 /// Evaluate a strategy and name its witness: the base condition first, then
 /// the member extensions in order until one certifies a minimal path.
 /// Extension-1's sub-minimal answer is reported only when no member
-/// extension certifies a minimal path. Pivots are the pre-distributed pivot
-/// set (extension 3's broadcast information).
+/// extension certifies a minimal path. An endpoint outside the mesh or in
+/// the problem's obstacle plane certifies nothing (Unknown, Method::None).
+/// Pivots are the pre-distributed pivot set (extension 3's broadcast
+/// information).
 [[nodiscard]] Certificate explain_strategy(const RoutingProblem& p, StrategyId id,
                                            const StrategyConfig& config,
                                            std::span<const Coord> pivots);

@@ -3,6 +3,7 @@
 
 #include "cond/strategies.hpp"
 #include "cond/wang.hpp"
+#include "core/fault_tolerant_mesh.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
 #include "info/pivots.hpp"
@@ -99,6 +100,41 @@ TEST(Strategies, SubMinimalOnlyFromExtensionOneMembers) {
     if (batch.mask[s] || batch.mask[d]) continue;
     EXPECT_NE(run_strategy(batch.problem(s, d), StrategyId::S3, cfg, batch.pivots),
               Decision::SubMinimal);
+  }
+}
+
+TEST(Strategies, FaultyEndpointCertifiesNothing) {
+  // The faulty node's neighbors are safe with respect to the other endpoint,
+  // yet no path starts or ends on a faulty node: every strategy, under both
+  // models and in both directions, must answer Unknown with no witness.
+  FaultTolerantMesh ftm(20, 20);
+  ftm.inject_fault({5, 5});
+  const route::QueryView view = ftm.query_view();
+  const std::vector<Coord> pivots = {{8, 8}, {3, 12}, {12, 3}};
+  const StrategyConfig cfg{.segment_size = 5};
+  const Coord faulty{5, 5};
+  const Coord healthy{10, 10};
+  for (const route::QueryModel model : {route::QueryModel::FaultyBlock, route::QueryModel::Mcc}) {
+    // The neighbor (6, 5) IS safe: without the endpoint check extension 1
+    // would certify the faulty source through it.
+    EXPECT_EQ(run_strategy(view.problem({6, 5}, healthy, model), StrategyId::S1, cfg, pivots),
+              Decision::Minimal);
+    for (const auto& [s, d] : {std::pair{faulty, healthy}, std::pair{healthy, faulty}}) {
+      for (const StrategyId id :
+           {StrategyId::S1, StrategyId::S2, StrategyId::S3, StrategyId::S4}) {
+        const Certificate cert = explain_strategy(view.problem(s, d, model), id, cfg, pivots);
+        EXPECT_EQ(cert.decision, Decision::Unknown)
+            << to_string(id) << " " << route::to_string(model) << " s=" << to_string(s);
+        EXPECT_EQ(cert.method, Method::None);
+        EXPECT_EQ(route::decide_strategy(view, s, d, model, id, pivots, cfg), Decision::Unknown);
+        route::QuerySpec spec;
+        spec.src = s;
+        spec.dst = d;
+        std::vector<Decision> batch;
+        route::decide_batch(view, {&spec, 1}, model, id, pivots, cfg, batch);
+        EXPECT_EQ(batch.front(), Decision::Unknown);
+      }
+    }
   }
 }
 
