@@ -17,9 +17,14 @@
 //
 // Layout: one flat CSR table. Node i (row-major, as Grid::index) owns
 // ids_[offsets_[i] .. offsets_[i+1]); `offsets_` has area+1 entries and `ids_`
-// holds every deposit back to back. The constructor walks the rings and
-// trails twice — once to count each node's unique deposits, once to fill
-// them — so the map is two allocations, however many nodes it covers.
+// holds every deposit back to back, so the map is two allocations, however
+// many nodes it covers. The constructor paints the block rects into a
+// row-major and a column-major obstacle bit plane and walks each trail a
+// clear run at a time: countr_zero/countl_zero on the plane's words find
+// where the run meets a block (or the mesh edge), the run's nodes are
+// deposited in one tight loop, and the one slide step (turn-and-join) is
+// tested against the same plane. The rings and trails are walked twice —
+// once to count each node's unique deposits, once to fill them.
 //
 // Order contract: each node's list is unique and in ascending block id
 // order (blocks are walked in id order and a block's deposits are

@@ -269,6 +269,156 @@ TEST(BoundaryReference, FaultFreeMeshDepositsNothing) {
   expect_matches_reference(mesh, blocks, info);
 }
 
+// The map finds each trail's clear run inside 64-bit words of a row-major and
+// a column-major obstacle plane; these cases put mesh edges and block edges
+// on either side of a word boundary.
+TEST(BoundaryReference, WordStraddlingMeshesMatchInOrder) {
+  const std::vector<Dist> sizes = {63, 64, 65, 127, 128, 129};
+  for (const Dist w : sizes) {
+    for (const Dist h : sizes) {
+      if (w > 64 && h > 64 && w != h) continue;  // the big off-square pairs add nothing
+      const Mesh2D mesh(w, h);
+      const auto area = static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h);
+      Rng rng(seed_combine(0x3f40, static_cast<std::uint64_t>(w) * 1000 + area));
+      const std::size_t k = area / 60;
+      SCOPED_TRACE(testing::Message() << w << "x" << h << " k=" << k);
+      const FaultSet faults = fault::uniform_random_faults(mesh, k, rng);
+      expect_matches_reference(mesh, build_faulty_blocks(mesh, faults));
+    }
+  }
+  for (const bool row : {true, false}) {
+    const Mesh2D mesh = row ? Mesh2D(129, 1) : Mesh2D(1, 129);
+    FaultSet fs(mesh);
+    for (const Dist i : {0, 62, 63, 64, 65, 100, 127, 128}) fs.add(row ? Coord{i, 0} : Coord{0, i});
+    SCOPED_TRACE(row ? "129x1" : "1x129");
+    expect_matches_reference(mesh, build_faulty_blocks(mesh, fs));
+  }
+}
+
+/// The blocks of the faults filling `rects`.
+BlockSet blocks_of(const Mesh2D& mesh, const std::vector<Rect>& rects) {
+  FaultSet fs(mesh);
+  for (const Rect& r : rects) {
+    const FaultSet one = fault::rectangle_faults(mesh, r);
+    for (const Coord c : one.faults()) fs.add(c);
+  }
+  return build_faulty_blocks(mesh, fs);
+}
+
+TEST(BoundaryReference, BlockEdgesOnWordBoundariesMatchInOrder) {
+  const Mesh2D mesh(140, 140);
+  const std::vector<Dist> edges = {62, 63, 64, 65, 126, 127, 128, 129};
+  for (const bool along_x : {true, false}) {
+    const auto orient = [&](const Rect& r) {
+      return along_x ? r : Rect{r.ymin, r.ymax, r.xmin, r.xmax};
+    };
+    // One block for every pairing of word-edge columns (rows): its ring and
+    // lines start and end on the edges.
+    for (const Dist lo : edges) {
+      for (const Dist hi : edges) {
+        if (hi < lo) continue;
+        SCOPED_TRACE(testing::Message() << (along_x ? "x " : "y ") << lo << ".." << hi);
+        expect_matches_reference(mesh, blocks_of(mesh, {orient({lo, hi, 30, 33})}));
+      }
+    }
+    // A wall whose face is the edge, and a small block whose lines run into
+    // that face from 1, 2 or 6 nodes away, turn along the wall and go on.
+    for (const Dist e : edges) {
+      for (const Dist d : {0, 1, 5}) {
+        SCOPED_TRACE(testing::Message() << (along_x ? "x " : "y ") << "face " << e << " gap " << d);
+        const Rect east_face{e - 4, e, 40, 60};
+        const Rect west_face{e, e + 4, 40, 60};
+        const Rect east_probe{e + 2 + d, e + 4 + d, 50, 52};
+        const Rect west_probe{e - 4 - d, e - 2 - d, 50, 52};
+        expect_matches_reference(mesh, blocks_of(mesh, {orient(east_face), orient(east_probe)}));
+        expect_matches_reference(mesh, blocks_of(mesh, {orient(west_face), orient(west_probe)}));
+      }
+    }
+  }
+}
+
+/// A BlockSet straight from `rects`, with no fault-model fixpoint behind it.
+BlockSet hand_built(const Mesh2D& mesh, const std::vector<Rect>& rects) {
+  std::vector<fault::FaultyBlock> blocks;
+  Grid<fault::NodeLabel> labels(mesh.width(), mesh.height(), fault::NodeLabel::Enabled);
+  for (const Rect& r : rects) {
+    blocks.push_back({r, static_cast<std::int32_t>(r.width() * r.height()), 0});
+    for (Dist y = r.ymin; y <= r.ymax; ++y)
+      for (Dist x = r.xmin; x <= r.xmax; ++x) labels[{x, y}] = fault::NodeLabel::Faulty;
+  }
+  return BlockSet(mesh, std::move(blocks), std::move(labels));
+}
+
+TEST(BoundaryReference, HandBuiltBlockedSlideMatchesInOrder) {
+  // Block 0's L1 runs west along y = 9 into block 1 at (6, 9); its south
+  // slide to (7, 8) is block 2. Blocks 1 and 2 touch only diagonally, which
+  // the disable rule would have filled, so the trail must stop at (7, 9).
+  const Mesh2D mesh(20, 20);
+  const BlockSet blocks = hand_built(mesh, {{10, 12, 10, 12}, {4, 6, 9, 11}, {7, 8, 5, 8}});
+  const BoundaryInfoMap info(mesh, blocks);
+  expect_matches_reference(mesh, blocks, info);
+  EXPECT_TRUE(info.knows({7, 9}, 0));
+  for (Dist x = 0; x <= 3; ++x) EXPECT_FALSE(info.knows({x, 9}, 0)) << x;
+  for (Dist y = 0; y <= 4; ++y) EXPECT_FALSE(info.knows({7, y}, 0)) << y;
+}
+
+TEST(BoundaryReference, HandBuiltNearbyRectsMatchInOrder) {
+  // Disjoint rects a node apart (or touching), which no fixpoint produces:
+  // trails start inside other blocks and slides are blocked.
+  for (const Dist n : {24, 65, 130}) {
+    const Mesh2D mesh(n, n);
+    for (std::uint64_t trial = 0; trial < 6; ++trial) {
+      Rng rng(seed_combine(0x4a2d, static_cast<std::uint64_t>(n) * 100 + trial));
+      std::vector<Rect> rects;
+      for (int attempt = 0; attempt < n * 4; ++attempt) {
+        const auto x = static_cast<Dist>(rng.uniform(0, n - 1));
+        const auto y = static_cast<Dist>(rng.uniform(0, n - 1));
+        const Rect r{x, std::min(n - 1, x + static_cast<Dist>(rng.uniform(0, 3))), y,
+                     std::min(n - 1, y + static_cast<Dist>(rng.uniform(0, 3)))};
+        const bool clash = std::any_of(rects.begin(), rects.end(),
+                                       [&](const Rect& o) { return r.touches(o, 0); });
+        if (!clash) rects.push_back(r);
+      }
+      SCOPED_TRACE(testing::Message() << n << "x" << n << " trial " << trial << " blocks "
+                                      << rects.size());
+      expect_matches_reference(mesh, hand_built(mesh, rects));
+    }
+  }
+}
+
+TEST(BoundaryReference, DeltaFedGrowAndMergeMatchesEveryEpoch) {
+  // The serve world, but every injection lands on or next to an existing
+  // block's ring, so blocks grow and merge; the delta-fed snapshot's map is
+  // checked at every epoch.
+  const Mesh2D mesh = Mesh2D::square(96);
+  Rng rng(0x96e1);
+  dynamic::DynamicMeshState state(mesh);
+  const FaultSet initial = fault::uniform_random_faults(mesh, 64, rng);
+  for (const Coord c : initial.faults()) state.inject_fault(c);
+  serve::SnapshotScratch scratch;
+  std::size_t merges = 0;
+  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+    const std::vector<Rect> before = state.blocks();
+    const Rect r = before[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(before.size()) - 1))];
+    // A node of the ring one or two nodes out from the block.
+    const Rect around = r.expanded(static_cast<Dist>(rng.uniform(1, 2)));
+    const bool low = rng.chance(0.5);
+    const Coord c =
+        rng.chance(0.5)
+            ? Coord{static_cast<Dist>(rng.uniform(around.xmin, around.xmax)),
+                    low ? around.ymin : around.ymax}
+            : Coord{low ? around.xmin : around.xmax,
+                    static_cast<Dist>(rng.uniform(around.ymin, around.ymax))};
+    if (mesh.in_bounds(c)) state.inject_fault(c);
+    if (state.blocks().size() < before.size()) ++merges;
+    const serve::RoutingSnapshot snap(state, epoch, scratch);
+    SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+    expect_matches_reference(mesh, snap.blocks(), snap.boundary());
+  }
+  EXPECT_GT(merges, 10u);
+}
+
 TEST(BoundaryReference, DeltaFedServeSnapshotMatchesInOrder) {
   // The serve world (96x96, 64 faults) driven through 200 injections; the
   // delta-fed snapshot's map is checked every 20 injections.
