@@ -151,9 +151,4 @@ std::uint64_t SnapshotBuilder::publish() {
   return published;
 }
 
-std::uint64_t SnapshotBuilder::inject_publish(Coord c) {
-  inject(c);
-  return publish();
-}
-
 }  // namespace meshroute::serve

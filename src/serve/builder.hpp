@@ -104,9 +104,6 @@ class SnapshotBuilder {
   /// serve.rebuild_us histogram.
   std::uint64_t publish();
 
-  /// inject() + publish() — the one-disturbance-one-epoch convenience.
-  std::uint64_t inject_publish(Coord c);
-
   /// Epoch the write side has reached (every publish() advances it, dropped
   /// or not); the initial world is epoch 0. Safe to read from any thread
   /// (the --obs-port scrape thread polls it for the epoch_lag gauge).

@@ -76,8 +76,9 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
 
   serve::SnapshotBuilder builder(mesh, initial.faults());
   for (int i = 0; i < 12; ++i) {
-    builder.inject_publish({static_cast<Dist>(rng.uniform(0, 31)),
-                            static_cast<Dist>(rng.uniform(0, 31))});
+    builder.inject({static_cast<Dist>(rng.uniform(0, 31)),
+                    static_cast<Dist>(rng.uniform(0, 31))});
+    builder.publish();
   }
 
   // The same final fault set, built from scratch with the bit-plane kernels.
@@ -137,7 +138,8 @@ TEST(SnapshotBuilder, EveryEpochMatchesFromScratch) {
   serve::SnapshotStore::Reader reader(builder.store());
   serve::SnapshotScratch scratch;
   for (std::size_t i = 0; i < sites.size(); ++i) {
-    const std::uint64_t epoch = builder.inject_publish(sites[i]);
+    builder.inject(sites[i]);
+    const std::uint64_t epoch = builder.publish();
     EXPECT_EQ(epoch, i + 1);
     const serve::SnapshotStore::Ref snap = reader.acquire();
     const serve::RoutingSnapshot ref(mesh, builder.state().faults(), epoch, scratch);
@@ -205,8 +207,10 @@ TEST(SnapshotStore, RetiresUntilReadersRelease) {
   {
     const serve::SnapshotStore::Ref held = reader.acquire();
     EXPECT_EQ(held->epoch(), 0u);
-    builder.inject_publish({3, 3});
-    builder.inject_publish({9, 9});
+    builder.inject({3, 3});
+    builder.publish();
+    builder.inject({9, 9});
+    builder.publish();
     EXPECT_EQ(store.current_epoch(), 2u);
     // Epoch 0 is pinned by `held`; epoch 1 may already be collected.
     EXPECT_GE(store.retired_count(), 1u);
@@ -216,7 +220,8 @@ TEST(SnapshotStore, RetiresUntilReadersRelease) {
     EXPECT_EQ(held->epoch(), 0u);
   }
   // All Refs released: the next publish sweeps the whole history.
-  builder.inject_publish({12, 5});
+  builder.inject({12, 5});
+  builder.publish();
   EXPECT_EQ(store.current_epoch(), 3u);
   EXPECT_EQ(store.retired_count(), 0u);
 }
@@ -269,7 +274,8 @@ TEST(SnapshotStore, ReclaimsEpochsUnderReaderChurn) {
 
   while (started.load(std::memory_order_acquire) < kChurners) std::this_thread::yield();
   for (int e = 0; e < kEpochs; ++e) {
-    builder.inject_publish({static_cast<Dist>(e % 16), static_cast<Dist>((e / 16) % 16)});
+    builder.inject({static_cast<Dist>(e % 16), static_cast<Dist>((e / 16) % 16)});
+    builder.publish();
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& th : churners) th.join();
@@ -278,7 +284,8 @@ TEST(SnapshotStore, ReclaimsEpochsUnderReaderChurn) {
   EXPECT_EQ(store.registered_readers(), 0u);
   EXPECT_GT(acquires.load(), 0u);
   // Quiescent sweep: nothing pins history anymore.
-  builder.inject_publish({15, 15});
+  builder.inject({15, 15});
+  builder.publish();
   EXPECT_EQ(store.retired_count(), 0u);
 }
 
@@ -540,7 +547,8 @@ TEST(ServeConcurrency, ReadersConsistentWithSomePublishedEpoch) {
     serve::QueryServer::Session session(oracle_server);
     session.decide_batch(specs, expected[0]);
     for (int e = 1; e <= kEpochs; ++e) {
-      oracle.inject_publish(sites[static_cast<std::size_t>(e - 1)]);
+      oracle.inject(sites[static_cast<std::size_t>(e - 1)]);
+      oracle.publish();
       session.decide_batch(specs, expected[static_cast<std::size_t>(e)]);
     }
   }
@@ -573,7 +581,8 @@ TEST(ServeConcurrency, ReadersConsistentWithSomePublishedEpoch) {
   }
 
   for (const Coord c : sites) {
-    builder.inject_publish(c);
+    builder.inject(c);
+    builder.publish();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Give readers one more window against the final epoch, then stop.

@@ -201,7 +201,10 @@ TEST(Recovery, KillAndRecoverBitIdentical) {
     // leaving a torn partial record behind as a crash-mid-write artifact.
     serve::SnapshotBuilder builder(mesh, initial);
     builder.attach_journal(path);
-    for (const Coord c : schedule) builder.inject_publish(c);
+    for (const Coord c : schedule) {
+      builder.inject(c);
+      builder.publish();
+    }
     {
       std::ofstream os(path, std::ios::binary | std::ios::app);
       os << "inject=9";  // torn: the crash landed mid-append
@@ -225,13 +228,18 @@ TEST(Recovery, KillAndRecoverBitIdentical) {
 
   // The oracle: the same schedule, never interrupted.
   serve::SnapshotBuilder oracle(mesh, initial);
-  for (const Coord c : schedule) oracle.inject_publish(c);
+  for (const Coord c : schedule) {
+    oracle.inject(c);
+    oracle.publish();
+  }
   ASSERT_EQ(oracle.store().current_epoch(), recovered.store().current_epoch());
   expect_snapshots_identical(recovered.store(), oracle.store(), mesh);
 
   // The journal stays attached: post-recovery writes keep the WAL contract.
-  recovered.inject_publish({21, 21});
-  oracle.inject_publish({21, 21});
+  recovered.inject({21, 21});
+  recovered.publish();
+  oracle.inject({21, 21});
+  oracle.publish();
   expect_snapshots_identical(recovered.store(), oracle.store(), mesh);
   const std::vector<serve::JournalRecord> after = serve::InjectionJournal::replay(path);
   ASSERT_EQ(after.size(), schedule.size() + 1);
@@ -409,8 +417,10 @@ TEST(Watchdog, ForcedRebuildMatchesIncrementalPath) {
   serve::SnapshotBuilder healthy(mesh, initial);
 
   for (const Coord c : {Coord{10, 10}, Coord{11, 10}, Coord{4, 5}}) {
-    wedged.inject_publish(c);
-    healthy.inject_publish(c);
+    wedged.inject(c);
+    wedged.publish();
+    healthy.inject(c);
+    healthy.publish();
   }
   EXPECT_EQ(wedged.stats().forced_rebuilds, 1u);
   EXPECT_EQ(healthy.stats().forced_rebuilds, 0u);
