@@ -55,8 +55,9 @@ int main() {
     std::cout << "  " << b.rect.to_string() << "  faulty=" << b.faulty_count
               << " disabled=" << b.disabled_count << "\n";
   }
-  std::cout << "type-one MCCs (Definition 2): " << ftm.mcc().type_one.components().size()
-            << " components, " << ftm.mcc().type_one.total_disabled()
+  const fault::MccSet& type_one = ftm.mcc(fault::MccKind::TypeOne);
+  std::cout << "type-one MCCs (Definition 2): " << type_one.components().size()
+            << " components, " << type_one.total_disabled()
             << " disabled nodes (vs " << ftm.blocks().total_disabled()
             << " under the block model)\n\n";
 

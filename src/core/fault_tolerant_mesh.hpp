@@ -1,7 +1,8 @@
-// The library facade: one object that owns a mesh, its fault set, both fault
-// models and all derived limited-global information, rebuilt lazily after
-// fault injection. It owns state only; every read — decisions, routing,
-// ground truth — goes through its route::QueryView (route/query.hpp).
+// The library facade: one object that owns a mesh, its fault set and a
+// serve::RoutingSnapshot of it (both fault models and all derived
+// limited-global information), rebuilt lazily after fault injection. It owns
+// state only; every read — decisions, routing, ground truth — goes through
+// its route::QueryView (route/query.hpp).
 //
 //   FaultTolerantMesh ftm(200, 200);
 //   ftm.inject_fault({57, 80});
@@ -21,6 +22,10 @@
 #include "info/boundary.hpp"
 #include "mesh/mesh2d.hpp"
 #include "route/query.hpp"
+
+namespace meshroute::serve {
+class RoutingSnapshot;
+}  // namespace meshroute::serve
 
 namespace meshroute {
 
@@ -46,7 +51,7 @@ class FaultTolerantMesh {
   [[nodiscard]] const fault::FaultSet& faults() const noexcept { return faults_; }
 
   [[nodiscard]] const fault::BlockSet& blocks() const;
-  [[nodiscard]] const fault::MccModel& mcc() const;
+  [[nodiscard]] const fault::MccSet& mcc(fault::MccKind kind) const;
   [[nodiscard]] const info::BoundaryInfoMap& boundary() const;
 
   /// The read-side bundle over this mesh's current derived state. It
@@ -55,12 +60,11 @@ class FaultTolerantMesh {
   [[nodiscard]] route::QueryView query_view() const;
 
  private:
-  struct Derived;
-  [[nodiscard]] const Derived& derived() const;
+  [[nodiscard]] const serve::RoutingSnapshot& derived() const;
 
   Mesh2D mesh_;
   fault::FaultSet faults_;
-  mutable std::shared_ptr<const Derived> derived_;
+  mutable std::shared_ptr<const serve::RoutingSnapshot> derived_;
 };
 
 }  // namespace meshroute

@@ -5,7 +5,7 @@
 //
 //   route::QueryView — const pointers to every plane a query consumes
 //     (masks, safety grids, blocks, boundary deposits). Producers:
-//       core::FaultTolerantMesh::query_view()   (live mesh, lazily derived)
+//       core::FaultTolerantMesh::query_view()   (its lazily built snapshot)
 //       serve::RoutingSnapshot::query_view()    (immutable epoch snapshot)
 //       experiment::Trial::query_view()         (bench trial state)
 //
@@ -46,7 +46,7 @@ enum class QueryModel : std::uint8_t { FaultyBlock = 0, Mcc = 1 };
 [[nodiscard]] const char* to_string(QueryModel model) noexcept;
 
 /// The read-side bundle: non-owning const pointers into derived fault state.
-/// A QueryView is 11 pointers — pass it by value. The producer guarantees
+/// A QueryView is 10 pointers — pass it by value. The producer guarantees
 /// every plane was computed against the same fault set; all planes except
 /// the optional ones must be non-null.
 ///

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cond/wang.hpp"
 #include "dynamic/dynamic_state.hpp"
 #include "info/safety_level.hpp"
 
@@ -80,7 +79,6 @@ RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::ui
 }
 
 void RoutingSnapshot::finish_derived(SnapshotScratch& scratch) {
-  faulty_mask_ = faults_.mask();
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, mcc1_, scratch.mcc1);
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, mcc2_, scratch.mcc2);
   info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
@@ -94,7 +92,7 @@ route::QueryView RoutingSnapshot::query_view() const noexcept {
   v.mesh = &mesh_;
   v.blocks = &blocks_;
   v.boundary = &boundary_;
-  v.faulty_mask = &faulty_mask_;
+  v.faulty_mask = &faults_.mask();
   v.fb_mask = &fb_mask_;
   v.fb_safety = &fb_safety_;
   v.mcc1_mask = &mcc1_mask_;
@@ -102,10 +100,6 @@ route::QueryView RoutingSnapshot::query_view() const noexcept {
   v.mcc2_mask = &mcc2_mask_;
   v.mcc2_safety = &mcc2_safety_;
   return v;
-}
-
-void RoutingSnapshot::reachability(Coord src, Grid<bool>& out) const {
-  cond::monotone_reachability(mesh_, faulty_mask_, src, out);
 }
 
 bool RoutingSnapshot::truly_bad(Coord c, std::int64_t /*time*/) const {

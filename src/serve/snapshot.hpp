@@ -10,7 +10,9 @@
 // the equivalence):
 //   * from scratch — the PR-5 bit-plane builders (build_faulty_blocks /
 //     build_mcc word-parallel kernels) against a FaultSet, via the same
-//     scratch-buffer idiom as experiment::TrialWorkspace;
+//     scratch-buffer idiom as experiment::TrialWorkspace. Producers: the
+//     builder's watchdog rebuild and core::FaultTolerantMesh, whose lazily
+//     derived state is one such snapshot at epoch 0;
 //   * from the incremental maintainer — SnapshotBuilder (builder.hpp) feeds
 //     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and safety
 //     grid straight in, so the block and FB-safety fixpoints are never
@@ -89,10 +91,6 @@ class RoutingSnapshot final : public route::FaultView {
   /// shared_ptr / SnapshotRef precisely for this).
   [[nodiscard]] route::QueryView query_view() const noexcept;
 
-  /// Four-quadrant reachability oracle: minimal-path existence from `src`
-  /// to every node in one O(area) DP pass over the ground-truth mask.
-  void reachability(Coord src, Grid<bool>& out) const;
-
   // route::FaultView — the frozen-world reading; routing a ladder over a
   // snapshot at rung 0 is Wu's protocol on its block world, hop for hop the
   // walk route::route takes over query_view().
@@ -101,8 +99,8 @@ class RoutingSnapshot final : public route::FaultView {
   [[nodiscard]] bool is_stale(Coord at, std::int64_t time) const override;
 
  private:
-  /// Shared tail of both ctors: ground-truth mask plus both MCC labelings
-  /// and their planes (the faulty-block planes come from the producer).
+  /// Shared tail of both ctors: both MCC labelings and their planes (the
+  /// faulty-block planes come from the producer).
   void finish_derived(SnapshotScratch& scratch);
 
   std::uint64_t epoch_;
@@ -112,7 +110,6 @@ class RoutingSnapshot final : public route::FaultView {
   fault::MccSet mcc1_;
   fault::MccSet mcc2_;
   info::BoundaryInfoMap boundary_;
-  Grid<bool> faulty_mask_;
   Grid<bool> fb_mask_;
   Grid<bool> mcc1_mask_;
   Grid<bool> mcc2_mask_;

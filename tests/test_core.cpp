@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/fault_tolerant_mesh.hpp"
 #include "info/pivots.hpp"
+#include "info/safety_level.hpp"
 #include "route/path.hpp"
 
 namespace meshroute {
@@ -25,7 +29,7 @@ cond::Certificate explain(const FaultTolerantMesh& ftm, Coord s, Coord d,
 TEST(FaultTolerantMesh, FreshMeshHasNoBlocks) {
   const FaultTolerantMesh ftm(20, 20);
   EXPECT_EQ(ftm.blocks().block_count(), 0u);
-  EXPECT_TRUE(ftm.mcc().type_one.components().empty());
+  EXPECT_TRUE(ftm.mcc(fault::MccKind::TypeOne).components().empty());
   EXPECT_EQ(explain(ftm, {1, 1}, {15, 15}).decision, cond::Decision::Minimal);
   const auto r = route::route(ftm.query_view(), {1, 1}, {15, 15});
   ASSERT_TRUE(r.delivered());
@@ -41,6 +45,18 @@ TEST(FaultTolerantMesh, InjectionInvalidatesDerivedState) {
   ftm.inject_faults(more);
   EXPECT_EQ(ftm.blocks().block_count(), 3u);
   EXPECT_EQ(ftm.faults().count(), 3u);
+}
+
+TEST(FaultTolerantMesh, ThrowingInjectLeavesNoStaleState) {
+  FaultTolerantMesh ftm(20, 20);
+  EXPECT_EQ(ftm.blocks().block_count(), 0u);
+  // The second fault is off the mesh: the first stays injected, and the
+  // derived state must see it.
+  const std::vector<Coord> faults{{1, 1}, {99, 99}};
+  EXPECT_THROW(ftm.inject_faults(faults), std::out_of_range);
+  EXPECT_EQ(ftm.faults().count(), 1u);
+  EXPECT_EQ(ftm.blocks().block_count(), 1u);
+  EXPECT_TRUE((ftm.query_view().obstacles(FaultModel::FaultyBlock, Quadrant::I)[{1, 1}]));
 }
 
 TEST(FaultTolerantMesh, ClearFaultsRestoresTheFaultFreeState) {
@@ -261,6 +277,61 @@ TEST(FaultTolerantMesh, MccDecisionsAreAtLeastAsStrongAsBlockDecisions) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+/// Every plane the facade derives equals the one the scalar oracles build
+/// from the same fault set: both fault models, both MCC kinds, all three
+/// safety grids, the ground-truth mask and the boundary deposits.
+TEST(FaultTolerantMesh, PlanesMatchScalarOracles) {
+  const Mesh2D mesh = Mesh2D::square(40);
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    const fault::FaultSet uniform = fault::uniform_random_faults(mesh, 160, rng);
+    const fault::FaultSet clustered = fault::clustered_faults(mesh, 5, 24, rng);
+    for (const fault::FaultSet* faults : {&uniform, &clustered}) {
+      FaultTolerantMesh ftm(mesh.width(), mesh.height());
+      ftm.inject_faults(faults->faults());
+
+      fault::BlockSet blocks;
+      fault::BlockScratch block_scratch;
+      fault::build_faulty_blocks_scalar(mesh, *faults, blocks, block_scratch);
+      fault::MccSet mcc1;
+      fault::MccSet mcc2;
+      fault::MccScratch mcc_scratch;
+      fault::build_mcc_scalar(mesh, *faults, fault::MccKind::TypeOne, mcc1, mcc_scratch);
+      fault::build_mcc_scalar(mesh, *faults, fault::MccKind::TypeTwo, mcc2, mcc_scratch);
+      const Grid<bool> fb_mask = info::obstacle_mask(mesh, blocks);
+      const Grid<bool> mcc1_mask = info::obstacle_mask(mesh, mcc1);
+      const Grid<bool> mcc2_mask = info::obstacle_mask(mesh, mcc2);
+      info::SafetyGrid fb_safety;
+      info::SafetyGrid mcc1_safety;
+      info::SafetyGrid mcc2_safety;
+      info::compute_safety_levels_scalar(mesh, fb_mask, fb_safety);
+      info::compute_safety_levels_scalar(mesh, mcc1_mask, mcc1_safety);
+      info::compute_safety_levels_scalar(mesh, mcc2_mask, mcc2_safety);
+
+      const route::QueryView view = ftm.query_view();
+      ASSERT_NE(view.mcc2_mask, nullptr);
+      ASSERT_NE(view.mcc2_safety, nullptr);
+      EXPECT_EQ(*view.faulty_mask, faults->mask()) << "seed " << seed;
+      EXPECT_EQ(*view.fb_mask, fb_mask) << "seed " << seed;
+      EXPECT_EQ(*view.fb_safety, fb_safety) << "seed " << seed;
+      EXPECT_EQ(*view.mcc1_mask, mcc1_mask) << "seed " << seed;
+      EXPECT_EQ(*view.mcc1_safety, mcc1_safety) << "seed " << seed;
+      EXPECT_EQ(*view.mcc2_mask, mcc2_mask) << "seed " << seed;
+      EXPECT_EQ(*view.mcc2_safety, mcc2_safety) << "seed " << seed;
+      EXPECT_EQ(ftm.blocks().labels(), blocks.labels()) << "seed " << seed;
+
+      const info::BoundaryInfoMap boundary(mesh, blocks);
+      mesh.for_each_node([&](Coord c) {
+        const auto got = ftm.boundary().known_blocks(c);
+        const auto want = boundary.known_blocks(c);
+        EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()),
+                  std::vector<std::int32_t>(want.begin(), want.end()))
+            << "seed " << seed << " node " << to_string(c);
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -431,7 +431,7 @@ int run_command(const Options& opt) {
   std::cout << "mesh " << opt.n << "x" << opt.n << ", " << opt.faults << " faults, "
             << ftm.blocks().block_count() << " blocks ("
             << ftm.blocks().total_disabled() << " disabled nodes), "
-            << ftm.mcc().type_one.components().size() << " type-one MCCs\n";
+            << ftm.mcc(fault::MccKind::TypeOne).components().size() << " type-one MCCs\n";
 
   const bool draw_ascii = opt.ascii || opt.n <= 64;
 
