@@ -71,7 +71,7 @@ void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord 
 void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coord source,
                            core::BitGrid& out) {
   // Side masks restrict each quadrant fill to travel away from the source
-  // column; the whole four-quadrant sweep lives in the tiered SIMD layer
+  // column; the whole four-quadrant sweep lives in the row-kernel layer
   // (common/simd.hpp) — an out-of-bounds or blocked source yields the empty
   // plane, matching the scalar oracle.
   (void)mesh;  // dimensions ride on the bit plane

@@ -230,7 +230,7 @@ void build_mcc_bitplane(const Mesh2D& mesh, const FaultSet& faults, MccKind kind
   // TypeTwo swaps the within-row direction. An off-mesh neighbor never
   // triggers, which the row/edge masking gives for free: the top row gets no
   // useless labels and a fill never crosses the mesh edge. The sweeps live
-  // in the tiered SIMD layer (common/simd.hpp).
+  // in the row-kernel layer (common/simd.hpp).
   const bool type_one = kind == MccKind::TypeOne;
   core::simd::mcc_sweeps(fp, up, cp, type_one, scratch.simd);
   finish_mcc_from_planes(mesh, faults, kind, out, scratch);

@@ -140,7 +140,7 @@ void compute_safety_levels(const Mesh2D& mesh, const core::BitGrid& obstacles, S
     out = SafetyGrid(mesh.width(), mesh.height());
   }
   // The whole fill (E/W obstacle-segment ramps, N/S column recurrences)
-  // lives in the tiered SIMD layer, which writes straight into the AoS grid
+  // lives in the row-kernel layer, which writes straight into the AoS grid
   // as groups of 4 int32 per cell in E, S, W, N field order.
   static_assert(sizeof(ExtendedSafetyLevel) == 4 * sizeof(std::int32_t));
   static_assert(offsetof(ExtendedSafetyLevel, e) == 0 * sizeof(std::int32_t));

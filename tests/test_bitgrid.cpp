@@ -264,9 +264,12 @@ TEST(BitplaneEquivalence, Exhaustive1xN) {
 
 TEST(BitplaneEquivalence, RandomizedMeshes) {
   // Widths chosen to exercise exact-word, one-past-word, and tiny-tail
-  // layouts; densities from sparse to heavily faulted.
+  // layouts at 1-, 2-, 3- and 5-word rows, plus thin grids on both axes;
+  // densities from sparse to heavily faulted.
   Rng rng(0xb17b17);
-  const std::pair<Dist, Dist> dims[] = {{64, 64}, {65, 37}, {100, 3}, {3, 100}, {128, 20}};
+  const std::pair<Dist, Dist> dims[] = {{64, 64}, {65, 37}, {100, 3}, {3, 100}, {128, 20},
+                                        {1, 65},  {65, 1},  {63, 5},  {5, 63},  {127, 3},
+                                        {129, 3}, {3, 129}, {300, 7}};
   for (const auto& [w, h] : dims) {
     const Mesh2D mesh(w, h);
     for (const double density : {0.01, 0.05, 0.15, 0.4}) {
@@ -282,9 +285,9 @@ TEST(BitplaneEquivalence, RandomizedMeshes) {
 }
 
 TEST(BitplaneEquivalence, DispatchedEntriesMatchScalar) {
-  // The public entry points (whatever they dispatch to) agree with the
-  // scalar kernels on a representative mesh — guards the dispatch plumbing
-  // itself, including the safety/reach pack-unpack paths.
+  // The public byte-mask entry points agree with the scalar kernels on a
+  // representative mesh — guards the pack/unpack paths around the bit-plane
+  // kernels (block build, safety, reach).
   const Mesh2D mesh(80, 60);
   Rng rng(42);
   const fault::FaultSet faults =

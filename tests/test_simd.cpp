@@ -1,8 +1,9 @@
-// Equivalence gate for the SIMD tier layer (DESIGN §12): every vector tier
-// must be BYTE-identical to the pinned scalar kernels,
-// including the tail bits and the kRowPad words past the last row. Also the
-// exhaustive thin-grid transpose sweep (1xN / Nx1 / widths straddling the
-// word boundary) against a per-bit oracle.
+// Row-kernel layer invariants (DESIGN §12): scratch reuse across kernel
+// calls is invisible, and the kernels keep the tail bits and the kRowPad
+// words past the last row zero. Also the exhaustive thin-grid transpose
+// sweep (1xN / Nx1 / widths straddling the word boundary) and the row fills
+// against per-bit oracles. The kernels' per-cell oracles live in
+// tests/test_bitgrid.cpp (BitplaneEquivalence.*).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,19 +18,6 @@ namespace meshroute::core {
 namespace {
 
 using simd::SweepScratch;
-using simd::Tier;
-
-/// Tiers worth testing on this machine: scalar always, the native tiers only
-/// when the CPU provides them (force_tier degrades silently otherwise).
-/// Every equivalence/invariant suite below iterates this list, so an AVX-512
-/// host automatically byte-checks the native512 kernels too.
-std::vector<Tier> testable_tiers() {
-  std::vector<Tier> tiers{Tier::Scalar};
-  if (simd::native_supported()) tiers.push_back(Tier::Native);
-  if (simd::native512_supported()) tiers.push_back(Tier::Native512);
-  return tiers;
-}
-
 BitGrid random_grid(Dist w, Dist h, double density, Rng& rng) {
   BitGrid g(w, h);
   const auto n = static_cast<std::int64_t>(static_cast<double>(w) * h * density);
@@ -126,160 +114,38 @@ TEST(RowFills, EdgeWidthsMatchWalkingOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier equivalence: scalar vs native vs native512, byte-identical outputs.
-// ---------------------------------------------------------------------------
-
-class TierRestorer {
- public:
-  TierRestorer() : saved_(simd::active_tier()) {}
-  ~TierRestorer() { simd::force_tier(saved_); }
-
- private:
-  Tier saved_;
-};
-
-TEST(TierEquivalence, BlockFixpoint) {
-  TierRestorer restore;
-  Rng rng(1);
-  SweepScratch scratch;
-  for (const auto& [w, h] : kEdgeDims) {
-    for (const double density : {0.05, 0.25, 0.6}) {
-      const BitGrid faults = random_grid(w, h, density, rng);
-      BitGrid ref;
-      bool first = true;
-      for (const Tier t : testable_tiers()) {
-        simd::force_tier(t);
-        BitGrid bad = faults;
-        simd::block_fixpoint(bad, scratch);
-        if (first) {
-          ref = bad;
-          first = false;
-        } else {
-          EXPECT_EQ(bad, ref) << simd::tier_name(t) << " " << w << "x" << h << " @ " << density;
-        }
-      }
-    }
-  }
-}
-
-TEST(TierEquivalence, MccSweeps) {
-  TierRestorer restore;
-  Rng rng(2);
-  SweepScratch scratch;
-  for (const auto& [w, h] : kEdgeDims) {
-    const BitGrid faults = random_grid(w, h, 0.2, rng);
-    for (const bool type_one : {false, true}) {
-      BitGrid ref_u, ref_c;
-      bool first = true;
-      for (const Tier t : testable_tiers()) {
-        simd::force_tier(t);
-        BitGrid useless(w, h), cant(w, h);
-        simd::mcc_sweeps(faults, useless, cant, type_one, scratch);
-        if (first) {
-          ref_u = useless;
-          ref_c = cant;
-          first = false;
-        } else {
-          EXPECT_EQ(useless, ref_u) << simd::tier_name(t) << " " << w << "x" << h;
-          EXPECT_EQ(cant, ref_c) << simd::tier_name(t) << " " << w << "x" << h;
-        }
-      }
-    }
-  }
-}
-
-TEST(TierEquivalence, ReachFill) {
-  TierRestorer restore;
-  Rng rng(3);
-  SweepScratch scratch;
-  for (const auto& [w, h] : kEdgeDims) {
-    const BitGrid blocked = random_grid(w, h, 0.25, rng);
-    const std::vector<Coord> sources = {
-        {0, 0}, {w - 1, h - 1}, {w / 2, h / 2}, {w - 1, 0}, {0, h - 1}};
-    for (const Coord src : sources) {
-      BitGrid ref;
-      bool first = true;
-      for (const Tier t : testable_tiers()) {
-        simd::force_tier(t);
-        BitGrid out;
-        simd::reach_fill(blocked, src, out, scratch);
-        if (first) {
-          ref = out;
-          first = false;
-        } else {
-          EXPECT_EQ(out, ref) << simd::tier_name(t) << " " << w << "x" << h << " src=" << src.x
-                              << "," << src.y;
-        }
-      }
-    }
-  }
-}
-
-TEST(TierEquivalence, SafetyFill) {
-  TierRestorer restore;
-  Rng rng(4);
-  SweepScratch scratch;
-  for (const auto& [w, h] : kEdgeDims) {
-    for (const double density : {0.0, 0.15, 0.8}) {
-      const BitGrid obstacles = random_grid(w, h, density, rng);
-      const std::size_t cells = static_cast<std::size_t>(w) * static_cast<std::size_t>(h) * 4;
-      std::vector<std::int32_t> ref(cells), got(cells);
-      bool first = true;
-      for (const Tier t : testable_tiers()) {
-        simd::force_tier(t);
-        std::vector<std::int32_t>& dst = first ? ref : got;
-        std::fill(dst.begin(), dst.end(), -12345);
-        simd::safety_fill(obstacles, dst.data(), scratch);
-        if (!first) {
-          EXPECT_EQ(got, ref) << simd::tier_name(t) << " " << w << "x" << h << " @ " << density;
-        }
-        first = false;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Batches of independent planes: one SweepScratch carried through a run of
 // kernel calls (as a sweep worker carries its per-thread scratch) must leave
-// every plane byte-identical to a fresh-scratch scalar run on that plane.
+// every plane byte-identical to a fresh-scratch run on that plane.
 // ---------------------------------------------------------------------------
 
 TEST(BatchEquivalence, BlockFixpoint) {
-  TierRestorer restore;
   Rng rng(5);
   for (const int lanes : {1, 3, 8, 13}) {
     const Dist w = 80, h = 40;
     std::vector<BitGrid> planes;
     for (int l = 0; l < lanes; ++l) planes.push_back(random_grid(w, h, 0.25, rng));
-    simd::force_tier(Tier::Scalar);
     std::vector<BitGrid> expect = planes;
     for (BitGrid& e : expect) {
       SweepScratch fresh;
       simd::block_fixpoint(e, fresh);
     }
-    for (const Tier t : testable_tiers()) {
-      simd::force_tier(t);
-      SweepScratch shared;
-      for (int l = 0; l < lanes; ++l) {
-        BitGrid got = planes[static_cast<std::size_t>(l)];
-        simd::block_fixpoint(got, shared);
-        EXPECT_EQ(got, expect[static_cast<std::size_t>(l)])
-            << simd::tier_name(t) << " lanes=" << lanes << " lane=" << l;
-      }
+    SweepScratch shared;
+    for (int l = 0; l < lanes; ++l) {
+      BitGrid got = planes[static_cast<std::size_t>(l)];
+      simd::block_fixpoint(got, shared);
+      EXPECT_EQ(got, expect[static_cast<std::size_t>(l)]) << "lanes=" << lanes << " lane=" << l;
     }
   }
 }
 
 TEST(BatchEquivalence, MccSweeps) {
-  TierRestorer restore;
   Rng rng(6);
   const Dist w = 100, h = 50;
   const int lanes = 11;
   std::vector<BitGrid> planes;
   for (int l = 0; l < lanes; ++l) planes.push_back(random_grid(w, h, 0.2, rng));
   for (const bool type_one : {false, true}) {
-    simd::force_tier(Tier::Scalar);
     std::vector<BitGrid> expect_u, expect_c;
     for (const BitGrid& p : planes) {
       SweepScratch fresh;
@@ -288,22 +154,18 @@ TEST(BatchEquivalence, MccSweeps) {
       expect_u.push_back(std::move(eu));
       expect_c.push_back(std::move(ec));
     }
-    for (const Tier t : testable_tiers()) {
-      simd::force_tier(t);
-      SweepScratch shared;
-      for (int l = 0; l < lanes; ++l) {
-        const auto i = static_cast<std::size_t>(l);
-        BitGrid gu(w, h), gc(w, h);
-        simd::mcc_sweeps(planes[i], gu, gc, type_one, shared);
-        EXPECT_EQ(gu, expect_u[i]) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
-        EXPECT_EQ(gc, expect_c[i]) << simd::tier_name(t) << " t1=" << type_one << " lane=" << l;
-      }
+    SweepScratch shared;
+    for (int l = 0; l < lanes; ++l) {
+      const auto i = static_cast<std::size_t>(l);
+      BitGrid gu(w, h), gc(w, h);
+      simd::mcc_sweeps(planes[i], gu, gc, type_one, shared);
+      EXPECT_EQ(gu, expect_u[i]) << "t1=" << type_one << " lane=" << l;
+      EXPECT_EQ(gc, expect_c[i]) << "t1=" << type_one << " lane=" << l;
     }
   }
 }
 
 TEST(BatchEquivalence, ReachFillIncludingBlockedSourceLane) {
-  TierRestorer restore;
   Rng rng(7);
   const Dist w = 90, h = 45;
   const int lanes = 9;
@@ -314,68 +176,39 @@ TEST(BatchEquivalence, ReachFillIncludingBlockedSourceLane) {
     if (l == 4) p.set(src);  // one lane with a blocked source: empty result
     planes.push_back(std::move(p));
   }
-  simd::force_tier(Tier::Scalar);
   std::vector<BitGrid> expect(planes.size());
   for (std::size_t l = 0; l < planes.size(); ++l) {
     SweepScratch fresh;
     simd::reach_fill(planes[l], src, expect[l], fresh);
   }
-  for (const Tier t : testable_tiers()) {
-    simd::force_tier(t);
-    SweepScratch shared;
-    BitGrid got;  // reused across lanes, like the per-thread output planes
-    for (int l = 0; l < lanes; ++l) {
-      simd::reach_fill(planes[static_cast<std::size_t>(l)], src, got, shared);
-      EXPECT_EQ(got, expect[static_cast<std::size_t>(l)]) << simd::tier_name(t) << " lane=" << l;
-      if (l == 4) {
-        EXPECT_FALSE(got.any());
-      }
+  SweepScratch shared;
+  BitGrid got;  // reused across lanes, like the per-thread output planes
+  for (int l = 0; l < lanes; ++l) {
+    simd::reach_fill(planes[static_cast<std::size_t>(l)], src, got, shared);
+    EXPECT_EQ(got, expect[static_cast<std::size_t>(l)]) << "lane=" << l;
+    if (l == 4) {
+      EXPECT_FALSE(got.any());
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Invariants and dispatch plumbing.
+// Invariants.
 // ---------------------------------------------------------------------------
-
-TEST(SimdDispatch, ForceTierRoundTripsAndDegrades) {
-  TierRestorer restore;
-  EXPECT_EQ(simd::force_tier(Tier::Scalar), Tier::Scalar);
-  EXPECT_EQ(simd::active_tier(), Tier::Scalar);
-  const Tier native = simd::force_tier(Tier::Native);
-  EXPECT_EQ(native, simd::native_supported() ? Tier::Native : Tier::Scalar);
-  EXPECT_EQ(simd::active_tier(), native);
-  // Native512 degrades down the ladder: AVX-512 host -> Native512, AVX2-only
-  // host -> Native, neither -> Scalar. Never an unsupported tier.
-  const Tier native512 = simd::force_tier(Tier::Native512);
-  if (simd::native512_supported()) {
-    EXPECT_EQ(native512, Tier::Native512);
-  } else {
-    EXPECT_EQ(native512, native);
-  }
-  EXPECT_EQ(simd::active_tier(), native512);
-  EXPECT_STREQ(simd::tier_name(Tier::Scalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(Tier::Native), "native");
-  EXPECT_STREQ(simd::tier_name(Tier::Native512), "native512");
-}
 
 TEST(SimdInvariants, KernelsPreserveTailBitsAndRowPadding) {
-  TierRestorer restore;
   Rng rng(8);
   SweepScratch scratch;
-  // Tail/pad preservation is what the blend-stores exist for; check via the
-  // BitGrid equality operator (compares the full word vector, pad included)
-  // against a pristine same-shape grid OR-ed with the kernel result bits.
+  // Check via the BitGrid equality operator (compares the full word vector,
+  // pad included) against a pristine same-shape grid OR-ed with the kernel
+  // result bits.
   for (const auto& [w, h] : kEdgeDims) {
     const BitGrid faults = random_grid(w, h, 0.3, rng);
-    for (const Tier t : testable_tiers()) {
-      simd::force_tier(t);
-      BitGrid bad = faults;
-      simd::block_fixpoint(bad, scratch);
-      BitGrid rebuilt(w, h);
-      bad.for_each_set([&](Coord c) { rebuilt.set(c); });
-      EXPECT_EQ(bad, rebuilt) << simd::tier_name(t) << " " << w << "x" << h;
-    }
+    BitGrid bad = faults;
+    simd::block_fixpoint(bad, scratch);
+    BitGrid rebuilt(w, h);
+    bad.for_each_set([&](Coord c) { rebuilt.set(c); });
+    EXPECT_EQ(bad, rebuilt) << w << "x" << h;
   }
 }
 
