@@ -1,8 +1,8 @@
 // Test driver for the `bench_smoke` ctest: runs a bench binary with
 // `--json=-`, extracts the JSON array it prints as the last line of stdout,
-// parses it with experiment::json, and checks the sweep-output schema — every
-// table object carries tag/n/trials/dests/seed/wall_ms and a points
-// array with the expected number of entries.
+// parses it with json::parse (common/json.hpp), and checks the sweep-output
+// schema — every table object carries tag/n/trials/dests/seed/wall_ms and a
+// points array with the expected number of entries.
 //
 // Usage: json_smoke_check <expected_points> <command> [args...]
 #include <cstdio>
@@ -10,7 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 
 namespace {
 
@@ -35,7 +35,7 @@ std::string shell_quote(const std::string& arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using meshroute::experiment::json::Value;
+  using meshroute::json::Value;
   if (argc < 3) fail("usage: json_smoke_check <expected_points> <command> [args...]");
   const long expected_points = std::strtol(argv[1], nullptr, 10);
 
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   Value root;
   try {
-    root = meshroute::experiment::json::parse(json_line);
+    root = meshroute::json::parse(json_line);
   } catch (const std::exception& e) {
     fail(std::string("JSON does not parse: ") + e.what());
   }

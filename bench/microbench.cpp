@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -41,12 +40,12 @@
 #include <vector>
 
 #include "common/bitgrid.hpp"
+#include "common/json.hpp"
 #include "common/simd.hpp"
 #include "cond/conditions.hpp"
 #include "cond/strategies.hpp"
 #include "cond/wang.hpp"
 #include "dynamic/dynamic_state.hpp"
-#include "experiment/json.hpp"
 #include "experiment/workspace.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
@@ -316,9 +315,9 @@ int main(int argc, char** argv) {
               walk_dest->x, walk_dest->y, manhattan(source, *walk_dest));
 
   if (!opt.json.empty()) {
-    experiment::json::Value::Array kernels;
+    json::Value::Array kernels;
     for (const auto& r : results) {
-      experiment::json::Value::Object k;
+      json::Value::Object k;
       k["name"] = r.name;
       k["iters"] = static_cast<double>(r.iters);
       k["median_us"] = r.median_us;
@@ -326,30 +325,24 @@ int main(int argc, char** argv) {
       k["max_us"] = r.max_us;
       kernels.emplace_back(std::move(k));
     }
-    experiment::json::Value::Object meta;
+    json::Value::Object meta;
     meta["git_rev"] = MESHROUTE_GIT_REV;
     meta["build_type"] = MESHROUTE_BUILD_TYPE;
     meta["compiler"] = MESHROUTE_COMPILER;
     meta["threads"] = static_cast<double>(std::thread::hardware_concurrency());
     meta["trace_enabled"] = MESHROUTE_TRACE_ENABLED != 0;
     meta["simd"] = std::string(core::simd::tier_name(core::simd::active_tier()));
-    experiment::json::Value::Object doc;
+    json::Value::Object doc;
     doc["bench"] = "core";
     doc["n"] = static_cast<double>(kSide);
     doc["faults"] = static_cast<double>(kFaults);
     doc["reps"] = static_cast<double>(opt.reps);
     doc["meta"] = std::move(meta);
     doc["kernels"] = std::move(kernels);
-    const std::string text = experiment::json::to_string(experiment::json::Value(doc));
-    if (opt.json == "-") {
-      std::cout << text << "\n";
-    } else {
-      std::ofstream os(opt.json, std::ios::trunc);
-      if (!os) {
-        std::cerr << "microbench: cannot write " << opt.json << "\n";
-        return 1;
-      }
-      os << text << "\n";
+    if (!json::write_output(opt.json, "json", [&](std::ostream& os) {
+          os << json::to_string(json::Value(std::move(doc))) << "\n";
+        })) {
+      return 1;
     }
   }
   if (!opt.metrics.empty() &&

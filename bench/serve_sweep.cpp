@@ -42,7 +42,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -50,9 +49,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "experiment/json.hpp"
 #include "obs/export.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
@@ -484,7 +483,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.json.empty()) {
-    using experiment::json::Value;
+    using json::Value;
     Value::Object meta;
     meta["git_rev"] = MESHROUTE_GIT_REV;
     meta["build_type"] = MESHROUTE_BUILD_TYPE;
@@ -550,16 +549,10 @@ int main(int argc, char** argv) {
     doc["windowed_query_p99_us"] = windowed_query_p99_us;
     doc["wall_ms"] = wall_ms;
 
-    const std::string text = experiment::json::to_string(Value(std::move(doc)));
-    if (opt.json == "-") {
-      std::cout << text << "\n";
-    } else {
-      std::ofstream os(opt.json, std::ios::trunc);
-      if (!os) {
-        std::cerr << "serve_sweep: cannot write " << opt.json << "\n";
-        return 1;
-      }
-      os << text << "\n";
+    if (!json::write_output(opt.json, "json", [&](std::ostream& os) {
+          os << json::to_string(Value(std::move(doc))) << "\n";
+        })) {
+      return 1;
     }
   }
 

@@ -5,13 +5,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 #include "experiment/workspace.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -308,28 +307,17 @@ void write_sweep_json(std::ostream& os, const SweepConfig& config,
 
 bool write_sweep_json(const SweepConfig& config, const std::vector<TaggedTable>& tables,
                       double wall_ms) {
-  bool wrote = false;
-  if (!config.json_path.empty()) {
-    if (config.json_path == "-") {
-      write_sweep_json(std::cout, config, tables, wall_ms);
-    } else {
-      std::ofstream file(config.json_path);
-      if (!file) {
-        std::cerr << "error: cannot open --json file '" << config.json_path << "'\n";
-        std::exit(1);
-      }
-      write_sweep_json(file, config, tables, wall_ms);
-    }
-    wrote = true;
+  if (!config.json_path.empty() &&
+      !json::write_output(config.json_path, "json", [&](std::ostream& os) {
+        write_sweep_json(os, config, tables, wall_ms);
+      })) {
+    std::exit(1);
   }
-  if (!config.metrics_path.empty()) {
-    if (!obs::write_metrics_json(config.metrics_path, obs::Registry::global().snapshot())) {
-      std::cerr << "error: cannot open --metrics file '" << config.metrics_path << "'\n";
-      std::exit(1);
-    }
-    wrote = true;
+  if (!config.metrics_path.empty() &&
+      !obs::write_metrics_json(config.metrics_path, obs::Registry::global().snapshot())) {
+    std::exit(1);
   }
-  return wrote;
+  return !config.json_path.empty() || !config.metrics_path.empty();
 }
 
 }  // namespace meshroute::experiment

@@ -241,10 +241,10 @@ struct TaggedTable {
 void write_sweep_json(std::ostream& os, const SweepConfig& config,
                       const std::vector<TaggedTable>& tables, double wall_ms);
 
-/// Honor `config.json_path` (no-op when empty, stdout when "-", else the
-/// named file, truncating) AND `config.metrics_path` (same semantics: a
-/// flat obs::Registry snapshot via obs::write_metrics_json). Returns true
-/// when either output was written.
+/// Honor `config.json_path` AND `config.metrics_path` (a flat obs::Registry
+/// snapshot via obs::write_metrics_json), each a json::write_output target.
+/// Exits 1 when either file cannot be opened; returns true when either
+/// output was written.
 bool write_sweep_json(const SweepConfig& config, const std::vector<TaggedTable>& tables,
                       double wall_ms);
 

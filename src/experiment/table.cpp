@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 
 namespace meshroute::experiment {
 namespace {

@@ -1,41 +1,10 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace meshroute::obs {
-namespace {
-
-void append_int(std::string& out, std::int64_t v) { out += std::to_string(v); }
-
-void append_uint(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-/// Doubles print as integers when exactly integral (the common case for
-/// percentile estimates on small counts), else shortest-ish %.17g — both
-/// forms parse back through experiment::json.
-void append_double(std::string& out, double v) {
-  if (v >= -9.0e15 && v <= 9.0e15) {  // exact int64<->double range
-    const auto as_int = static_cast<std::int64_t>(v);
-    if (static_cast<double>(as_int) == v) {
-      append_int(out, as_int);
-      return;
-    }
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_quoted(std::string& out, const char* s) {
-  out += '"';
-  out += s;  // every emitted name is a plain identifier; no escaping needed
-  out += '"';
-}
-
-}  // namespace
 
 void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
                       std::uint64_t dropped) {
@@ -45,23 +14,23 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
     const TraceEvent& e = events[i];
     if (i != 0) out += ',';
     out += "{\"name\":";
-    append_quoted(out, to_string(e.kind));
+    json::write_string(out, to_string(e.kind));
     out += ",\"cat\":\"meshroute\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-    append_int(out, e.time);
+    out += std::to_string(e.time);
     out += ",\"pid\":1,\"tid\":";
-    append_uint(out, e.track);
+    out += std::to_string(e.track);
     out += ",\"args\":{\"x\":";
-    append_int(out, e.at.x);
+    out += std::to_string(e.at.x);
     out += ",\"y\":";
-    append_int(out, e.at.y);
+    out += std::to_string(e.at.y);
     out += ",\"a\":";
-    append_int(out, e.a);
+    out += std::to_string(e.a);
     out += ",\"b\":";
-    append_int(out, e.b);
+    out += std::to_string(e.b);
     out += "}}";
   }
   out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":";
-  append_uint(out, dropped);
+  out += std::to_string(dropped);
   out += "}}";
   os << out << "\n";
 }
@@ -71,80 +40,52 @@ void write_trace_json(std::ostream& os, const TraceSink& sink) {
 }
 
 bool write_trace_json(const std::string& path, const TraceSink& sink) {
-  if (path.empty()) return false;
-  if (path == "-") {
-    write_trace_json(std::cout, sink);
-    return true;
-  }
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    std::cerr << "error: cannot open --trace file '" << path << "'\n";
-    return false;
-  }
-  write_trace_json(file, sink);
-  return true;
+  return json::write_output(path, "trace",
+                            [&](std::ostream& os) { write_trace_json(os, sink); });
 }
 
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot) {
-  std::string out;
-  out += "{\"counters\":{";
+void write_histogram_json(std::string& out, const HistogramSnapshot& hist) {
+  out += "{\"count\":";
+  out += std::to_string(hist.count);
+  out += ",\"sum\":";
+  out += std::to_string(hist.sum);
+  out += ",\"p50\":";
+  json::write_number(out, hist.percentile(0.50));
+  out += ",\"p95\":";
+  json::write_number(out, hist.percentile(0.95));
+  out += ",\"p99\":";
+  json::write_number(out, hist.percentile(0.99));
+  out += ",\"buckets\":[";
   bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
+  for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+    if (hist.buckets[i] == 0) continue;  // sparse: only occupied buckets
     if (!first) out += ',';
     first = false;
-    append_quoted(out, name.c_str());
-    out += ':';
-    append_int(out, value);
+    out += '[';
+    out += std::to_string(HistogramSnapshot::bucket_lo(i));
+    out += ',';
+    out += std::to_string(HistogramSnapshot::bucket_hi(i));
+    out += ',';
+    out += std::to_string(hist.buckets[i]);
+    out += ']';
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name.c_str());
-    out += ":{\"count\":";
-    append_int(out, hist.count);
-    out += ",\"sum\":";
-    append_int(out, hist.sum);
-    out += ",\"p50\":";
-    append_double(out, hist.percentile(0.50));
-    out += ",\"p95\":";
-    append_double(out, hist.percentile(0.95));
-    out += ",\"p99\":";
-    append_double(out, hist.percentile(0.99));
-    out += ",\"buckets\":[";
-    bool first_bucket = true;
-    for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-      if (hist.buckets[i] == 0) continue;  // sparse: only occupied buckets
-      if (!first_bucket) out += ',';
-      first_bucket = false;
-      out += '[';
-      append_int(out, HistogramSnapshot::bucket_lo(i));
-      out += ',';
-      append_int(out, HistogramSnapshot::bucket_hi(i));
-      out += ',';
-      append_int(out, hist.buckets[i]);
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "}}";
+  out += "]}";
+}
+
+void write_count(std::string& out, std::int64_t v) { out += std::to_string(v); }
+
+void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot) {
+  std::string out = "{\"counters\":";
+  json::write_object(out, snapshot.counters, write_count);
+  out += ",\"histograms\":";
+  json::write_object(out, snapshot.histograms, write_histogram_json);
+  out += '}';
   os << out << "\n";
 }
 
 bool write_metrics_json(const std::string& path, const MetricsSnapshot& snapshot) {
-  if (path.empty()) return false;
-  if (path == "-") {
-    write_metrics_json(std::cout, snapshot);
-    return true;
-  }
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    std::cerr << "error: cannot open --metrics file '" << path << "'\n";
-    return false;
-  }
-  write_metrics_json(file, snapshot);
-  return true;
+  return json::write_output(path, "metrics",
+                            [&](std::ostream& os) { write_metrics_json(os, snapshot); });
 }
 
 }  // namespace meshroute::obs

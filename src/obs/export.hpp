@@ -5,8 +5,9 @@
 // Both emitters write keys in a fixed order from deterministically ordered
 // inputs, so a seeded run's exports are byte-identical across thread counts
 // (modulo genuinely non-deterministic measurements such as wall-time
-// histograms). Both documents parse back through experiment::json — a ctest
-// smoke and tests/test_obs.cpp hold that door shut.
+// histograms). Names and non-integral numbers are written through json
+// (common/json.hpp), so both documents parse back through json::parse — a
+// ctest smoke and tests/test_obs.cpp hold that door shut.
 //
 // Schemas:
 //   trace:   {"traceEvents":[{"name","cat","ph":"i","s":"t","ts",<logical>,
@@ -33,10 +34,17 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
 /// Convenience: canonical stream of `sink`, with its drop count.
 void write_trace_json(std::ostream& os, const TraceSink& sink);
 
-/// Honor a --trace style target: no-op when `path` is empty, stdout when
-/// "-", else the named file (truncating). Returns true when written; prints
-/// to stderr and returns false when the file cannot be opened.
+/// Honor a --trace target (json::write_output: "" = no-op, "-" = stdout,
+/// else the named file). Returns true when written.
 bool write_trace_json(const std::string& path, const TraceSink& sink);
+
+/// Append one histogram object, {"count","sum","p50","p95","p99",
+/// "buckets":[[lo,hi,count],...]} with only occupied buckets listed — the
+/// shape shared by the metrics and windowed documents.
+void write_histogram_json(std::string& out, const HistogramSnapshot& hist);
+
+/// Append a counter value (std::to_string: exact beyond a double's 53 bits).
+void write_count(std::string& out, std::int64_t v);
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot);
 

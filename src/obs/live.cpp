@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
+#include <cmath>
 #include <ostream>
 #include <utility>
+
+#include "common/json.hpp"
+#include "obs/export.hpp"
 
 namespace meshroute::obs {
 
@@ -18,29 +19,6 @@ std::int64_t steady_now_us() {
       .count();
 }
 
-void append_int(std::string& out, std::int64_t v) { out += std::to_string(v); }
-
-/// Same double grammar as export.cpp: exact integers print as integers, the
-/// rest as %.17g — both parse back through experiment::json.
-void append_double(std::string& out, double v) {
-  if (v >= -9.0e15 && v <= 9.0e15) {
-    const auto as_int = static_cast<std::int64_t>(v);
-    if (static_cast<double>(as_int) == v) {
-      append_int(out, as_int);
-      return;
-    }
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  out += s;  // metric names are plain identifiers; no escaping needed
-  out += '"';
-}
-
 /// Prometheus metric name: prefix + name with '.'/'-' flattened to '_'.
 std::string prom_name(std::string_view prefix, std::string_view name) {
   std::string out;
@@ -50,54 +28,21 @@ std::string prom_name(std::string_view prefix, std::string_view name) {
   return out;
 }
 
-void append_histogram_json(std::string& out, const HistogramSnapshot& hist) {
-  out += "{\"count\":";
-  append_int(out, hist.count);
-  out += ",\"sum\":";
-  append_int(out, hist.sum);
-  out += ",\"p50\":";
-  append_double(out, hist.percentile(0.50));
-  out += ",\"p95\":";
-  append_double(out, hist.percentile(0.95));
-  out += ",\"p99\":";
-  append_double(out, hist.percentile(0.99));
-  out += ",\"buckets\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-    if (hist.buckets[i] == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '[';
-    append_int(out, HistogramSnapshot::bucket_lo(i));
-    out += ',';
-    append_int(out, HistogramSnapshot::bucket_hi(i));
-    out += ',';
-    append_int(out, hist.buckets[i]);
-    out += ']';
-  }
-  out += "]}";
-}
-
-bool allowed(const std::vector<std::string>& allow, const std::string& name) {
-  if (allow.empty()) return true;
-  return std::find(allow.begin(), allow.end(), name) != allow.end();
-}
-
 void append_event_json(std::string& out, const TraceEvent& e) {
   out += "{\"name\":";
-  append_quoted(out, to_string(e.kind));
+  json::write_string(out, to_string(e.kind));
   out += ",\"track\":";
-  append_int(out, static_cast<std::int64_t>(e.track));
+  out += std::to_string(e.track);
   out += ",\"time\":";
-  append_int(out, e.time);
+  out += std::to_string(e.time);
   out += ",\"x\":";
-  append_int(out, e.at.x);
+  out += std::to_string(e.at.x);
   out += ",\"y\":";
-  append_int(out, e.at.y);
+  out += std::to_string(e.at.y);
   out += ",\"a\":";
-  append_int(out, e.a);
+  out += std::to_string(e.a);
   out += ",\"b\":";
-  append_int(out, e.b);
+  out += std::to_string(e.b);
   out += '}';
 }
 
@@ -222,9 +167,7 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
       pname += "_total";
     }
     out += "# TYPE " + pname + " counter\n";
-    out += pname + ' ';
-    append_int(out, value);
-    out += '\n';
+    out += pname + ' ' + std::to_string(value) + '\n';
   }
   for (const auto& [name, hist] : snapshot.histograms) {
     const std::string pname = prom_name(prefix, name);
@@ -233,27 +176,23 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
     for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
       if (hist.buckets[i] == 0) continue;  // sparse, but le values stay cumulative
       cumulative += hist.buckets[i];
-      out += pname + "_bucket{le=\"";
-      append_int(out, HistogramSnapshot::bucket_hi(i));
-      out += "\"} ";
-      append_int(out, cumulative);
-      out += '\n';
+      out += pname + "_bucket{le=\"" + std::to_string(HistogramSnapshot::bucket_hi(i)) +
+             "\"} " + std::to_string(cumulative) + '\n';
     }
-    out += pname + "_bucket{le=\"+Inf\"} ";
-    append_int(out, hist.count);
-    out += '\n';
-    out += pname + "_sum ";
-    append_int(out, hist.sum);
-    out += '\n';
-    out += pname + "_count ";
-    append_int(out, hist.count);
-    out += '\n';
+    out += pname + "_bucket{le=\"+Inf\"} " + std::to_string(hist.count) + '\n';
+    out += pname + "_sum " + std::to_string(hist.sum) + '\n';
+    out += pname + "_count " + std::to_string(hist.count) + '\n';
   }
   for (const auto& [name, value] : gauges) {
     const std::string pname = prom_name(prefix, name);
     out += "# TYPE " + pname + " gauge\n";
     out += pname + ' ';
-    append_double(out, value);
+    // Prometheus spells the non-finite values that json writes as null.
+    if (std::isfinite(value)) {
+      json::write_number(out, value);
+    } else {
+      out += std::isnan(value) ? "NaN" : value > 0 ? "+Inf" : "-Inf";
+    }
     out += '\n';
   }
   out += "# EOF\n";
@@ -264,61 +203,36 @@ void write_windowed_json(std::ostream& os, const LiveWindows& windows,
                          std::size_t last_n,
                          const std::map<std::string, double>& gauges,
                          const std::vector<std::string>& allow) {
-  const MetricsSnapshot merged = windows.windowed(last_n);
+  MetricsSnapshot merged = windows.windowed(last_n);
+  if (!allow.empty()) {
+    const auto denied = [&](const auto& entry) {
+      return std::find(allow.begin(), allow.end(), entry.first) == allow.end();
+    };
+    std::erase_if(merged.counters, denied);
+    std::erase_if(merged.histograms, denied);
+  }
   const std::int64_t span_us = windows.windowed_span_us(last_n);
 
   std::string out;
   out += "{\"windows\":{\"ticks\":";
-  append_int(out, static_cast<std::int64_t>(windows.ticks()));
+  out += std::to_string(windows.ticks());
   out += ",\"retained\":";
-  append_int(out, static_cast<std::int64_t>(windows.retained()));
+  out += std::to_string(windows.retained());
   out += ",\"span_us\":";
-  append_int(out, span_us);
-  out += "},\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : merged.counters) {
-    if (!allowed(allow, name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    append_int(out, value);
-  }
-  out += "},\"rates\":{";
-  first = true;
-  for (const auto& [name, value] : merged.counters) {
-    if (!allowed(allow, name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    append_double(out, span_us > 0
-                           ? static_cast<double>(value) /
-                                 (static_cast<double>(span_us) / 1e6)
-                           : 0.0);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : merged.histograms) {
-    if (!allowed(allow, name)) continue;
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    append_histogram_json(out, hist);
-  }
-  out += '}';
+  out += std::to_string(span_us);
+  out += "},\"counters\":";
+  json::write_object(out, merged.counters, write_count);
+  out += ",\"rates\":";
+  json::write_object(out, merged.counters, [&](std::string& o, std::int64_t value) {
+    json::write_number(o, span_us > 0 ? static_cast<double>(value) /
+                                            (static_cast<double>(span_us) / 1e6)
+                                      : 0.0);
+  });
+  out += ",\"histograms\":";
+  json::write_object(out, merged.histograms, write_histogram_json);
   if (!gauges.empty()) {
-    out += ",\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : gauges) {
-      if (!first) out += ',';
-      first = false;
-      append_quoted(out, name);
-      out += ':';
-      append_double(out, value);
-    }
-    out += '}';
+    out += ",\"gauges\":";
+    json::write_object(out, gauges, json::write_number);
   }
   out += '}';
   os << out << "\n";
@@ -328,18 +242,9 @@ bool write_windowed_json(const std::string& path, const LiveWindows& windows,
                          std::size_t last_n,
                          const std::map<std::string, double>& gauges,
                          const std::vector<std::string>& allow) {
-  if (path.empty()) return false;
-  if (path == "-") {
-    write_windowed_json(std::cout, windows, last_n, gauges, allow);
-    return true;
-  }
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    std::cerr << "error: cannot open --windowed file '" << path << "'\n";
-    return false;
-  }
-  write_windowed_json(file, windows, last_n, gauges, allow);
-  return true;
+  return json::write_output(path, "windowed", [&](std::ostream& os) {
+    write_windowed_json(os, windows, last_n, gauges, allow);
+  });
 }
 
 const char* to_string(SpanStage stage) noexcept {
@@ -399,11 +304,11 @@ void write_flight_json(std::ostream& os, const FlightRecorder& recorder,
 
   std::string out;
   out += "{\"flight\":{\"reason\":";
-  append_quoted(out, reason);
+  json::write_string(out, reason);
   out += ",\"recorded\":";
-  append_int(out, static_cast<std::int64_t>(recorder.recorded()));
+  out += std::to_string(recorder.recorded());
   out += ",\"dropped\":";
-  append_int(out, static_cast<std::int64_t>(recorder.dropped()));
+  out += std::to_string(recorder.dropped());
   out += ",\"events\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i != 0) out += ',';
@@ -425,18 +330,9 @@ void write_flight_json(std::ostream& os, const FlightRecorder& recorder,
 
 bool write_flight_json(const std::string& path, const FlightRecorder& recorder,
                        std::string_view reason) {
-  if (path.empty()) return false;
-  if (path == "-") {
-    write_flight_json(std::cout, recorder, reason);
-    return true;
-  }
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    std::cerr << "error: cannot open flight-recorder dump file '" << path << "'\n";
-    return false;
-  }
-  write_flight_json(file, recorder, reason);
-  return true;
+  return json::write_output(path, "postmortem", [&](std::ostream& os) {
+    write_flight_json(os, recorder, reason);
+  });
 }
 
 }  // namespace meshroute::obs

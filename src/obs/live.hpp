@@ -113,7 +113,8 @@ class LiveWindows {
 /// Metric names are prefixed and sanitized ('.' and '-' become '_'):
 /// counters emit `<prefix><name>_total`, histograms emit cumulative
 /// `_bucket{le="<bucket_hi>"}` series (plus `{le="+Inf"}`), `_sum` and
-/// `_count`; `gauges` emit verbatim values. Ends with a `# EOF` line.
+/// `_count`; `gauges` emit their values in json's shortest round-trip form
+/// (NaN/+Inf/-Inf when not finite). Ends with a `# EOF` line.
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
                       const std::map<std::string, double>& gauges = {},
                       std::string_view prefix = "meshroute_");
@@ -130,8 +131,8 @@ void write_windowed_json(std::ostream& os, const LiveWindows& windows,
                          const std::map<std::string, double>& gauges = {},
                          const std::vector<std::string>& allow = {});
 
-/// --windowed target semantics as the other exporters: "" = no-op (false),
-/// "-" = stdout, else the named file (truncating; stderr + false on failure).
+/// Honor a --windowed target (json::write_output: "" = no-op, "-" = stdout,
+/// else the named file). Returns true when written.
 bool write_windowed_json(const std::string& path, const LiveWindows& windows,
                          std::size_t last_n = 0,
                          const std::map<std::string, double>& gauges = {},
@@ -193,7 +194,7 @@ class FlightRecorder {
 void write_flight_json(std::ostream& os, const FlightRecorder& recorder,
                        std::string_view reason);
 
-/// Path semantics as the other exporters ("" = no-op/false, "-" = stdout).
+/// Honor a --postmortem target (json::write_output, as write_windowed_json).
 bool write_flight_json(const std::string& path, const FlightRecorder& recorder,
                        std::string_view reason);
 

@@ -12,6 +12,10 @@
 namespace meshroute::route {
 namespace {
 
+/// BoundedMisroute abandons a walk that enters any node more than
+/// 1 + kMaxRevisits times (loop/livelock detection).
+constexpr int kMaxRevisits = 2;
+
 /// Pick between two admissible preferred moves: random when rng given,
 /// otherwise along the dimension with more remaining distance (balances the
 /// remaining rectangle, a common adaptive heuristic). The draw sequence is
@@ -164,7 +168,7 @@ LadderResult route_degradation_ladder(const Mesh2D& mesh, const FaultView& view,
 
     // Rung 2 — bounded misroute: any usable neighbor, believed-safe moves
     // first, then distance-reducing, avoiding immediate backtracks and
-    // nodes already revisited max_revisits times (loop/livelock detection).
+    // nodes already revisited kMaxRevisits times (loop/livelock detection).
     if (opts.max_rung >= Rung::BoundedMisroute) {
       if (!misroute_engaged) {
         result.escalations.push_back(Escalation{result.rung, reason, cur, t});
@@ -180,7 +184,7 @@ LadderResult route_degradation_ladder(const Mesh2D& mesh, const FaultView& view,
       for (const bool allow_backtrack : {false, true}) {
         for (const Direction dir : kAllDirections) {
           const Coord v = neighbor(cur, dir);
-          if (!usable(v) || visits[v] > opts.max_revisits) continue;
+          if (!usable(v) || visits[v] > kMaxRevisits) continue;
           if (!allow_backtrack && v == prev && prev != cur) continue;
           if (!best || score(v) < score(*best)) best = v;
         }

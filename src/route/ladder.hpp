@@ -127,9 +127,6 @@ struct LadderOptions {
   Rung max_rung = Rung::BoundedMisroute;
   /// Hop-clock value at the source.
   std::int64_t start_time = 0;
-  /// BoundedMisroute abandons a walk that enters any node more than
-  /// 1 + max_revisits times (loop/livelock detection).
-  int max_revisits = 2;
   /// Logical trace stream this walk's RouteHop/RungEscalation events carry
   /// (obs::TraceEvent::track). Callers multiplexing many walks into one
   /// obs::TraceSink (a sweep, a CLI run) assign distinct tracks; 0 is fine

@@ -137,7 +137,7 @@ std::string handle_line(QueryServer::Session& session, std::string_view line, bo
   }
   if (cmd == "STATS") {
     if (toks.size() != 1) return "ERR STATS takes no arguments";
-    return "OK STATS " + experiment::json::to_string(server.stats_json());
+    return "OK STATS " + json::to_string(server.stats_json());
   }
   if (cmd == "METRICS") {
     if (toks.size() != 1) return "ERR METRICS takes no arguments";
@@ -148,7 +148,7 @@ std::string handle_line(QueryServer::Session& session, std::string_view line, bo
   }
   if (cmd == "HEALTH") {
     if (toks.size() != 1) return "ERR HEALTH takes no arguments";
-    return "OK HEALTH " + experiment::json::to_string(server.health_json());
+    return "OK HEALTH " + json::to_string(server.health_json());
   }
   if (cmd == "EPOCH") {
     if (toks.size() != 1) return "ERR EPOCH takes no arguments";

@@ -71,8 +71,7 @@ QueryServer::QueryServer(SnapshotBuilder& builder, ServeConfig config)
     : builder_(builder),
       config_(std::move(config)),
       admission_(config_.resilience),
-      windows_(obs::Registry::global(), config_.window),
-      recorder_(config_.flight_capacity) {}
+      windows_(obs::Registry::global(), config_.window) {}
 
 QueryServer::InjectResult QueryServer::inject_and_publish(Coord c) {
   const std::uint64_t rebuilds_before = builder_.stats().forced_rebuilds;
@@ -140,8 +139,8 @@ bool QueryServer::chaos_tear_at(std::uint64_t command_ordinal) const noexcept {
   return std::binary_search(tear_seqs_.begin(), tear_seqs_.end(), command_ordinal);
 }
 
-experiment::json::Value QueryServer::health_json() const {
-  using experiment::json::Value;
+json::Value QueryServer::health_json() const {
+  using json::Value;
   const BuilderStats& bs = builder_.stats();
   Value::Object o;
   o["epoch"] = Value(static_cast<double>(builder_.store().current_epoch()));
@@ -160,8 +159,8 @@ experiment::json::Value QueryServer::health_json() const {
   return Value(std::move(o));
 }
 
-experiment::json::Value QueryServer::stats_json() const {
-  using experiment::json::Value;
+json::Value QueryServer::stats_json() const {
+  using json::Value;
   const SnapshotStore& store = builder_.store();
   const BuilderStats& bs = builder_.stats();
   Value::Object o;

@@ -47,8 +47,8 @@
 
 #include "chaos/fault_schedule.hpp"
 #include "common/coord.hpp"
+#include "common/json.hpp"
 #include "cond/strategies.hpp"
-#include "experiment/json.hpp"
 #include "obs/live.hpp"
 #include "route/query.hpp"
 #include "serve/builder.hpp"
@@ -68,7 +68,6 @@ struct ServeConfig {
   obs::WindowConfig window{};         ///< METRICS window ring sizing
   std::int64_t slow_query_us = 0;     ///< retain span exemplars for batches
                                       ///< at/above this latency (0 = off)
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 class QueryServer {
@@ -98,7 +97,7 @@ class QueryServer {
 
   /// Server-wide status document (epoch, world shape, write-side work,
   /// reader registration, windowed query stats) — the STATS protocol reply.
-  [[nodiscard]] experiment::json::Value stats_json() const;
+  [[nodiscard]] json::Value stats_json() const;
 
   /// Prometheus text exposition of the global registry plus live gauges
   /// (serve.queue_depth_now, serve.epoch, serve.epoch_lag, windowed rates and
@@ -126,7 +125,7 @@ class QueryServer {
 
   /// Resilience status document (epoch lag, queue depth, shed/degraded
   /// counts, recovery stats) — the HEALTH protocol reply.
-  [[nodiscard]] experiment::json::Value health_json() const;
+  [[nodiscard]] json::Value health_json() const;
 
   [[nodiscard]] Admission& admission() noexcept { return admission_; }
 

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/table.hpp"
 #include "experiment/workspace.hpp"

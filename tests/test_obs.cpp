@@ -1,7 +1,7 @@
 // The observability layer's own contracts: histogram merge algebra and
 // percentile sanity, ring-buffer loss accounting, canonical event ordering,
-// macro emission through TraceScope, exporter round-trips through
-// experiment::json, ladder RouteStats, and — the headline — trace
+// macro emission through TraceScope, exporter round-trips through json
+// (common/json.hpp), ladder RouteStats, and — the headline — trace
 // determinism of a full SweepRunner workload across thread counts.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 #include "experiment/sweep.hpp"
 #include "experiment/trial.hpp"
 #include "experiment/workspace.hpp"
@@ -240,7 +240,7 @@ TEST(Export, TraceJsonRoundTripsThroughExperimentJson) {
 
   std::ostringstream os;
   obs::write_trace_json(os, events, /*dropped=*/9);
-  const auto doc = experiment::json::parse(os.str());
+  const auto doc = json::parse(os.str());
 
   const auto& arr = doc.at("traceEvents").as_array();
   ASSERT_EQ(arr.size(), 2u);
@@ -263,7 +263,7 @@ TEST(Export, MetricsJsonRoundTripsThroughExperimentJson) {
 
   std::ostringstream os;
   obs::write_metrics_json(os, reg.snapshot());
-  const auto doc = experiment::json::parse(os.str());
+  const auto doc = json::parse(os.str());
 
   EXPECT_EQ(doc.at("counters").at("alpha").as_number(), 5.0);
   EXPECT_EQ(doc.at("counters").at("beta").as_number(), -1.0);
@@ -347,14 +347,22 @@ TEST(Live, WindowedJsonHonorsAllowFilter) {
   windows.advance(500'000);
 
   std::ostringstream os;
-  obs::write_windowed_json(os, windows, 0, {{"g", 1.5}}, {"keep", "keep.lat"});
-  const auto doc = experiment::json::parse(os.str());
+  obs::write_windowed_json(os, windows, 0,
+                           {{"g", 1.5},
+                            {"tenth", 0.1},
+                            {"unbounded", std::numeric_limits<double>::infinity()}},
+                           {"keep", "keep.lat"});
+  // Shortest round-trip doubles, and null for a value JSON cannot spell.
+  EXPECT_NE(os.str().find("\"tenth\":0.1,"), std::string::npos);
+  EXPECT_NE(os.str().find("\"unbounded\":null"), std::string::npos);
+  const auto doc = json::parse(os.str());
   EXPECT_EQ(doc.at("windows").at("ticks").as_number(), 1.0);
   EXPECT_EQ(doc.at("windows").at("span_us").as_number(), 500'000.0);
   EXPECT_EQ(doc.at("counters").at("keep").as_number(), 4.0);
   EXPECT_FALSE(doc.at("counters").has("drop"));
   EXPECT_EQ(doc.at("histograms").at("keep.lat").at("count").as_number(), 1.0);
   EXPECT_EQ(doc.at("gauges").at("g").as_number(), 1.5);
+  EXPECT_EQ(doc.at("gauges").at("tenth").as_number(), 0.1);
   // rate = 4 counts / 0.5 s.
   EXPECT_EQ(doc.at("rates").at("keep").as_number(), 8.0);
 }
@@ -421,7 +429,7 @@ TEST(Live, FlightRecorderRingAccountingAndDump) {
 
   std::ostringstream os;
   obs::write_flight_json(os, recorder, "watchdog");
-  const auto doc = experiment::json::parse(os.str());
+  const auto doc = json::parse(os.str());
   const auto& flight = doc.at("flight");
   EXPECT_EQ(flight.at("reason").as_string(), "watchdog");
   EXPECT_EQ(flight.at("recorded").as_number(), 10.0);
@@ -532,7 +540,7 @@ TEST(TraceDeterminism, SweepStreamIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("route_hop"), std::string::npos);
 #endif
   // Either way the export parses.
-  const auto doc = experiment::json::parse(serial);
+  const auto doc = json::parse(serial);
   EXPECT_EQ(doc.at("otherData").at("dropped").as_number(), 0.0);
 }
 

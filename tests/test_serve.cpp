@@ -19,9 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dynamic/dynamic_state.hpp"
-#include "experiment/json.hpp"
 #include "fault/fault_set.hpp"
 #include "obs/live.hpp"
 #include "obs/trace.hpp"
@@ -331,8 +331,7 @@ TEST(ServeProtocol, StatsJsonRoundTrips) {
   (void)serve::handle_line(session, "INJECT 5 5", quit);
   const std::string reply = serve::handle_line(session, "STATS", quit);
   ASSERT_TRUE(reply.starts_with("OK STATS "));
-  const experiment::json::Value doc =
-      experiment::json::parse(std::string_view(reply).substr(9));
+  const json::Value doc = json::parse(std::string_view(reply).substr(9));
   EXPECT_EQ(doc.at("epoch").as_number(), 1.0);
   EXPECT_EQ(doc.at("width").as_number(), 24.0);
   EXPECT_EQ(doc.at("height").as_number(), 24.0);
@@ -462,8 +461,8 @@ TEST(QueryServer, FlightDumpWritesSchemaValidPostmortem) {
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const experiment::json::Value doc = experiment::json::parse(buffer.str());
-  const experiment::json::Value& flight = doc.at("flight");
+  const json::Value doc = json::parse(buffer.str());
+  const json::Value& flight = doc.at("flight");
   EXPECT_EQ(flight.at("reason").as_string(), "unit");
   const double recorded = flight.at("recorded").as_number();
   const double dropped = flight.at("dropped").as_number();

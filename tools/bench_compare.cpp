@@ -28,11 +28,11 @@
 #include <sstream>
 #include <string>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 
 namespace {
 
-using meshroute::experiment::json::Value;
+using meshroute::json::Value;
 
 [[noreturn]] void usage_and_exit() {
   std::cerr << "usage: bench_compare OLD.json NEW.json [--threshold=0.10]"
@@ -50,7 +50,7 @@ Value load(const std::string& path) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
   try {
-    return meshroute::experiment::json::parse(buffer.str());
+    return meshroute::json::parse(buffer.str());
   } catch (const std::exception& e) {
     std::cerr << "bench_compare: " << path << ": " << e.what() << "\n";
     std::exit(2);

@@ -3,7 +3,8 @@
 # reply (with the epoch swap after INJECT), malformed input produces ERR
 # without killing the session, and the STATS payload is a JSON object
 # carrying the expected fields (full parse round-trip lives in
-# tests/test_serve.cpp via experiment::json).
+# tests/test_serve.cpp via json::parse, common/json.hpp — the module the
+# STATS/HEALTH replies and the METRICS gauges are written through).
 #
 #   cmake -DCTL=<path-to-meshroutectl> -DWORK_DIR=<dir>
 #         -P check_serve_protocol.cmake

@@ -1,7 +1,9 @@
 // trace_check — ctest helper closing the export loop: load an exported
-// observability document back through experiment::json and assert its shape,
-// so a schema drift in an exporter fails a test instead of silently breaking
-// downstream consumers (Perfetto imports, postmortem tooling).
+// observability document back through json::parse (common/json.hpp, the
+// module the exporters write through) and assert its shape, so a schema
+// drift in an exporter fails a test instead of silently breaking downstream
+// consumers (Perfetto imports, postmortem tooling). Links only
+// meshroute_common.
 //
 //   trace_check FILE [MIN_EVENTS]
 //     Chrome trace-event JSON (--trace): schema per event, plus span
@@ -25,9 +27,9 @@
 #include <string>
 #include <utility>
 
-#include "experiment/json.hpp"
+#include "common/json.hpp"
 
-namespace json = meshroute::experiment::json;
+namespace json = meshroute::json;
 
 namespace {
 
