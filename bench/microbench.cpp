@@ -2,8 +2,9 @@
 // every sweep, snapshot and query (model builders, oracles, decision
 // procedures, rung-0 walks, incremental injection, the simsub protocols;
 // DESIGN §7 lists the rows) on one fixed-seed workload, 200x200 with 200
-// faults. Two guards exit 1 before their rows are timed: the route pair must
-// be walked minimally, and incremental injection must match the builder.
+// faults. Three guards exit 1 before their rows are timed: the safety levels
+// must equal the scalar oracle's, the route pair must be walked minimally,
+// and incremental injection must match the builder.
 // Reports the median of --reps repetitions per kernel and, with --json=,
 // emits the schema consumed by tools/bench_compare:
 //
@@ -200,6 +201,21 @@ int main(int argc, char** argv) {
   bench("mcc_build", 32, [&] { fault::build_mcc(mesh, faults, fault::MccKind::TypeOne,
                                                 mcc_out, mcc_scratch); });
   bench("obstacle_mask", 256, [&] { info::obstacle_mask(mesh, blocks, mask_out); });
+  // A fast but wrong safety grid must not produce a row: every node and
+  // direction against the scalar sweeps first.
+  {
+    Grid<info::ExtendedSafetyLevel> oracle;
+    info::compute_safety_levels_scalar(mesh, fb_mask, oracle);
+    info::compute_safety_levels(mesh, fb_mask, safety_out);
+    bool same = true;
+    mesh.for_each_node([&](Coord c) {
+      for (const Direction d : kAllDirections) same = same && safety_out.get(c, d) == oracle[c].get(d);
+    });
+    if (!same) {
+      std::cerr << "microbench: compute_safety_levels disagrees with the scalar oracle\n";
+      return 1;
+    }
+  }
   bench("safety_build", 64, [&] { info::compute_safety_levels(mesh, fb_mask, safety_out); });
   bench("boundary_build", 64,
         [&] { sink = info::BoundaryInfoMap(mesh, blocks).deposited_entries() != 0; });

@@ -1,9 +1,10 @@
 // Bit-plane representation of a boolean node grid: one uint64_t word per 64
 // columns, row-major, with word-parallel row operations. The trial hot path
-// (block/MCC fixpoints, safety sweeps, the reachability oracle) runs on these
-// planes — a dense-grid fixpoint step touches width/64 words per row instead
-// of width bytes, and directional run propagation collapses to Kogge-Stone
-// occluded fills.
+// (block/MCC fixpoints, the reachability oracle) runs on these planes — a
+// dense-grid fixpoint step touches width/64 words per row instead of width
+// bytes, and directional run propagation collapses to Kogge-Stone occluded
+// fills. Extended safety levels are read off a plane and its transpose by
+// the next/previous-set-bit scans below (info/safety_level.hpp).
 //
 // Layout invariants (DESIGN §10):
 //   * bit x of word row[x / 64] is column x (LSB = west, MSB = east, so a
@@ -223,6 +224,32 @@ inline void fill_west_row(const std::uint64_t* seed, const std::uint64_t* allowe
   std::int64_t n = std::popcount(r[j0] & lo) + std::popcount(r[j1] & hi);
   for (std::size_t j = j0 + 1; j < j1; ++j) n += std::popcount(r[j]);
   return n;
+}
+
+/// Index of the first set bit at or after `x` in a row of `nw` words, or -1
+/// when there is none (x may be past the row). Scans only from x's word on.
+[[nodiscard]] inline Dist row_next_set(const std::uint64_t* r, std::size_t nw, Dist x) noexcept {
+  std::size_t j = static_cast<std::size_t>(x) >> 6;
+  if (j >= nw) return -1;
+  std::uint64_t m = r[j] & (~std::uint64_t{0} << (x & 63));
+  while (m == 0) {
+    if (++j == nw) return -1;
+    m = r[j];
+  }
+  return static_cast<Dist>(j * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+}
+
+/// Index of the last set bit at or before `x` in a row, or -1 when there is
+/// none (x may be -1). Scans only from x's word down.
+[[nodiscard]] inline Dist row_prev_set(const std::uint64_t* r, Dist x) noexcept {
+  if (x < 0) return -1;
+  std::size_t j = static_cast<std::size_t>(x) >> 6;
+  std::uint64_t m = r[j] & (~std::uint64_t{0} >> (63 - (x & 63)));
+  while (m == 0) {
+    if (j-- == 0) return -1;
+    m = r[j];
+  }
+  return static_cast<Dist>(j * 64 + 63 - static_cast<std::size_t>(std::countl_zero(m)));
 }
 
 /// Set row bits x in [x0, x1] (inclusive).

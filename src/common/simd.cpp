@@ -1,6 +1,5 @@
 #include "common/simd.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace meshroute::core::simd {
@@ -169,55 +168,6 @@ void reach_fill(const BitGrid& blocked, Coord source, BitGrid& out, SweepScratch
   sweep_row(out.row(source.y), blocked.row(source.y), out.row(source.y));
   for (Dist y = source.y + 1; y < h; ++y) sweep_row(out.row(y), blocked.row(y), out.row(y - 1));
   for (Dist y = source.y; y-- > 0;) sweep_row(out.row(y), blocked.row(y), out.row(y + 1));
-}
-
-void safety_fill(const BitGrid& obstacles, std::int32_t* aos, SweepScratch& s) {
-  const Dist w = obstacles.width();
-  const Dist h = obstacles.height();
-  const std::size_t nw = obstacles.words_per_row();
-  const auto sw = static_cast<std::size_t>(w);
-  // AoS field offsets within one cell: [e, s, w, n] (layout asserted by the
-  // info-layer caller).
-  for (Dist y = 0; y < h; ++y) {
-    std::int32_t* row = aos + static_cast<std::size_t>(y) * sw * 4;
-    Dist prev = -1;
-    BitGrid::for_each_set_in_row(obstacles.row(y), nw, [&](Dist o) {
-      if (prev < 0) {
-        for (Dist x = 0; x <= o; ++x) row[x * 4 + 2] = kInfiniteDistance;
-      } else {
-        for (Dist x = prev + 1; x <= o; ++x) row[x * 4 + 2] = x - prev - 1;
-      }
-      for (Dist x = prev < 0 ? 0 : prev; x < o; ++x) row[x * 4 + 0] = o - x - 1;
-      prev = o;
-    });
-    if (prev < 0) {
-      for (Dist x = 0; x < w; ++x) {
-        row[x * 4 + 2] = kInfiniteDistance;
-        row[x * 4 + 0] = kInfiniteDistance;
-      }
-    } else {
-      for (Dist x = prev + 1; x < w; ++x) row[x * 4 + 2] = x - prev - 1;
-      for (Dist x = prev; x < w; ++x) row[x * 4 + 0] = kInfiniteDistance;
-    }
-  }
-  // N/S: per-column "row of the nearest obstacle so far" counters, sentinels
-  // chosen so min() clamps obstacle-free columns to exactly infinity.
-  s.col_c.assign(sw, -kInfiniteDistance - 1);
-  for (Dist y = 0; y < h; ++y) {  // south: ascending, nearest obstacle below
-    std::int32_t* row = aos + static_cast<std::size_t>(y) * sw * 4;
-    const std::int32_t* last = s.col_c.data();
-    for (Dist x = 0; x < w; ++x) row[x * 4 + 1] = std::min(y - last[x] - 1, kInfiniteDistance);
-    BitGrid::for_each_set_in_row(obstacles.row(y), nw,
-                                 [&](Dist x) { s.col_c[static_cast<std::size_t>(x)] = y; });
-  }
-  s.col_c.assign(sw, h + kInfiniteDistance);
-  for (Dist y = h; y-- > 0;) {  // north: descending, nearest obstacle above
-    std::int32_t* row = aos + static_cast<std::size_t>(y) * sw * 4;
-    const std::int32_t* next = s.col_c.data();
-    for (Dist x = 0; x < w; ++x) row[x * 4 + 3] = std::min(next[x] - y - 1, kInfiniteDistance);
-    BitGrid::for_each_set_in_row(obstacles.row(y), nw,
-                                 [&](Dist x) { s.col_c[static_cast<std::size_t>(x)] = y; });
-  }
 }
 
 }  // namespace meshroute::core::simd

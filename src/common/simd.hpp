@@ -1,6 +1,8 @@
 // Grid-level sweep kernels under core::BitGrid (DESIGN §12): the fault-model
-// fixpoints, the reachability oracle and the safety-level fill, written once
-// as word-scalar row loops (one uint64 lane = 64 columns at a time).
+// fixpoints and the reachability oracle, written once as word-scalar row
+// loops (one uint64 lane = 64 columns at a time). Extended safety levels need
+// no kernel: info::SafetyGrid reads them off the obstacle plane and its
+// transpose.
 //
 // There is one source and no dispatch. The per-cell `*_scalar` builders in
 // fault/, cond/ and info/ are the independent test oracles these kernels are
@@ -24,14 +26,13 @@ enum class Tier : std::uint8_t { Scalar };
 [[nodiscard]] constexpr Tier active_tier() noexcept { return Tier::Scalar; }
 
 /// Reusable per-thread buffers for the row kernels. All vectors are plain
-/// uint64/int32 storage, resized (and retained) by the kernels themselves.
+/// uint64 storage, resized (and retained) by the kernels themselves.
 struct SweepScratch {
   std::vector<std::uint64_t> row_a;   ///< row buffer (vmask/allowed)
   std::vector<std::uint64_t> row_b;   ///< row buffer (seeds)
   std::vector<std::uint64_t> row_c;   ///< row buffer (fills)
   std::vector<std::uint64_t> row_d;   ///< row buffer (side masks)
   std::vector<std::uint64_t> dirty;   ///< dirty-row bitset for the fixpoint
-  std::vector<std::int32_t> col_c;    ///< safety N/S column counters
 };
 
 // ---------------------------------------------------------------------------
@@ -56,13 +57,5 @@ void mcc_sweeps(const BitGrid& fault, BitGrid& useless, BitGrid& cant, bool type
 /// Four-quadrant monotone reachability from `source` avoiding `blocked`;
 /// `out` is resized and fully overwritten.
 void reach_fill(const BitGrid& blocked, Coord source, BitGrid& out, SweepScratch& scratch);
-
-/// The extended-safety fill: for every node the (E, S, W, N) distances to
-/// the nearest obstacle along its row/column, written into an
-/// ExtendedSafetyLevel AoS grid (`aos` = 4 int32 per cell, row-major, E S W
-/// N field order — static_asserted by the caller). E/W are per-row obstacle
-/// segment ramps; N/S are two row sweeps (ascending, descending) over one
-/// per-column "nearest obstacle row so far" counter.
-void safety_fill(const BitGrid& obstacles, std::int32_t* aos, SweepScratch& scratch);
 
 }  // namespace meshroute::core::simd

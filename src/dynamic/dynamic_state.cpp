@@ -107,50 +107,19 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
   blocks_.push_back(box);
 }
 
-void DynamicMeshState::resweep_lines(const std::vector<Coord>& changed, UpdateStats& stats) {
-  // Dirty-line bitsets instead of ordered sets: marking is one OR per cell,
-  // and the word scan below visits lines in the same ascending order.
-  const Dist w = mesh_.width();
-  const Dist h = mesh_.height();
-  row_dirty_.assign((static_cast<std::size_t>(h) + 63) / 64, 0);
-  col_dirty_.assign((static_cast<std::size_t>(w) + 63) / 64, 0);
+void DynamicMeshState::mark_obstacles(const std::vector<Coord>& changed, UpdateStats& stats) {
+  // The levels are read off the obstacle bits, so the update is one bit per
+  // changed cell. The dirty-line bitsets only count the distinct rows and
+  // columns whose levels moved.
+  row_dirty_.assign((static_cast<std::size_t>(mesh_.height()) + 63) / 64, 0);
+  col_dirty_.assign((static_cast<std::size_t>(mesh_.width()) + 63) / 64, 0);
   for (const Coord c : changed) {
+    safety_.add_obstacle(c);
     row_dirty_[static_cast<std::size_t>(c.y) >> 6] |= std::uint64_t{1} << (c.y & 63);
     col_dirty_[static_cast<std::size_t>(c.x) >> 6] |= std::uint64_t{1} << (c.x & 63);
   }
-  const auto chain = [&](bool obstacle, Dist v) {
-    if (obstacle) return Dist{0};
-    return is_infinite(v) ? kInfiniteDistance : v + 1;
-  };
-  const auto for_each_dirty = [](const std::vector<std::uint64_t>& dirty, auto&& fn) {
-    for (std::size_t j = 0; j < dirty.size(); ++j) {
-      for (std::uint64_t m = dirty[j]; m != 0; m &= m - 1) {
-        fn(static_cast<Dist>(j * 64 + static_cast<std::size_t>(std::countr_zero(m))));
-      }
-    }
-  };
-  for_each_dirty(row_dirty_, [&](Dist y) {
-    safety_[{w - 1, y}].e = kInfiniteDistance;
-    for (Dist x = w - 2; x >= 0; --x) {
-      safety_[{x, y}].e = chain(bad_[{x + 1, y}], safety_[{x + 1, y}].e);
-    }
-    safety_[{0, y}].w = kInfiniteDistance;
-    for (Dist x = 1; x < w; ++x) {
-      safety_[{x, y}].w = chain(bad_[{x - 1, y}], safety_[{x - 1, y}].w);
-    }
-    ++stats.rows_resweeped;
-  });
-  for_each_dirty(col_dirty_, [&](Dist x) {
-    safety_[{x, h - 1}].n = kInfiniteDistance;
-    for (Dist y = h - 2; y >= 0; --y) {
-      safety_[{x, y}].n = chain(bad_[{x, y + 1}], safety_[{x, y + 1}].n);
-    }
-    safety_[{x, 0}].s = kInfiniteDistance;
-    for (Dist y = 1; y < h; ++y) {
-      safety_[{x, y}].s = chain(bad_[{x, y - 1}], safety_[{x, y - 1}].s);
-    }
-    ++stats.cols_resweeped;
-  });
+  for (const std::uint64_t m : row_dirty_) stats.rows_resweeped += std::popcount(m);
+  for (const std::uint64_t m : col_dirty_) stats.cols_resweeped += std::popcount(m);
 }
 
 UpdateStats DynamicMeshState::inject_fault(Coord c) {
@@ -165,7 +134,7 @@ UpdateStats DynamicMeshState::inject_fault(Coord c) {
   const std::vector<Coord> cascaded = propagate_from(changed_);
   changed_.insert(changed_.end(), cascaded.begin(), cascaded.end());
   rebuild_block_around(changed_, stats);
-  resweep_lines(changed_, stats);
+  mark_obstacles(changed_, stats);
   return stats;
 }
 

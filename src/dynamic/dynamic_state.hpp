@@ -6,8 +6,9 @@
 // grid up to date across single-fault injections, touching only:
 //   * the nodes relabeled by the (monotone) disable rule around the fault,
 //   * the blocks absorbed into the grown block, and
-//   * the rows/columns whose obstacle population changed (only their lines
-//     of the safety grid are re-swept).
+//   * the obstacle bits of the changed cells in the safety grid (its levels
+//     are read off those bits, so nothing is re-swept; UpdateStats still
+//     counts the rows/columns whose levels moved).
 // Consistency with a from-scratch rebuild is asserted by the test-suite
 // after every injection; UpdateStats quantifies how little work each
 // disturbance costs (the figure behind the "converges quickly" argument).
@@ -29,8 +30,8 @@ namespace meshroute::dynamic {
 struct UpdateStats {
   std::int64_t relabeled_nodes = 0;   ///< nodes newly added to blocks
   std::int64_t absorbed_blocks = 0;   ///< pre-existing blocks merged away
-  std::int64_t rows_resweeped = 0;    ///< safety-grid rows recomputed
-  std::int64_t cols_resweeped = 0;    ///< safety-grid columns recomputed
+  std::int64_t rows_resweeped = 0;    ///< distinct rows of the delta (levels changed)
+  std::int64_t cols_resweeped = 0;    ///< distinct columns of the delta (levels changed)
 };
 
 /// Mutable mesh fault state with incremental derived-information updates.
@@ -74,8 +75,9 @@ class DynamicMeshState {
   /// `changed`.
   void rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats);
 
-  /// Re-sweep the safety-grid lines crossing the changed cells.
-  void resweep_lines(const std::vector<Coord>& changed, UpdateStats& stats);
+  /// Set the changed cells' obstacle bits in the safety grid and count the
+  /// distinct rows/columns they lie on.
+  void mark_obstacles(const std::vector<Coord>& changed, UpdateStats& stats);
 
   Mesh2D mesh_;
   fault::FaultSet faults_;
@@ -83,7 +85,7 @@ class DynamicMeshState {
   std::vector<Rect> blocks_;
   info::SafetyGrid safety_;
   std::vector<Coord> changed_;               ///< last injection's epoch delta
-  std::vector<std::uint64_t> row_dirty_;     ///< resweep_lines scratch bitsets
+  std::vector<std::uint64_t> row_dirty_;     ///< mark_obstacles line-count bitsets
   std::vector<std::uint64_t> col_dirty_;
 };
 

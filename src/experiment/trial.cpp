@@ -68,8 +68,8 @@ Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace
     info::obstacle_mask(mesh, trial.blocks, trial.fb_mask);
     info::obstacle_mask(mesh, trial.mcc1, trial.mcc_mask);
     // The builders leave their final obstacle planes in the scratch
-    // (bad_plane = union of block rects, labeled_plane = MCC status != 0),
-    // so the safety sweeps skip the byte-mask pack.
+    // (bad_plane = union of block rects, labeled_plane = MCC status != 0);
+    // each safety grid is a copy of one plus its transpose.
     info::compute_safety_levels(mesh, workspace.block.bad_plane, trial.fb_safety);
     info::compute_safety_levels(mesh, workspace.mcc.labeled_plane, trial.mcc_safety);
     charge_build_time();

@@ -4,6 +4,16 @@
 #include <stdexcept>
 
 namespace meshroute::info {
+namespace {
+
+/// Segments start at run indices below this: one starting at index i is
+/// i + 1 hops out, so a segment starting past max_hops holds only nodes
+/// past it.
+std::size_t segments_end(std::size_t run_size, Dist max_hops) {
+  return std::min(run_size, static_cast<std::size_t>(std::max<Dist>(max_hops, 0)));
+}
+
+}  // namespace
 
 std::vector<Dist> affected_rows(const Mesh2D& mesh, const Grid<bool>& obstacles) {
   std::vector<Dist> rows;
@@ -46,7 +56,7 @@ std::vector<AxisCandidate> segment_representatives(const Mesh2D& mesh,
                                                    const Grid<bool>& obstacles,
                                                    const SafetyGrid& safety, Coord source,
                                                    Direction dir, Direction perpendicular,
-                                                   Dist segment_size) {
+                                                   Dist segment_size, Dist max_hops) {
   if (segment_size < 0) throw std::invalid_argument("segment_representatives: negative size");
   const std::vector<Coord> run = clear_run(mesh, obstacles, source, dir);
   std::vector<AxisCandidate> reps;
@@ -54,7 +64,8 @@ std::vector<AxisCandidate> segment_representatives(const Mesh2D& mesh,
 
   const std::size_t seg =
       segment_size == kWholeRegionSegment ? run.size() : static_cast<std::size_t>(segment_size);
-  for (std::size_t begin = 0; begin < run.size(); begin += seg) {
+  const std::size_t stop = segments_end(run.size(), max_hops);
+  for (std::size_t begin = 0; begin < stop; begin += seg) {
     const std::size_t end = std::min(begin + seg, run.size());
     // Ties (typically several infinite levels) resolve to the farthest
     // node: the representative is a property of the region, selected before
@@ -62,8 +73,13 @@ std::vector<AxisCandidate> segment_representatives(const Mesh2D& mesh,
     // whole-region representative usually lies outside [0:xd, 0:yd]
     // presumes exactly this destination-oblivious choice.
     std::size_t best = begin;
+    Dist best_level = safety.get(run[begin], perpendicular);
     for (std::size_t i = begin + 1; i < end; ++i) {
-      if (safety[run[i]].get(perpendicular) >= safety[run[best]].get(perpendicular)) best = i;
+      const Dist level = safety.get(run[i], perpendicular);
+      if (level >= best_level) {
+        best = i;
+        best_level = level;
+      }
     }
     reps.push_back(AxisCandidate{run[best], static_cast<Dist>(best + 1)});
   }
@@ -73,7 +89,8 @@ std::vector<AxisCandidate> segment_representatives(const Mesh2D& mesh,
 std::vector<AxisCandidate> segment_representatives_multi(const Mesh2D& mesh,
                                                          const Grid<bool>& obstacles,
                                                          const SafetyGrid& safety, Coord source,
-                                                         Direction dir, Dist segment_size) {
+                                                         Direction dir, Dist segment_size,
+                                                         Dist max_hops) {
   if (segment_size < 0) {
     throw std::invalid_argument("segment_representatives_multi: negative size");
   }
@@ -83,14 +100,20 @@ std::vector<AxisCandidate> segment_representatives_multi(const Mesh2D& mesh,
 
   const std::size_t seg =
       segment_size == kWholeRegionSegment ? run.size() : static_cast<std::size_t>(segment_size);
-  for (std::size_t begin = 0; begin < run.size(); begin += seg) {
+  const std::size_t stop = segments_end(run.size(), max_hops);
+  for (std::size_t begin = 0; begin < stop; begin += seg) {
     const std::size_t end = std::min(begin + seg, run.size());
     std::size_t picks[4];
     for (std::size_t di = 0; di < 4; ++di) {
       const Direction d = kAllDirections[di];
       std::size_t best = begin;
+      Dist best_level = safety.get(run[begin], d);
       for (std::size_t i = begin + 1; i < end; ++i) {
-        if (safety[run[i]].get(d) >= safety[run[best]].get(d)) best = i;
+        const Dist level = safety.get(run[i], d);
+        if (level >= best_level) {
+          best = i;
+          best_level = level;
+        }
       }
       picks[di] = best;
     }

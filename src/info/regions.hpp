@@ -46,15 +46,20 @@ inline constexpr Dist kWholeRegionSegment = 0;
 /// "the one with the highest safety level" representative rule; ties go to
 /// the farthest node — the destination-oblivious choice). Segment size 1
 /// collects every node; kWholeRegionSegment collects one per region.
+/// Segments that start more than `max_hops` hops out are not built (a
+/// caller that cannot use a representative past a destination offset
+/// passes that offset); the segments that are built are unchanged.
 [[nodiscard]] std::vector<AxisCandidate> segment_representatives(
     const Mesh2D& mesh, const Grid<bool>& obstacles, const SafetyGrid& safety, Coord source,
-    Direction dir, Direction perpendicular, Dist segment_size);
+    Direction dir, Direction perpendicular, Dist segment_size,
+    Dist max_hops = kInfiniteDistance);
 
 /// Section 4's second variation: per segment, select up to four
 /// representatives — one maximizing the safety level in each of the four
 /// directions (duplicates collapsed). Returned in increasing hop order.
+/// `max_hops` as for segment_representatives.
 [[nodiscard]] std::vector<AxisCandidate> segment_representatives_multi(
     const Mesh2D& mesh, const Grid<bool>& obstacles, const SafetyGrid& safety, Coord source,
-    Direction dir, Dist segment_size);
+    Direction dir, Dist segment_size, Dist max_hops = kInfiniteDistance);
 
 }  // namespace meshroute::info

@@ -79,12 +79,12 @@ Image render_safety(const Mesh2D& mesh, const info::SafetyGrid& safety, Directio
   // Normalize finite levels against the largest finite level present.
   Dist max_finite = 1;
   mesh.for_each_node([&](Coord c) {
-    const Dist v = safety[c].get(direction);
+    const Dist v = safety.get(c, direction);
     if (!is_infinite(v)) max_finite = std::max(max_finite, v);
   });
   Image img(mesh.width(), mesh.height());
   mesh.for_each_node([&](Coord c) {
-    const Dist v = safety[c].get(direction);
+    const Dist v = safety.get(c, direction);
     if (is_infinite(v)) {
       img.set(c, Rgb{255, 255, 255});
     } else {

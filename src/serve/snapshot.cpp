@@ -59,7 +59,7 @@ RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faul
       boundary_(mesh_, blocks_) {
   info::obstacle_mask(mesh_, blocks_, fb_mask_);
   // The block builder leaves its final obstacle plane (the union of the
-  // block rects) in the scratch; feed it straight into the safety sweep.
+  // block rects) in the scratch; the safety grid adopts it directly.
   info::compute_safety_levels(mesh_, scratch.block.bad_plane, fb_safety_);
   finish_derived(scratch);
 }
@@ -72,7 +72,8 @@ RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::ui
       blocks_(block_set_from_state(state)),
       boundary_(mesh_, blocks_) {
   // The expensive faulty-block fixpoints arrive pre-maintained in O(|delta|)
-  // per injection; adopting them here is two flat plane copies.
+  // per injection; adopting them here is a byte-mask copy plus the safety
+  // grid's two bit planes.
   fb_mask_ = state.obstacle_mask();
   fb_safety_ = state.safety();
   finish_derived(scratch);

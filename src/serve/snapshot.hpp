@@ -16,8 +16,9 @@
 //   * from the incremental maintainer — SnapshotBuilder (builder.hpp) feeds
 //     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and safety
 //     grid straight in, so the block and FB-safety fixpoints are never
-//     re-run; the MCC planes, their safety fills, and the boundary walk
-//     still are, once per epoch over the whole mesh.
+//     re-run; the MCC planes, their safety planes (a copy and a
+//     transpose each), and the boundary walk still are, once per epoch over
+//     the whole mesh.
 //
 // RoutingSnapshot implements route::FaultView (the frozen-world reading:
 // truth = its block set, belief = its boundary deposits, never stale), so
@@ -66,8 +67,9 @@ class RoutingSnapshot final : public route::FaultView {
 
   /// Delta-fed build: adopts the incrementally-maintained faulty blocks and
   /// safety grid of `state` (no block/safety fixpoint is re-run); the MCC
-  /// planes and their safety levels are recomputed with the bit-plane
-  /// kernels against `scratch`, and the boundary deposits by their walk.
+  /// planes are recomputed with the bit-plane kernels against `scratch`,
+  /// their safety grids adopt those planes, and the boundary deposits are
+  /// rebuilt by their walk.
   RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                   SnapshotScratch& scratch);
 

@@ -32,9 +32,10 @@
 
 namespace meshroute::simsub {
 
-/// Result of the distributed safety-level formation.
+/// Result of the distributed safety-level formation: the per-node tuples
+/// the protocol converges to (compare with compute_safety_levels_scalar).
 struct DistributedSafetyLevels {
-  info::SafetyGrid levels;
+  Grid<info::ExtendedSafetyLevel> levels;
   ProtocolStats stats;
 };
 

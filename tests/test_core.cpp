@@ -11,6 +11,7 @@
 #include "info/pivots.hpp"
 #include "info/safety_level.hpp"
 #include "route/path.hpp"
+#include "safety_oracle.hpp"
 
 namespace meshroute {
 namespace {
@@ -303,9 +304,9 @@ TEST(FaultTolerantMesh, PlanesMatchScalarOracles) {
       const Grid<bool> fb_mask = info::obstacle_mask(mesh, blocks);
       const Grid<bool> mcc1_mask = info::obstacle_mask(mesh, mcc1);
       const Grid<bool> mcc2_mask = info::obstacle_mask(mesh, mcc2);
-      info::SafetyGrid fb_safety;
-      info::SafetyGrid mcc1_safety;
-      info::SafetyGrid mcc2_safety;
+      Grid<info::ExtendedSafetyLevel> fb_safety;
+      Grid<info::ExtendedSafetyLevel> mcc1_safety;
+      Grid<info::ExtendedSafetyLevel> mcc2_safety;
       info::compute_safety_levels_scalar(mesh, fb_mask, fb_safety);
       info::compute_safety_levels_scalar(mesh, mcc1_mask, mcc1_safety);
       info::compute_safety_levels_scalar(mesh, mcc2_mask, mcc2_safety);
@@ -315,11 +316,14 @@ TEST(FaultTolerantMesh, PlanesMatchScalarOracles) {
       ASSERT_NE(view.mcc2_safety, nullptr);
       EXPECT_EQ(*view.faulty_mask, faults->mask()) << "seed " << seed;
       EXPECT_EQ(*view.fb_mask, fb_mask) << "seed " << seed;
-      EXPECT_EQ(*view.fb_safety, fb_safety) << "seed " << seed;
+      EXPECT_TRUE(testing_support::SafetyMatchesOracle(*view.fb_safety, fb_safety))
+          << "seed " << seed;
       EXPECT_EQ(*view.mcc1_mask, mcc1_mask) << "seed " << seed;
-      EXPECT_EQ(*view.mcc1_safety, mcc1_safety) << "seed " << seed;
+      EXPECT_TRUE(testing_support::SafetyMatchesOracle(*view.mcc1_safety, mcc1_safety))
+          << "seed " << seed;
       EXPECT_EQ(*view.mcc2_mask, mcc2_mask) << "seed " << seed;
-      EXPECT_EQ(*view.mcc2_safety, mcc2_safety) << "seed " << seed;
+      EXPECT_TRUE(testing_support::SafetyMatchesOracle(*view.mcc2_safety, mcc2_safety))
+          << "seed " << seed;
       EXPECT_EQ(ftm.blocks().labels(), blocks.labels()) << "seed " << seed;
 
       const info::BoundaryInfoMap boundary(mesh, blocks);

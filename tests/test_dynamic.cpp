@@ -10,6 +10,7 @@
 #include "dynamic/dynamic_state.hpp"
 #include "fault/block_model.hpp"
 #include "info/safety_level.hpp"
+#include "safety_oracle.hpp"
 
 namespace meshroute::dynamic {
 namespace {
@@ -52,6 +53,10 @@ void expect_equal_to_rebuild(const DynamicMeshState& dyn) {
       }
     }
   });
+  // And on every node, block nodes included, against the scalar sweeps.
+  Grid<info::ExtendedSafetyLevel> oracle;
+  info::compute_safety_levels_scalar(dyn.mesh(), ref.mask, oracle);
+  ASSERT_TRUE(testing_support::SafetyMatchesOracle(dyn.safety(), oracle));
 }
 
 TEST(DynamicState, EmptyStateMatchesRebuild) {
@@ -163,20 +168,24 @@ struct StressCase {
   int injections;
 };
 
-class DynamicStressEveryStep : public ::testing::TestWithParam<StressCase> {};
-
-TEST_P(DynamicStressEveryStep, BitIdenticalToRebuildAfterEveryInjection) {
-  const StressCase& p = GetParam();
-  Rng rng(p.seed);
-  const Mesh2D mesh(p.n, p.n);
+void check_every_injection(std::uint64_t seed, Dist width, Dist height, int injections) {
+  Rng rng(seed);
+  const Mesh2D mesh(width, height);
   DynamicMeshState dyn(mesh);
-  for (int i = 0; i < p.injections; ++i) {
-    const Coord c{static_cast<Dist>(rng.uniform(0, p.n - 1)),
-                  static_cast<Dist>(rng.uniform(0, p.n - 1))};
+  for (int i = 0; i < injections; ++i) {
+    const Coord c{static_cast<Dist>(rng.uniform(0, width - 1)),
+                  static_cast<Dist>(rng.uniform(0, height - 1))};
     (void)dyn.inject_fault(c);
     ASSERT_NO_FATAL_FAILURE(expect_equal_to_rebuild(dyn)) << "after injection " << i << " at "
                                                           << to_string(c);
   }
+}
+
+class DynamicStressEveryStep : public ::testing::TestWithParam<StressCase> {};
+
+TEST_P(DynamicStressEveryStep, BitIdenticalToRebuildAfterEveryInjection) {
+  const StressCase& p = GetParam();
+  check_every_injection(p.seed, p.n, p.n, p.injections);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsAndSizes, DynamicStressEveryStep,
@@ -184,6 +193,11 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndSizes, DynamicStressEveryStep,
                                            StressCase{77u, 24, 260},
                                            StressCase{0xC0FFEEu, 33, 300},
                                            StressCase{419u, 48, 240}));
+
+TEST(DynamicState, BitIdenticalToRebuildAfterEveryInjectionAtWordEdges) {
+  // 129 x 65: every row and column runs one node past a 64-bit word.
+  check_every_injection(0x129065u, 129, 65, 300);
+}
 
 TEST(DynamicState, ResweepBoundedByAffectedBand) {
   // The re-swept line counts are exactly the distinct rows/columns of the

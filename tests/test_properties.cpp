@@ -11,6 +11,7 @@
 #include "route/path.hpp"
 #include "route/query.hpp"
 #include "simsub/protocols.hpp"
+#include "safety_oracle.hpp"
 
 namespace meshroute {
 namespace {
@@ -168,10 +169,27 @@ TEST(EndToEnd, DistributedPipelineEqualsCentralizedDecisions) {
   Rng rng(808);
   const Trial trial = make_trial({.n = 60, .faults = 40}, rng);
   const auto dist = simsub::distributed_safety_levels(trial.mesh, trial.fb_mask);
+  // The decision procedures read a SafetyGrid, which is built from obstacle
+  // bits. Rebuild one from only what the protocol delivered: every finite
+  // level names the obstacle one hop past its gap. It must reproduce the
+  // distributed tuple at every participating node.
+  Grid<bool> seen(trial.mesh.width(), trial.mesh.height(), false);
+  trial.mesh.for_each_node([&](Coord c) {
+    if (trial.fb_mask[c]) return;
+    for (const Direction d : kAllDirections) {
+      const Dist level = dist.levels[c].get(d);
+      if (is_infinite(level)) continue;
+      Coord o = c;
+      for (Dist i = 0; i <= level; ++i) o = neighbor(o, d);
+      seen.at(o) = true;
+    }
+  });
+  const info::SafetyGrid dist_safety = info::compute_safety_levels(trial.mesh, seen);
+  ASSERT_TRUE(testing_support::SafetyMatchesOracle(dist_safety, dist.levels, &trial.fb_mask));
   for (int t = 0; t < 50; ++t) {
     const Coord d = sample_quadrant1_dest(trial, rng);
     const cond::RoutingProblem central = trial.fb_problem(d);
-    const cond::RoutingProblem distributed{&trial.mesh, &trial.fb_mask, &dist.levels,
+    const cond::RoutingProblem distributed{&trial.mesh, &trial.fb_mask, &dist_safety,
                                            trial.source, d};
     EXPECT_EQ(cond::source_safe(central), cond::source_safe(distributed));
     EXPECT_EQ(cond::extension1(central), cond::extension1(distributed));

@@ -146,6 +146,50 @@ TEST(Segments, MultiDirectionalRepsIncludePerpendicularRep) {
   }
 }
 
+TEST(Segments, MaxHopsDropsOnlySegmentsPastIt) {
+  // A bounded call returns a prefix of the unbounded list that holds every
+  // representative within max_hops, for both variations.
+  Rng rng(31);
+  const Mesh2D mesh(70, 40);
+  Grid<bool> obstacles(70, 40, false);
+  for (int i = 0; i < 60; ++i) {
+    obstacles[{static_cast<Dist>(rng.uniform(0, 69)), static_cast<Dist>(rng.uniform(0, 39))}] =
+        true;
+  }
+  const SafetyGrid safety = compute_safety_levels(mesh, obstacles);
+  const auto expect_bounded_prefix = [](const std::vector<AxisCandidate>& all,
+                                        const std::vector<AxisCandidate>& bounded,
+                                        Dist max_hops) {
+    ASSERT_LE(bounded.size(), all.size());
+    for (std::size_t i = 0; i < bounded.size(); ++i) {
+      EXPECT_EQ(bounded[i].node, all[i].node);
+      EXPECT_EQ(bounded[i].hops, all[i].hops);
+    }
+    for (std::size_t i = bounded.size(); i < all.size(); ++i) EXPECT_GT(all[i].hops, max_hops);
+  };
+  for (const Dist seg : {Dist{1}, Dist{5}, kWholeRegionSegment}) {
+    for (int t = 0; t < 20; ++t) {
+      const Coord src{static_cast<Dist>(rng.uniform(0, 69)),
+                      static_cast<Dist>(rng.uniform(0, 39))};
+      if (obstacles[src]) continue;
+      for (const Direction dir : kAllDirections) {
+        const Direction perp = is_horizontal(dir) ? Direction::North : Direction::East;
+        const auto all = segment_representatives(mesh, obstacles, safety, src, dir, perp, seg);
+        const auto all_multi = segment_representatives_multi(mesh, obstacles, safety, src, dir, seg);
+        for (const Dist max_hops : {Dist{0}, Dist{1}, Dist{4}, Dist{5}, Dist{6}, Dist{23}}) {
+          expect_bounded_prefix(
+              all, segment_representatives(mesh, obstacles, safety, src, dir, perp, seg, max_hops),
+              max_hops);
+          expect_bounded_prefix(
+              all_multi,
+              segment_representatives_multi(mesh, obstacles, safety, src, dir, seg, max_hops),
+              max_hops);
+        }
+      }
+    }
+  }
+}
+
 TEST(Segments, RejectsNegativeSize) {
   const Mesh2D mesh(5, 5);
   const Grid<bool> obstacles(5, 5, false);

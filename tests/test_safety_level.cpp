@@ -1,9 +1,14 @@
 // Unit tests for extended safety levels (the (E, S, W, N) tuples).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
 #include "info/safety_level.hpp"
+#include "safety_oracle.hpp"
 
 namespace meshroute::info {
 namespace {
@@ -142,6 +147,56 @@ TEST(SafetyLevel, ExhaustiveAgreementWithBruteForce) {
       }
     }
   });
+}
+
+TEST(SafetyLevels, RejectsMismatchedPlane) {
+  // Every builder sizes its output from the mesh; a plane of any other size
+  // is refused instead of being read past its rows.
+  const Mesh2D mesh(10, 8);
+  SafetyGrid out;
+  Grid<ExtendedSafetyLevel> oracle_out;
+  for (const auto& [w, h] : {std::pair<Dist, Dist>{11, 8}, std::pair<Dist, Dist>{10, 9}}) {
+    const Grid<bool> mask(w, h, true);
+    core::BitGrid plane(w, h);
+    plane.set({w - 1, h - 1});
+    EXPECT_THROW(compute_safety_levels(mesh, mask, out), std::invalid_argument) << w << "x" << h;
+    EXPECT_THROW((void)compute_safety_levels(mesh, mask), std::invalid_argument);
+    EXPECT_THROW(compute_safety_levels(mesh, plane, out), std::invalid_argument);
+    EXPECT_THROW(compute_safety_levels_scalar(mesh, mask, oracle_out), std::invalid_argument);
+  }
+}
+
+TEST(SafetyGrid, MatchesScalarOracleAtWordEdges) {
+  // Lines of 1, 63, 64, 65, 127, 128 and 129 nodes put obstacles, gaps and
+  // mesh edges on both sides of every word boundary the scans cross.
+  const Dist sizes[] = {1, 63, 64, 65, 127, 128, 129};
+  Rng rng(0x5afe1e7e1);
+  for (const Dist w : sizes) {
+    for (const Dist h : sizes) {
+      const Mesh2D mesh(w, h);
+      const auto area = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+      const fault::FaultSet faults = fault::uniform_random_faults(mesh, 1 + area / 40, rng);
+      Grid<bool> random_plane(w, h, false);
+      mesh.for_each_node([&](Coord c) { random_plane[c] = rng.uniform(0, 5) == 0; });
+      const Grid<bool> masks[] = {
+          obstacle_mask(mesh, build_faulty_blocks(mesh, faults)),
+          obstacle_mask(mesh, fault::build_mcc(mesh, faults, fault::MccKind::TypeOne)),
+          obstacle_mask(mesh, fault::build_mcc(mesh, faults, fault::MccKind::TypeTwo)),
+          random_plane};
+      for (const Grid<bool>& mask : masks) {
+        Grid<ExtendedSafetyLevel> oracle;
+        compute_safety_levels_scalar(mesh, mask, oracle);
+        SafetyGrid from_bytes;
+        compute_safety_levels(mesh, mask, from_bytes);
+        EXPECT_TRUE(testing_support::SafetyMatchesOracle(from_bytes, oracle)) << w << "x" << h;
+        core::BitGrid plane;
+        plane.assign(mask);
+        SafetyGrid from_plane(3, 2);  // reshaped by the build
+        compute_safety_levels(mesh, plane, from_plane);
+        EXPECT_TRUE(testing_support::SafetyMatchesOracle(from_plane, oracle)) << w << "x" << h;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "info/safety_level.hpp"
 #include "simsub/protocols.hpp"
 #include "simsub/sync_network.hpp"
+#include "safety_oracle.hpp"
 
 namespace meshroute::simsub {
 namespace {
@@ -84,18 +85,8 @@ TEST_P(DistributedSafetyProperty, MatchesCentralizedComputation) {
   const info::SafetyGrid central = info::compute_safety_levels(mesh, obstacles);
   const DistributedSafetyLevels dist = distributed_safety_levels(mesh, obstacles);
 
-  mesh.for_each_node([&](Coord c) {
-    if (obstacles[c]) return;  // block nodes do not participate
-    for (const Direction d : kAllDirections) {
-      const Dist want = central[c].get(d);
-      const Dist got = dist.levels[c].get(d);
-      if (is_infinite(want)) {
-        EXPECT_TRUE(is_infinite(got)) << to_string(c) << " " << to_string(d);
-      } else {
-        EXPECT_EQ(got, want) << to_string(c) << " " << to_string(d);
-      }
-    }
-  });
+  // Block nodes do not participate.
+  EXPECT_TRUE(testing_support::SafetyMatchesOracle(central, dist.levels, &obstacles));
   // Convergence cost: chains are at most one mesh dimension long.
   EXPECT_LE(dist.stats.rounds, static_cast<std::int64_t>(mesh.width() + mesh.height()));
 }
@@ -282,18 +273,7 @@ TEST_P(LossySafetyProperty, ConvergesToCentralizedOracle) {
   const LossConfig loss = chaos_links(GetParam());
   const DistributedSafetyLevels dist = distributed_safety_levels(mesh, obstacles, &loss);
 
-  mesh.for_each_node([&](Coord c) {
-    if (obstacles[c]) return;
-    for (const Direction d : kAllDirections) {
-      const Dist want = central[c].get(d);
-      const Dist got = dist.levels[c].get(d);
-      if (is_infinite(want)) {
-        EXPECT_TRUE(is_infinite(got)) << to_string(c) << " " << to_string(d);
-      } else {
-        EXPECT_EQ(got, want) << to_string(c) << " " << to_string(d);
-      }
-    }
-  });
+  EXPECT_TRUE(testing_support::SafetyMatchesOracle(central, dist.levels, &obstacles));
   // The fault process really fired, and bounded ARQ absorbed all of it.
   EXPECT_GT(dist.stats.dropped, 0);
   EXPECT_GT(dist.stats.retries, 0);
