@@ -318,6 +318,41 @@ TEST(Extension3, PivotEqualToDestinationOrSource) {
   EXPECT_EQ(extension3(p, trivial), Decision::Unknown);
 }
 
+TEST(Extension3, MatchesPivotwiseDefinition) {
+  // Theorem 1c read literally: some pivot in the source-destination
+  // rectangle has safe(source, pivot) and safe(pivot, destination). Random
+  // worlds, sources and destinations in every quadrant (obstacle endpoints
+  // included), and pivot sets that put pivots on obstacles and on the
+  // source's and destination's rows and columns.
+  Rng rng(0x3c3c);
+  const Mesh2D mesh(40, 33);
+  for (int world = 0; world < 6; ++world) {
+    const fault::FaultSet faults = fault::uniform_random_faults(mesh, 30 + 25 * world, rng);
+    const Grid<bool> mask = info::obstacle_mask(mesh, fault::build_faulty_blocks(mesh, faults));
+    const info::SafetyGrid safety = info::compute_safety_levels(mesh, mask);
+    const auto random_node = [&] {
+      return Coord{static_cast<Dist>(rng.uniform(0, 39)), static_cast<Dist>(rng.uniform(0, 32))};
+    };
+    for (int q = 0; q < 200; ++q) {
+      const Coord s = random_node();
+      const Coord d = random_node();
+      const RoutingProblem p{&mesh, &mask, &safety, s, d};
+      std::vector<Coord> pivots{{s.x, d.y}, {d.x, s.y}, s, d};
+      for (int i = 0; i < 8; ++i) pivots.push_back(random_node());
+      bool expected = source_safe(p);
+      const QuadrantFrame frame(s, d);
+      const Coord rel = frame.to_frame(d);
+      for (const Coord pivot : pivots) {
+        const Coord rp = frame.to_frame(pivot);
+        if (rp.x < 0 || rp.x > rel.x || rp.y < 0 || rp.y > rel.y) continue;
+        expected = expected || (safe_with_respect_to(p, s, pivot) && safe_with_respect_to(p, pivot, d));
+      }
+      EXPECT_EQ(extension3(p, pivots) == Decision::Minimal, expected)
+          << to_string(s) << " -> " << to_string(d);
+    }
+  }
+}
+
 TEST(Extensions, BlocksTouchingMeshEdgeDoNotConfuse) {
   // A block flush against the north edge: conditions toward it behave.
   const Fixture fx(10, {Rect{4, 6, 8, 9}});
