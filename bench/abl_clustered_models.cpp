@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
           const Coord d{static_cast<Dist>(rng.uniform(source.x + 1, cfg.n - 1)),
                         static_cast<Dist>(rng.uniform(source.y + 1, cfg.n - 1))};
           if (fb_mask[d] || mcc_mask[d]) continue;
-          const cond::RoutingProblem pf{&mesh, &fb_mask, &fb_safety, source, d};
-          const cond::RoutingProblem pm{&mesh, &mcc_mask, &mcc_safety, source, d};
+          const cond::RoutingProblem pf{&mesh, &fb_safety, source, d};
+          const cond::RoutingProblem pm{&mesh, &mcc_safety, source, d};
           out.count(kSafeFb, cond::source_safe(pf));
           out.count(kSafeMcc, cond::source_safe(pm));
           out.count(kExt1Fb, cond::extension1(pf) == Decision::Minimal);

@@ -73,7 +73,7 @@ experiment::Table run_workload(const experiment::SweepRunner& runner, bool clust
           const Coord d{static_cast<Dist>(rng.uniform(source.x + 1, cfg.n - 1)),
                         static_cast<Dist>(rng.uniform(source.y + 1, cfg.n - 1))};
           if (w.mask[d]) continue;
-          const cond::RoutingProblem p{&mesh, &w.mask, &w.safety, source, d};
+          const cond::RoutingProblem p{&mesh, &w.safety, source, d};
           const bool safe = cond::source_safe(p);
           const bool b_min = route::route(boundary_view, source, d, &rng).delivered();
           const bool g_min = route::route(global_view, source, d, &rng).delivered();

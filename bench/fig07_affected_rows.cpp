@@ -22,15 +22,14 @@ int main(int argc, char** argv) {
     const experiment::Trial& trial =
         experiment::make_trial({.n = cell.n(), .faults = cell.faults()}, rng, ws);
     const double denom = static_cast<double>(cell.n());
+    const Grid<bool> fb_mask = info::obstacle_mask(trial.mesh, trial.blocks);
+    const Grid<bool> mcc_mask = info::obstacle_mask(trial.mesh, trial.mcc1);
     out.observe(kRowsFb,
-                static_cast<double>(info::affected_rows(trial.mesh, trial.fb_mask).size()) /
-                    denom);
+                static_cast<double>(info::affected_rows(trial.mesh, fb_mask).size()) / denom);
     out.observe(kColsFb,
-                static_cast<double>(info::affected_columns(trial.mesh, trial.fb_mask).size()) /
-                    denom);
+                static_cast<double>(info::affected_columns(trial.mesh, fb_mask).size()) / denom);
     out.observe(kRowsMcc,
-                static_cast<double>(info::affected_rows(trial.mesh, trial.mcc_mask).size()) /
-                    denom);
+                static_cast<double>(info::affected_rows(trial.mesh, mcc_mask).size()) / denom);
   });
 
   // The analytical columns are deterministic per point, so they join the

@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   std::vector<Rect> rects;
   for (const auto& b : blocks.blocks()) rects.push_back(b.rect);
   const Coord far_dest{kSide - 1, kSide - 1};
-  const cond::RoutingProblem problem{&mesh, &fb_mask, &safety, source, far_dest};
+  const cond::RoutingProblem problem{&mesh, &safety, source, far_dest};
 
   // Reused outputs/scratch: the kernels measure steady-state (zero-alloc)
   // cost, which is what the sweep engine pays per trial.
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
         [&] { sink = cond::extension1(problem) == cond::Decision::Minimal; });
   bench("make_trial_ws", 8, [&] {
     sink = experiment::make_trial({.n = kSide, .faults = kFaults}, trial_rng, ws)
-               .fb_mask[far_dest];
+               .fb_safety.blocked(far_dest);
   });
 
   // Decision procedures and Wang's condition on the same source and far

@@ -107,8 +107,8 @@ int main() {
     mesh.for_each_node([&](Coord d) {
       if (s == d || fb_mask[s] || fb_mask[d] || mcc_mask[s] || mcc_mask[d]) return;
       if (quadrant_of(s, d) != Quadrant::I) return;
-      const cond::RoutingProblem pf{&mesh, &fb_mask, &fb_safety, s, d};
-      const cond::RoutingProblem pm{&mesh, &mcc_mask, &mcc_safety, s, d};
+      const cond::RoutingProblem pf{&mesh, &fb_safety, s, d};
+      const cond::RoutingProblem pm{&mesh, &mcc_safety, s, d};
       const bool f = cond::source_safe(pf);
       const bool m = cond::source_safe(pm);
       fb_only += f && !m;

@@ -51,7 +51,7 @@ int main() {
     const route::QueryView view = ftm.query_view();
     route::QueryView global_view = view;
     global_view.boundary = nullptr;  // every node knows every block
-    const auto& mask = view.obstacles(FaultModel::FaultyBlock, Quadrant::I);
+    const Grid<bool> mask = info::obstacle_mask(ftm.mesh(), *view.blocks);  // for the BFS
     Rng traffic = rng.fork();
     for (int pkt = 0; pkt < kPackets; ++pkt) {
       const Coord s{static_cast<Dist>(traffic.uniform(0, kSide - 1)),

@@ -55,7 +55,7 @@ ChaosEngine::ChaosEngine(const Mesh2D& mesh, std::span<const Coord> initial_faul
     if (!mesh_.in_bounds(entry.node)) {
       throw std::invalid_argument("ChaosEngine: scheduled fault out of bounds");
     }
-    if (state_.obstacle_mask()[entry.node]) continue;  // already bad: no-op, no epoch
+    if (state_.safety().blocked(entry.node)) continue;  // already bad: no-op, no epoch
     const dynamic::UpdateStats u = state_.inject_fault(entry.node);
     ++replay_.injections_applied;
     replay_.update.relabeled_nodes += u.relabeled_nodes;

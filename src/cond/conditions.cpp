@@ -8,18 +8,21 @@ namespace meshroute::cond {
 namespace {
 
 void check_problem(const RoutingProblem& p) {
-  if (p.mesh == nullptr || p.obstacles == nullptr || p.safety == nullptr) {
+  if (p.mesh == nullptr || p.safety == nullptr) {
     throw std::invalid_argument("RoutingProblem: null field");
   }
+}
+
+/// A node a path can start or end at: in the mesh and outside every block.
+bool usable(const RoutingProblem& p, Coord c) {
+  return p.mesh->in_bounds(c) && !p.safety->blocked(c);
 }
 
 }  // namespace
 
 bool safe_with_respect_to(const RoutingProblem& p, Coord node, Coord target) {
   check_problem(p);
-  const Mesh2D& mesh = *p.mesh;
-  if (!mesh.in_bounds(node) || !mesh.in_bounds(target)) return false;
-  if ((*p.obstacles)[node] || (*p.obstacles)[target]) return false;
+  if (!usable(p, node) || !usable(p, target)) return false;
   const QuadrantFrame frame(node, target);
   const Coord rel = frame.to_frame(target);
   const info::SafetyGrid& safety = *p.safety;
@@ -33,11 +36,13 @@ bool source_safe(const RoutingProblem& p) {
 
 Decision extension1(const RoutingProblem& p, Coord* via) {
   check_problem(p);
+  // An unusable source has no path to certify, although one of its
+  // neighbors may well be safe with respect to the destination.
+  if (!usable(p, p.source)) return Decision::Unknown;
   if (source_safe(p)) {
     if (via != nullptr) *via = p.source;
     return Decision::Minimal;
   }
-  const Mesh2D& mesh = *p.mesh;
   const QuadrantFrame frame(p.source, p.dest);
   const Coord rel = frame.to_frame(p.dest);
 
@@ -50,7 +55,7 @@ Decision extension1(const RoutingProblem& p, Coord* via) {
   for (const Direction d : kAllDirections) {
     if (!preferred_mesh[static_cast<int>(d)]) continue;
     const Coord v = neighbor(p.source, d);
-    if (mesh.in_bounds(v) && safe_with_respect_to(p, v, p.dest)) {
+    if (safe_with_respect_to(p, v, p.dest)) {
       if (via != nullptr) *via = v;
       return Decision::Minimal;
     }
@@ -58,7 +63,7 @@ Decision extension1(const RoutingProblem& p, Coord* via) {
   for (const Direction d : kAllDirections) {
     if (preferred_mesh[static_cast<int>(d)]) continue;
     const Coord v = neighbor(p.source, d);
-    if (mesh.in_bounds(v) && safe_with_respect_to(p, v, p.dest)) {
+    if (safe_with_respect_to(p, v, p.dest)) {
       if (via != nullptr) *via = v;
       return Decision::SubMinimal;
     }
@@ -68,6 +73,7 @@ Decision extension1(const RoutingProblem& p, Coord* via) {
 
 Decision extension2(const RoutingProblem& p, Dist segment_size, Coord* via, Ext2Reps reps) {
   check_problem(p);
+  if (!usable(p, p.source)) return Decision::Unknown;  // see extension1
   if (source_safe(p)) {
     if (via != nullptr) *via = p.source;
     return Decision::Minimal;
@@ -90,11 +96,11 @@ Decision extension2(const RoutingProblem& p, Dist segment_size, Coord* via, Ext2
     // representative, so they are not built.
     const auto candidates =
         reps == Ext2Reps::SinglePerpendicular
-            ? info::segment_representatives(*p.mesh, *p.obstacles, *p.safety, p.source,
+            ? info::segment_representatives(*p.mesh, *p.safety, p.source,
                                             frame.to_mesh_dir(axis.run),
                                             frame.to_mesh_dir(axis.perp), segment_size,
                                             axis.limit)
-            : info::segment_representatives_multi(*p.mesh, *p.obstacles, *p.safety, p.source,
+            : info::segment_representatives_multi(*p.mesh, *p.safety, p.source,
                                                   frame.to_mesh_dir(axis.run), segment_size,
                                                   axis.limit);
     for (const info::AxisCandidate& rep : candidates) {
@@ -110,24 +116,23 @@ Decision extension2(const RoutingProblem& p, Dist segment_size, Coord* via, Ext2
 
 Decision extension3(const RoutingProblem& p, std::span<const Coord> pivots, Coord* via) {
   check_problem(p);
+  if (!usable(p, p.source)) return Decision::Unknown;  // see extension1
   if (source_safe(p)) {
     if (via != nullptr) *via = p.source;
     return Decision::Minimal;
   }
-  const Mesh2D& mesh = *p.mesh;
   const QuadrantFrame frame(p.source, p.dest);
   const Coord rel = frame.to_frame(p.dest);
   // safe_with_respect_to(source, pivot) for a pivot in the rectangle reads
   // the source's levels in this frame's east and north (a pivot on the
   // source's row or column needs 0 on that axis, which every level meets),
   // so they are read once, at the first such pivot.
-  const bool source_open = mesh.in_bounds(p.source) && !(*p.obstacles)[p.source];
   Dist east = -1;
   Dist north = -1;
   for (const Coord pivot : pivots) {
     const Coord rp = frame.to_frame(pivot);
     if (rp.x < 0 || rp.x > rel.x || rp.y < 0 || rp.y > rel.y) continue;
-    if (!source_open || !mesh.in_bounds(pivot) || (*p.obstacles)[pivot]) continue;
+    if (!usable(p, pivot)) continue;
     if (east < 0) {
       east = p.safety->get(p.source, frame.to_mesh_dir(Direction::East));
       north = p.safety->get(p.source, frame.to_mesh_dir(Direction::North));

@@ -16,18 +16,17 @@
 #include <vector>
 
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "info/regions.hpp"
 #include "info/safety_level.hpp"
 #include "mesh/mesh2d.hpp"
 
 namespace meshroute::cond {
 
-/// One routing instance under one fault model. `obstacles` marks block (or
-/// MCC) nodes; `safety` must have been computed against the same mask.
+/// One routing instance under one fault model. `safety` holds that model's
+/// obstacle set (block or MCC nodes, read with blocked()) and the levels
+/// derived from it.
 struct RoutingProblem {
   const Mesh2D* mesh = nullptr;
-  const Grid<bool>* obstacles = nullptr;
   const info::SafetyGrid* safety = nullptr;
   Coord source;
   Coord dest;
@@ -49,6 +48,9 @@ enum class Decision : std::uint8_t {
   Unknown = 2,     ///< the (sufficient) condition cannot tell
 };
 
+/// Each extension answers Unknown for a source outside the mesh or in the
+/// obstacle set, however safe its neighbors are.
+///
 /// Theorem 1a. Minimal when the source or a preferred neighbor is safe;
 /// sub-minimal when a spare neighbor is safe; Unknown otherwise.
 /// When it decides via a neighbor, `via` receives that neighbor.

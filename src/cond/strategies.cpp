@@ -22,14 +22,9 @@ constexpr Members kMembers[] = {
 
 Certificate explain_strategy(const RoutingProblem& p, StrategyId id,
                              const StrategyConfig& config, std::span<const Coord> pivots) {
+  // Every extension refuses an unusable source, and every certificate ends
+  // in a safe-with-respect-to test that refuses an unusable destination.
   if (source_safe(p)) return {Decision::Minimal, Method::BaseSafe, p.source};
-  // An endpoint in the obstacle plane has no path to certify, although a
-  // neighbor of a faulty source may well be safe with respect to the dest.
-  const Mesh2D& mesh = *p.mesh;  // validated by source_safe
-  if (!mesh.in_bounds(p.source) || !mesh.in_bounds(p.dest) || (*p.obstacles)[p.source] ||
-      (*p.obstacles)[p.dest]) {
-    return {};
-  }
   const Members& use = kMembers[static_cast<std::size_t>(id)];
   Certificate fallback;
   Coord via{};

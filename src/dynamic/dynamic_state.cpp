@@ -6,9 +6,9 @@
 namespace meshroute::dynamic {
 namespace {
 
-/// Definition 1's disable test against a mutable bad mask.
-bool disable_condition(const Mesh2D& mesh, const Grid<bool>& bad, Coord c) {
-  const auto bad_at = [&](Coord v) { return mesh.in_bounds(v) && bad[v]; };
+/// Definition 1's disable test against the block nodes found so far.
+bool disable_condition(const Mesh2D& mesh, const info::SafetyGrid& bad, Coord c) {
+  const auto bad_at = [&](Coord v) { return mesh.in_bounds(v) && bad.blocked(v); };
   const bool horiz = bad_at(neighbor(c, Direction::East)) || bad_at(neighbor(c, Direction::West));
   const bool vert = bad_at(neighbor(c, Direction::North)) || bad_at(neighbor(c, Direction::South));
   return horiz && vert;
@@ -17,8 +17,7 @@ bool disable_condition(const Mesh2D& mesh, const Grid<bool>& bad, Coord c) {
 }  // namespace
 
 DynamicMeshState::DynamicMeshState(Mesh2D mesh)
-    : mesh_(mesh), faults_(mesh_), bad_(mesh_.width(), mesh_.height(), false),
-      safety_(mesh_.width(), mesh_.height()) {}
+    : mesh_(mesh), faults_(mesh_), safety_(mesh_.width(), mesh_.height()) {}
 
 std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& seeds) {
   // The disable rule is monotone, so seeding the worklist with the enabled
@@ -26,18 +25,18 @@ std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& se
   std::deque<Coord> work;
   for (const Coord s : seeds) {
     for (const Coord v : mesh_.neighbors(s)) {
-      if (!bad_[v]) work.push_back(v);
+      if (!safety_.blocked(v)) work.push_back(v);
     }
   }
   std::vector<Coord> newly;
   while (!work.empty()) {
     const Coord c = work.front();
     work.pop_front();
-    if (bad_[c] || !disable_condition(mesh_, bad_, c)) continue;
-    bad_[c] = true;
+    if (safety_.blocked(c) || !disable_condition(mesh_, safety_, c)) continue;
+    safety_.add_obstacle(c);
     newly.push_back(c);
     for (const Coord v : mesh_.neighbors(c)) {
-      if (!bad_[v]) work.push_back(v);
+      if (!safety_.blocked(v)) work.push_back(v);
     }
   }
   return newly;
@@ -60,7 +59,7 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
       frontier.pop_front();
       box = box.united(c);
       for (const Coord v : mesh_.neighbors(c)) {
-        if (bad_[v] && !seen[v]) {
+        if (safety_.blocked(v) && !seen[v]) {
           seen[v] = true;
           frontier.push_back(v);
         }
@@ -87,8 +86,8 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
     std::vector<Coord> filled;
     for (Dist y = box.ymin; y <= box.ymax; ++y) {
       for (Dist x = box.xmin; x <= box.xmax; ++x) {
-        if (!bad_[{x, y}]) {
-          bad_[{x, y}] = true;
+        if (!safety_.blocked({x, y})) {
+          safety_.add_obstacle({x, y});
           filled.push_back({x, y});
         }
       }
@@ -107,14 +106,13 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
   blocks_.push_back(box);
 }
 
-void DynamicMeshState::mark_obstacles(const std::vector<Coord>& changed, UpdateStats& stats) {
-  // The levels are read off the obstacle bits, so the update is one bit per
-  // changed cell. The dirty-line bitsets only count the distinct rows and
-  // columns whose levels moved.
+void DynamicMeshState::count_lines(const std::vector<Coord>& changed, UpdateStats& stats) {
+  // The levels are read off the obstacle bits, which the disable rule and
+  // the rectangle fill set cell by cell. The dirty-line bitsets only count
+  // the distinct rows and columns whose levels moved.
   row_dirty_.assign((static_cast<std::size_t>(mesh_.height()) + 63) / 64, 0);
   col_dirty_.assign((static_cast<std::size_t>(mesh_.width()) + 63) / 64, 0);
   for (const Coord c : changed) {
-    safety_.add_obstacle(c);
     row_dirty_[static_cast<std::size_t>(c.y) >> 6] |= std::uint64_t{1} << (c.y & 63);
     col_dirty_[static_cast<std::size_t>(c.x) >> 6] |= std::uint64_t{1} << (c.x & 63);
   }
@@ -127,14 +125,14 @@ UpdateStats DynamicMeshState::inject_fault(Coord c) {
   changed_.clear();
   if (faults_.contains(c)) return stats;
   faults_.add(c);
-  if (bad_[c]) return stats;  // was a disabled block node; structure unchanged
+  if (safety_.blocked(c)) return stats;  // was a disabled block node; structure unchanged
 
-  bad_[c] = true;
+  safety_.add_obstacle(c);
   changed_.push_back(c);
   const std::vector<Coord> cascaded = propagate_from(changed_);
   changed_.insert(changed_.end(), cascaded.begin(), cascaded.end());
   rebuild_block_around(changed_, stats);
-  mark_obstacles(changed_, stats);
+  count_lines(changed_, stats);
   return stats;
 }
 

@@ -9,6 +9,9 @@
 //   * the obstacle bits of the changed cells in the safety grid (its levels
 //     are read off those bits, so nothing is re-swept; UpdateStats still
 //     counts the rows/columns whose levels moved).
+// The safety grid is the one copy of the block-node set: the disable rule
+// and the rectangle fill read and set its bits (SafetyGrid::blocked /
+// add_obstacle) as they go.
 // Consistency with a from-scratch rebuild is asserted by the test-suite
 // after every injection; UpdateStats quantifies how little work each
 // disturbance costs (the figure behind the "converges quickly" argument).
@@ -52,10 +55,8 @@ class DynamicMeshState {
   /// Current disjoint faulty blocks (unordered).
   [[nodiscard]] const std::vector<Rect>& blocks() const noexcept { return blocks_; }
 
-  /// Block-node mask (faulty + disabled).
-  [[nodiscard]] const Grid<bool>& obstacle_mask() const noexcept { return bad_; }
-
-  /// Extended safety levels, maintained incrementally.
+  /// Extended safety levels, maintained incrementally; blocked() is the
+  /// block-node set (faulty + disabled).
   [[nodiscard]] const info::SafetyGrid& safety() const noexcept { return safety_; }
 
   /// The exact set of nodes the last inject_fault flipped from good to bad
@@ -75,17 +76,16 @@ class DynamicMeshState {
   /// `changed`.
   void rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats);
 
-  /// Set the changed cells' obstacle bits in the safety grid and count the
-  /// distinct rows/columns they lie on.
-  void mark_obstacles(const std::vector<Coord>& changed, UpdateStats& stats);
+  /// Count the distinct rows/columns the changed cells lie on (their
+  /// obstacle bits are already set).
+  void count_lines(const std::vector<Coord>& changed, UpdateStats& stats);
 
   Mesh2D mesh_;
   fault::FaultSet faults_;
-  Grid<bool> bad_;
   std::vector<Rect> blocks_;
   info::SafetyGrid safety_;
   std::vector<Coord> changed_;               ///< last injection's epoch delta
-  std::vector<std::uint64_t> row_dirty_;     ///< mark_obstacles line-count bitsets
+  std::vector<std::uint64_t> row_dirty_;     ///< count_lines line-count bitsets
   std::vector<std::uint64_t> col_dirty_;
 };
 

@@ -12,11 +12,11 @@
 namespace meshroute::experiment {
 
 void Trial::reachability(Grid<bool>& out) const {
-  cond::monotone_reachability(mesh, faulty_mask, source, out);
+  cond::monotone_reachability(mesh, faults.mask(), source, out);
 }
 
 Grid<bool> Trial::reachability() const {
-  return cond::monotone_reachability(mesh, faulty_mask, source);
+  return cond::monotone_reachability(mesh, faults.mask(), source);
 }
 
 Trial make_trial(const TrialConfig& config, Rng& rng) {
@@ -44,8 +44,7 @@ Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace
   if (!workspace.trial) {
     cold_ctr.add(1);
     workspace.trial.emplace(Trial{mesh, source, fault::FaultSet{}, fault::BlockSet{},
-                                  fault::MccSet{}, Grid<bool>{}, Grid<bool>{}, Grid<bool>{},
-                                  info::SafetyGrid{}, info::SafetyGrid{}});
+                                  fault::MccSet{}, info::SafetyGrid{}, info::SafetyGrid{}});
   }
   Trial& trial = *workspace.trial;
   trial.mesh = mesh;
@@ -64,9 +63,6 @@ Trial& make_trial(const TrialConfig& config, Rng& rng, TrialWorkspace& workspace
     fault::build_mcc(mesh, trial.faults, fault::MccKind::TypeOne, trial.mcc1, workspace.mcc);
     if (trial.mcc1.is_mcc_node(source)) continue;
 
-    trial.faulty_mask = trial.faults.mask();
-    info::obstacle_mask(mesh, trial.blocks, trial.fb_mask);
-    info::obstacle_mask(mesh, trial.mcc1, trial.mcc_mask);
     // The builders leave their final obstacle planes in the scratch
     // (bad_plane = union of block rects, labeled_plane = MCC status != 0);
     // each safety grid is a copy of one plus its transpose.
@@ -85,7 +81,7 @@ Coord sample_quadrant1_dest(const Trial& trial, Rng& rng) {
   for (int attempt = 0; attempt < kMaxRerolls; ++attempt) {
     const Coord d{static_cast<Dist>(rng.uniform(area.xmin, area.xmax)),
                   static_cast<Dist>(rng.uniform(area.ymin, area.ymax))};
-    if (!trial.fb_mask[d] && !trial.mcc_mask[d]) return d;
+    if (!trial.fb_safety.blocked(d) && !trial.mcc_safety.blocked(d)) return d;
   }
   throw std::runtime_error("sample_quadrant1_dest: no block-free destination found");
 }

@@ -2,7 +2,9 @@
 // k uniformly random faults, the source at the center (the origin of the
 // paper's coordinate system), faulty blocks and MCCs constructed, fault
 // information distributed, and destinations sampled from the first-quadrant
-// submesh with source and destination outside every block.
+// submesh with source and destination outside every block. Each fault
+// model's obstacle set is its safety grid (SafetyGrid::blocked); the
+// ground-truth oracle reads faults.mask().
 #pragma once
 
 #include <cstdint>
@@ -34,18 +36,15 @@ struct Trial {
   fault::FaultSet faults;
   fault::BlockSet blocks;
   fault::MccSet mcc1;           ///< type-one labeling (quadrant-I destinations)
-  Grid<bool> faulty_mask;       ///< truly faulty nodes only (ground-truth oracle)
-  Grid<bool> fb_mask;           ///< faulty-block nodes
-  Grid<bool> mcc_mask;          ///< type-one MCC nodes
-  info::SafetyGrid fb_safety;
-  info::SafetyGrid mcc_safety;
+  info::SafetyGrid fb_safety;   ///< faulty-block nodes and their levels
+  info::SafetyGrid mcc_safety;  ///< type-one MCC nodes and their levels
 
   /// Condition-checking problems under each fault model.
   [[nodiscard]] cond::RoutingProblem fb_problem(Coord dest) const {
-    return {&mesh, &fb_mask, &fb_safety, source, dest};
+    return {&mesh, &fb_safety, source, dest};
   }
   [[nodiscard]] cond::RoutingProblem mcc_problem(Coord dest) const {
-    return {&mesh, &mcc_mask, &mcc_safety, source, dest};
+    return {&mesh, &mcc_safety, source, dest};
   }
 
   /// The consolidated read-side bundle (route/query.hpp) over this trial's
@@ -56,10 +55,8 @@ struct Trial {
     route::QueryView v;
     v.mesh = &mesh;
     v.blocks = &blocks;
-    v.faulty_mask = &faulty_mask;
-    v.fb_mask = &fb_mask;
+    v.faulty_mask = &faults.mask();
     v.fb_safety = &fb_safety;
-    v.mcc1_mask = &mcc_mask;
     v.mcc1_safety = &mcc_safety;
     return v;
   }

@@ -1,7 +1,7 @@
 // Per-thread reusable buffers for the trial hot path. A SweepRunner worker
 // owns one TrialWorkspace for its whole lifetime and hands it to every
 // trial functor invocation; make_trial then rebuilds the workspace-owned
-// Trial in place instead of heap-allocating ~10 whole-mesh grids per trial.
+// Trial in place instead of heap-allocating its whole-mesh grids per trial.
 //
 // Ownership rules:
 //   - The Trial returned by make_trial(config, rng, workspace) lives inside

@@ -6,6 +6,12 @@
 // *regions*; a region may be further cut into *segments* of a configurable
 // size, with one representative safety level selected per segment (the
 // extension-2 variations of Figure 10).
+//
+// The segment selection reads everything off a SafetyGrid: the clear run
+// from a source is its safety level in that direction (up to the mesh edge
+// when infinite). affected_rows/affected_columns and clear_run take a byte
+// mask; they are helpers for the distributed protocols, tests, benches and
+// examples, and clear_run is the oracle of the run the level gives.
 #pragma once
 
 #include <vector>
@@ -48,18 +54,18 @@ inline constexpr Dist kWholeRegionSegment = 0;
 /// collects every node; kWholeRegionSegment collects one per region.
 /// Segments that start more than `max_hops` hops out are not built (a
 /// caller that cannot use a representative past a destination offset
-/// passes that offset); the segments that are built are unchanged.
+/// passes that offset); the segments that are built are unchanged. Throws
+/// std::invalid_argument for a negative size or a source outside the mesh.
 [[nodiscard]] std::vector<AxisCandidate> segment_representatives(
-    const Mesh2D& mesh, const Grid<bool>& obstacles, const SafetyGrid& safety, Coord source,
-    Direction dir, Direction perpendicular, Dist segment_size,
-    Dist max_hops = kInfiniteDistance);
+    const Mesh2D& mesh, const SafetyGrid& safety, Coord source, Direction dir,
+    Direction perpendicular, Dist segment_size, Dist max_hops = kInfiniteDistance);
 
 /// Section 4's second variation: per segment, select up to four
 /// representatives — one maximizing the safety level in each of the four
 /// directions (duplicates collapsed). Returned in increasing hop order.
 /// `max_hops` as for segment_representatives.
 [[nodiscard]] std::vector<AxisCandidate> segment_representatives_multi(
-    const Mesh2D& mesh, const Grid<bool>& obstacles, const SafetyGrid& safety, Coord source,
-    Direction dir, Dist segment_size, Dist max_hops = kInfiniteDistance);
+    const Mesh2D& mesh, const SafetyGrid& safety, Coord source, Direction dir,
+    Dist segment_size, Dist max_hops = kInfiniteDistance);
 
 }  // namespace meshroute::info

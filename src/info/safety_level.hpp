@@ -65,9 +65,10 @@ struct ExtendedSafetyLevel {
 
 /// The extended safety levels of every node of one mesh, held as the
 /// obstacle plane, its transpose and the lines' obstacle extents (see the
-/// file comment). Levels are read by value; the only writers are
-/// compute_safety_levels (a whole plane) and add_obstacle (one node, the
-/// incremental path).
+/// file comment). The grid is the production copy of its fault model's
+/// obstacle set: blocked() reads a node's membership off the row plane.
+/// Levels are read by value; the only writers are compute_safety_levels (a
+/// whole plane) and add_obstacle (one node, the incremental path).
 class SafetyGrid {
  public:
   SafetyGrid() = default;
@@ -112,6 +113,10 @@ class SafetyGrid {
     return {get(c, Direction::East), get(c, Direction::South), get(c, Direction::West),
             get(c, Direction::North)};
   }
+
+  /// Is `c` an obstacle node (a block or MCC node of the grid's fault
+  /// model)? One bit test on the row plane; `c` must be in bounds.
+  [[nodiscard]] bool blocked(Coord c) const noexcept { return rows_.test(c); }
 
   /// Mark `c` as an obstacle: the levels along its row and column change,
   /// nothing is re-swept.

@@ -24,19 +24,6 @@ namespace {
 
 }  // namespace
 
-const Grid<bool>& QueryView::obstacles(QueryModel model, Quadrant q) const {
-  if (model == QueryModel::FaultyBlock) {
-    if (fb_mask == nullptr) missing_plane("faulty-block obstacle");
-    return *fb_mask;
-  }
-  if (fault::mcc_kind_for(q) == fault::MccKind::TypeOne) {
-    if (mcc1_mask == nullptr) missing_plane("type-one MCC obstacle");
-    return *mcc1_mask;
-  }
-  if (mcc2_mask == nullptr) missing_plane("type-two MCC obstacle");
-  return *mcc2_mask;
-}
-
 const info::SafetyGrid& QueryView::safety(QueryModel model, Quadrant q) const {
   if (model == QueryModel::FaultyBlock) {
     if (fb_safety == nullptr) missing_plane("faulty-block safety");
@@ -53,7 +40,7 @@ const info::SafetyGrid& QueryView::safety(QueryModel model, Quadrant q) const {
 cond::RoutingProblem QueryView::problem(Coord s, Coord d, QueryModel model) const {
   if (mesh == nullptr) missing_plane("mesh");
   const Quadrant q = quadrant_of(s, d);
-  return {mesh, &obstacles(model, q), &safety(model, q), s, d};
+  return {mesh, &safety(model, q), s, d};
 }
 
 StaticFaultView QueryView::fault_view() const {

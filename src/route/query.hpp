@@ -4,7 +4,8 @@
 // take one read-side bundle:
 //
 //   route::QueryView — const pointers to every plane a query consumes
-//     (masks, safety grids, blocks, boundary deposits). Producers:
+//     (the ground-truth fault mask, the safety grids that also hold each
+//     fault model's obstacle set, blocks, boundary deposits). Producers:
 //       core::FaultTolerantMesh::query_view()   (its lazily built snapshot)
 //       serve::RoutingSnapshot::query_view()    (immutable epoch snapshot)
 //       experiment::Trial::query_view()         (bench trial state)
@@ -46,35 +47,33 @@ enum class QueryModel : std::uint8_t { FaultyBlock = 0, Mcc = 1 };
 [[nodiscard]] const char* to_string(QueryModel model) noexcept;
 
 /// The read-side bundle: non-owning const pointers into derived fault state.
-/// A QueryView is 10 pointers — pass it by value. The producer guarantees
+/// A QueryView is 7 pointers — pass it by value. The producer guarantees
 /// every plane was computed against the same fault set; all planes except
 /// the optional ones must be non-null.
 ///
 /// Optional members:
 ///   boundary     — null means global information at every node (routing
 ///                  then sees the whole block list everywhere).
-///   mcc2_*       — null means type-two MCC planes were not built; Mcc-model
+///   mcc2_safety  — null means type-two MCC planes were not built; Mcc-model
 ///                  queries into quadrants II/IV then throw. Producers that
 ///                  only serve quadrant-I destinations (experiment::Trial)
-///                  leave them null.
+///                  leave it null.
 struct QueryView {
   const Mesh2D* mesh = nullptr;
   const fault::BlockSet* blocks = nullptr;
   const info::BoundaryInfoMap* boundary = nullptr;
   const Grid<bool>* faulty_mask = nullptr;  ///< truly faulty nodes (ground truth)
-  const Grid<bool>* fb_mask = nullptr;
   const info::SafetyGrid* fb_safety = nullptr;
-  const Grid<bool>* mcc1_mask = nullptr;
   const info::SafetyGrid* mcc1_safety = nullptr;
-  const Grid<bool>* mcc2_mask = nullptr;
   const info::SafetyGrid* mcc2_safety = nullptr;
 
-  /// Obstacle mask / safety grid serving (model, quadrant). Throws
-  /// std::invalid_argument when the needed plane is null.
-  [[nodiscard]] const Grid<bool>& obstacles(QueryModel model, Quadrant q) const;
+  /// Safety grid serving (model, quadrant); its blocked() is that model's
+  /// obstacle set. Throws std::invalid_argument when the needed plane is
+  /// null.
   [[nodiscard]] const info::SafetyGrid& safety(QueryModel model, Quadrant q) const;
 
-  /// A cond::RoutingProblem wired to the planes serving quadrant_of(s, d).
+  /// A cond::RoutingProblem wired to the safety grid serving
+  /// quadrant_of(s, d).
   [[nodiscard]] cond::RoutingProblem problem(Coord s, Coord d, QueryModel model) const;
 
   /// The frozen-world FaultView over this bundle (truth = blocks, belief =

@@ -57,7 +57,6 @@ RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faul
       faults_(faults),
       blocks_(build_blocks_scratch(mesh_, faults_, scratch.block)),
       boundary_(mesh_, blocks_) {
-  info::obstacle_mask(mesh_, blocks_, fb_mask_);
   // The block builder leaves its final obstacle plane (the union of the
   // block rects) in the scratch; the safety grid adopts it directly.
   info::compute_safety_levels(mesh_, scratch.block.bad_plane, fb_safety_);
@@ -72,9 +71,8 @@ RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::ui
       blocks_(block_set_from_state(state)),
       boundary_(mesh_, blocks_) {
   // The expensive faulty-block fixpoints arrive pre-maintained in O(|delta|)
-  // per injection; adopting them here is a byte-mask copy plus the safety
-  // grid's two bit planes.
-  fb_mask_ = state.obstacle_mask();
+  // per injection; adopting them here is a copy of the safety grid's two bit
+  // planes.
   fb_safety_ = state.safety();
   finish_derived(scratch);
 }
@@ -82,8 +80,6 @@ RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::ui
 void RoutingSnapshot::finish_derived(SnapshotScratch& scratch) {
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, mcc1_, scratch.mcc1);
   fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, mcc2_, scratch.mcc2);
-  info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
-  info::obstacle_mask(mesh_, mcc2_, mcc2_mask_);
   info::compute_safety_levels(mesh_, scratch.mcc1.labeled_plane, mcc1_safety_);
   info::compute_safety_levels(mesh_, scratch.mcc2.labeled_plane, mcc2_safety_);
 }
@@ -94,11 +90,8 @@ route::QueryView RoutingSnapshot::query_view() const noexcept {
   v.blocks = &blocks_;
   v.boundary = &boundary_;
   v.faulty_mask = &faults_.mask();
-  v.fb_mask = &fb_mask_;
   v.fb_safety = &fb_safety_;
-  v.mcc1_mask = &mcc1_mask_;
   v.mcc1_safety = &mcc1_safety_;
-  v.mcc2_mask = &mcc2_mask_;
   v.mcc2_safety = &mcc2_safety_;
   return v;
 }

@@ -1,6 +1,7 @@
 // RoutingSnapshot: one immutable, epoch-stamped view of the whole fault
 // world — faulty blocks, both MCC labelings, boundary deposits, safety
-// planes, and the ground-truth mask — built once and then shared by any
+// planes (each also its fault model's obstacle set), and the fault set with
+// its ground-truth mask — built once and then shared by any
 // number of reader threads with no synchronization at all. This is the unit
 // the routing-as-a-service layer publishes: queries are pure functions of a
 // snapshot, so millions of decide/route calls can run against one while
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "common/rect.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
@@ -112,9 +112,6 @@ class RoutingSnapshot final : public route::FaultView {
   fault::MccSet mcc1_;
   fault::MccSet mcc2_;
   info::BoundaryInfoMap boundary_;
-  Grid<bool> fb_mask_;
-  Grid<bool> mcc1_mask_;
-  Grid<bool> mcc2_mask_;
   info::SafetyGrid fb_safety_;
   info::SafetyGrid mcc1_safety_;
   info::SafetyGrid mcc2_safety_;

@@ -1,7 +1,8 @@
 // Shared check for the tests that pin info::SafetyGrid to an oracle: every
 // node, every direction, read through both get() and operator[], against the
 // per-node tuples of compute_safety_levels_scalar (or of the distributed
-// protocol). Reports the first mismatch.
+// protocol); and for the obstacle set a SafetyGrid holds, blocked() at every
+// node against a byte mask. Each reports the first mismatch.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -34,6 +35,27 @@ inline ::testing::AssertionResult SafetyMatchesOracle(
                  << to_string(c) << " " << to_string(d) << ": get " << got.get(c, d)
                  << ", operator[] " << tuple.get(d) << ", oracle " << expected;
         }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// `got.blocked(c)` equals `want[c]` at every node (`want` is typically
+/// info::obstacle_mask of the blocks or MCCs the grid was built from).
+inline ::testing::AssertionResult ObstaclesMatchMask(const info::SafetyGrid& got,
+                                                     const Grid<bool>& want) {
+  if (got.width() != want.width() || got.height() != want.height()) {
+    return ::testing::AssertionFailure()
+           << "dimensions " << got.width() << "x" << got.height() << " vs mask "
+           << want.width() << "x" << want.height();
+  }
+  for (Dist y = 0; y < want.height(); ++y) {
+    for (Dist x = 0; x < want.width(); ++x) {
+      const Coord c{x, y};
+      if (got.blocked(c) != want[c]) {
+        return ::testing::AssertionFailure() << to_string(c) << ": blocked " << got.blocked(c)
+                                             << ", mask " << want[c];
       }
     }
   }

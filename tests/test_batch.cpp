@@ -134,7 +134,7 @@ experiment::SweepResult run_batched_sweep(int batch) {
     const Trial& trial = make_trial({.n = cell.n(), .faults = cell.faults()}, rng, ws);
     for (int s = 0; s < cfg.dests; ++s) {
       const Coord d = experiment::sample_quadrant1_dest(trial, rng);
-      out.count(0, !trial.fb_mask[d]);
+      out.count(0, !trial.fb_safety.blocked(d));
       out.observe(1, rng.uniform01());
     }
   });

@@ -171,13 +171,13 @@ TEST(ChaosEngine, DeltaStampsMatchFullScanReference) {
   Grid<std::int64_t> ref(mesh.width(), mesh.height(), kNever);
   const auto stamp_scan = [&](std::int64_t since) {
     mesh.for_each_node([&](Coord c) {
-      if (state.obstacle_mask()[c] && ref[c] == kNever) ref[c] = since;
+      if (state.safety().blocked(c) && ref[c] == kNever) ref[c] = since;
     });
   };
   for (const Coord c : initial) state.inject_fault(c);
   stamp_scan(std::numeric_limits<std::int64_t>::min());
   for (const TimedFault& entry : sched.entries()) {
-    if (state.obstacle_mask()[entry.node]) continue;
+    if (state.safety().blocked(entry.node)) continue;
     state.inject_fault(entry.node);
     stamp_scan(entry.time);
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cond/conditions.hpp"
+#include "cond/strategies.hpp"
 #include "cond/wang.hpp"
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
@@ -31,7 +32,7 @@ struct Fixture {
   }
 
   [[nodiscard]] RoutingProblem problem(Coord s, Coord d) const {
-    return {&mesh, &obstacles, &safety, s, d};
+    return {&mesh, &safety, s, d};
   }
 };
 
@@ -167,7 +168,7 @@ TEST(Extension2, CoarserSegmentsAreWeaker) {
       const Coord d{static_cast<Dist>(rng.uniform(20, 39)),
                     static_cast<Dist>(rng.uniform(20, 39))};
       if (mask[s] || mask[d]) continue;
-      const RoutingProblem p{&mesh, &mask, &safety, s, d};
+      const RoutingProblem p{&mesh, &safety, s, d};
       const bool e1 = extension2(p, 1) == Decision::Minimal;
       const bool e5 = extension2(p, 5) == Decision::Minimal;
       const bool emax = extension2(p, info::kWholeRegionSegment) == Decision::Minimal;
@@ -206,7 +207,7 @@ TEST(Extension2, FourDirectionalRepsDominateSinglePerpendicular) {
       const Coord d{static_cast<Dist>(rng.uniform(20, 39)),
                     static_cast<Dist>(rng.uniform(20, 39))};
       if (mask[s] || mask[d]) continue;
-      const RoutingProblem p{&mesh, &mask, &safety, s, d};
+      const RoutingProblem p{&mesh, &safety, s, d};
       const bool single =
           extension2(p, info::kWholeRegionSegment, nullptr, Ext2Reps::SinglePerpendicular) ==
           Decision::Minimal;
@@ -336,7 +337,7 @@ TEST(Extension3, MatchesPivotwiseDefinition) {
     for (int q = 0; q < 200; ++q) {
       const Coord s = random_node();
       const Coord d = random_node();
-      const RoutingProblem p{&mesh, &mask, &safety, s, d};
+      const RoutingProblem p{&mesh, &safety, s, d};
       std::vector<Coord> pivots{{s.x, d.y}, {d.x, s.y}, s, d};
       for (int i = 0; i < 8; ++i) pivots.push_back(random_node());
       bool expected = source_safe(p);
@@ -363,6 +364,48 @@ TEST(Extensions, BlocksTouchingMeshEdgeDoNotConfuse) {
   // Spare neighbor (0,8)? Row 8 is blocked too; (0,8)'s E = 3 < 9: unsafe.
   // No certificate should appear, and nothing crashes at the edge.
   EXPECT_EQ(extension1(p), Decision::Unknown);
+}
+
+TEST(Extensions, NeverCertifyUnusableSource) {
+  // A faulty, disabled or out-of-mesh source has no path to certify, even
+  // when a neighbor of it is safe with respect to the destination: every
+  // extension and every strategy answers Unknown. Faults (2,8) and (3,9)
+  // close a 2x2 block whose other two nodes are disabled.
+  const Mesh2D mesh = Mesh2D::square(12);
+  fault::FaultSet faults(mesh);
+  for (const Coord f : {Coord{5, 5}, Coord{2, 8}, Coord{3, 9}}) faults.add(f);
+  const auto blocks = fault::build_faulty_blocks(mesh, faults);
+  ASSERT_TRUE(blocks.is_block_node({3, 8}));
+  ASSERT_FALSE(faults.contains({3, 8}));
+  const info::SafetyGrid safety =
+      info::compute_safety_levels(mesh, info::obstacle_mask(mesh, blocks));
+  std::vector<Coord> pivots;
+  mesh.for_each_node([&](Coord c) { pivots.push_back(c); });
+  const StrategyConfig cfg{.segment_size = 5};
+  const std::pair<Coord, Coord> cases[] = {
+      {{5, 5}, {8, 8}},    // faulty
+      {{3, 8}, {10, 10}},  // disabled
+      {{-1, 3}, {8, 8}},   // west of the mesh
+      {{12, 3}, {3, 8}},   // east
+      {{3, -1}, {8, 8}},   // south
+      {{3, 12}, {8, 2}},   // north
+  };
+  for (const auto& [s, d] : cases) {
+    const RoutingProblem p{&mesh, &safety, s, d};
+    EXPECT_EQ(extension1(p), Decision::Unknown) << to_string(s);
+    for (const Dist seg : {Dist{1}, Dist{5}, info::kWholeRegionSegment}) {
+      for (const Ext2Reps reps : {Ext2Reps::SinglePerpendicular, Ext2Reps::FourDirectional}) {
+        EXPECT_EQ(extension2(p, seg, nullptr, reps), Decision::Unknown)
+            << to_string(s) << " segment " << seg;
+      }
+    }
+    EXPECT_EQ(extension3(p, pivots), Decision::Unknown) << to_string(s);
+    for (const StrategyId id : {StrategyId::S1, StrategyId::S2, StrategyId::S3, StrategyId::S4}) {
+      const Certificate cert = explain_strategy(p, id, cfg, pivots);
+      EXPECT_EQ(cert.decision, Decision::Unknown) << to_string(id) << " " << to_string(s);
+      EXPECT_EQ(cert.method, Method::None);
+    }
+  }
 }
 
 TEST(Extensions, NullProblemThrows) {

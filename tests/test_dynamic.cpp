@@ -29,11 +29,8 @@ struct Reference {
 
 void expect_equal_to_rebuild(const DynamicMeshState& dyn) {
   const Reference ref(dyn.mesh(), dyn.faults());
-  // Masks identical.
-  dyn.mesh().for_each_node([&](Coord c) {
-    ASSERT_EQ(static_cast<bool>(dyn.obstacle_mask()[c]), static_cast<bool>(ref.mask[c]))
-        << to_string(c);
-  });
+  // Obstacle sets identical.
+  ASSERT_TRUE(testing_support::ObstaclesMatchMask(dyn.safety(), ref.mask));
   // Block rectangles identical as sets.
   std::vector<Rect> got = dyn.blocks();
   std::vector<Rect> want;
@@ -222,7 +219,7 @@ TEST(DynamicState, ResweepBoundedByAffectedBand) {
       cols.insert(d.x);
       band = band.united(d);
       EXPECT_TRUE(ever_changed.insert(d).second) << "cell in two deltas: " << to_string(d);
-      EXPECT_TRUE(dyn.obstacle_mask()[d]);
+      EXPECT_TRUE(dyn.safety().blocked(d));
     }
     EXPECT_EQ(s.rows_resweeped, static_cast<std::int64_t>(rows.size()));
     EXPECT_EQ(s.cols_resweeped, static_cast<std::int64_t>(cols.size()));
@@ -238,7 +235,7 @@ TEST(DynamicState, ResweepBoundedByAffectedBand) {
   }
   // The union of all deltas is exactly today's obstacle set.
   std::int64_t bad_count = 0;
-  mesh.for_each_node([&](Coord c) { bad_count += dyn.obstacle_mask()[c] ? 1 : 0; });
+  mesh.for_each_node([&](Coord c) { bad_count += dyn.safety().blocked(c) ? 1 : 0; });
   EXPECT_EQ(bad_count, static_cast<std::int64_t>(ever_changed.size()));
 }
 

@@ -24,8 +24,8 @@ TEST(Trial, SetupMatchesPaperSection5) {
   EXPECT_EQ(t.source, (Coord{25, 25}));
   EXPECT_EQ(t.faults.count(), 30u);
   // Source outside every block under both models.
-  EXPECT_FALSE((t.fb_mask[t.source]));
-  EXPECT_FALSE((t.mcc_mask[t.source]));
+  EXPECT_FALSE(t.fb_safety.blocked(t.source));
+  EXPECT_FALSE(t.mcc_safety.blocked(t.source));
   // The first-quadrant submesh has the right extent.
   EXPECT_EQ(t.quadrant1_area(), (Rect{26, 49, 26, 49}));
 }
@@ -34,11 +34,11 @@ TEST(Trial, MasksAreConsistentWithModels) {
   Rng rng(2);
   const Trial t = make_trial({.n = 40, .faults = 60}, rng);
   t.mesh.for_each_node([&](Coord c) {
-    EXPECT_EQ(static_cast<bool>(t.fb_mask[c]), t.blocks.is_block_node(c));
-    EXPECT_EQ(static_cast<bool>(t.mcc_mask[c]), t.mcc1.is_mcc_node(c));
-    if (t.faulty_mask[c]) {
-      EXPECT_TRUE((t.fb_mask[c]));
-      EXPECT_TRUE((t.mcc_mask[c]));
+    EXPECT_EQ(t.fb_safety.blocked(c), t.blocks.is_block_node(c));
+    EXPECT_EQ(t.mcc_safety.blocked(c), t.mcc1.is_mcc_node(c));
+    if (t.faults.mask()[c]) {
+      EXPECT_TRUE(t.fb_safety.blocked(c));
+      EXPECT_TRUE(t.mcc_safety.blocked(c));
     }
   });
 }
@@ -48,11 +48,10 @@ TEST(Trial, ProblemsWireTheRightMasks) {
   const Trial t = make_trial({.n = 40, .faults = 20}, rng);
   const Coord d{35, 35};
   const auto fb = t.fb_problem(d);
-  EXPECT_EQ(fb.obstacles, &t.fb_mask);
   EXPECT_EQ(fb.safety, &t.fb_safety);
   EXPECT_EQ(fb.source, t.source);
   const auto mcc = t.mcc_problem(d);
-  EXPECT_EQ(mcc.obstacles, &t.mcc_mask);
+  EXPECT_EQ(mcc.safety, &t.mcc_safety);
 }
 
 TEST(Trial, CustomSourcePlacement) {
@@ -77,8 +76,8 @@ TEST(Trial, DestinationSamplingRespectsConstraints) {
   for (int i = 0; i < 200; ++i) {
     const Coord d = sample_quadrant1_dest(t, rng);
     EXPECT_TRUE(area.contains(d));
-    EXPECT_FALSE((t.fb_mask[d]));
-    EXPECT_FALSE((t.mcc_mask[d]));
+    EXPECT_FALSE(t.fb_safety.blocked(d));
+    EXPECT_FALSE(t.mcc_safety.blocked(d));
   }
 }
 
@@ -205,7 +204,7 @@ SweepResult run_small_sweep(int threads) {
     const Trial& trial = make_trial({.n = cell.n(), .faults = cell.faults()}, rng, ws);
     for (int s = 0; s < cfg.dests; ++s) {
       const Coord d = sample_quadrant1_dest(trial, rng);
-      out.count(0, !trial.fb_mask[d]);
+      out.count(0, !trial.fb_safety.blocked(d));
       out.observe(1, rng.uniform01());
       out.count(2, rng.chance(0.5));
     }

@@ -51,7 +51,7 @@ Sampled sample(std::size_t k, int trials, int dests) {
       out.strat4.add(cond::run_strategy(p, cond::StrategyId::S4, cfg, pivots_r) ==
                      Decision::Minimal);
       out.exist.add(
-          cond::monotone_path_exists(trial.mesh, trial.faulty_mask, trial.source, d));
+          cond::monotone_path_exists(trial.mesh, trial.faults.mask(), trial.source, d));
     }
   }
   return out;
@@ -97,7 +97,9 @@ TEST(PaperAnchors, AffectedRowAnchors) {
     for (int t = 0; t < 12; ++t) {
       const experiment::Trial trial = experiment::make_trial({.n = 200, .faults = k}, rng);
       frac.add(static_cast<double>(
-                   info::affected_rows(trial.mesh, trial.fb_mask).size()) /
+                   info::affected_rows(trial.mesh,
+                                       info::obstacle_mask(trial.mesh, trial.blocks))
+                       .size()) /
                200.0);
     }
     EXPECT_NEAR(frac.mean(), analysis::expected_affected_fraction(200, static_cast<int>(k)),

@@ -29,14 +29,16 @@ TEST_P(EndToEnd, AllCertificatesAreSoundUnderBothModels) {
     const Trial trial = make_trial({.n = 100, .faults = GetParam()}, rng);
     const auto pivots = info::generate_pivots(trial.quadrant1_area(), 3,
                                               info::PivotPlacement::Random, &rng);
+    const Grid<bool> fb_mask = info::obstacle_mask(trial.mesh, trial.blocks);
+    const Grid<bool> mcc_mask = info::obstacle_mask(trial.mesh, trial.mcc1);
     for (int t = 0; t < 40; ++t) {
       const Coord d = sample_quadrant1_dest(trial, rng);
       const bool truth =
-          cond::monotone_path_exists(trial.mesh, trial.faulty_mask, trial.source, d);
+          cond::monotone_path_exists(trial.mesh, trial.faults.mask(), trial.source, d);
 
       for (const bool use_mcc : {false, true}) {
         const cond::RoutingProblem p = use_mcc ? trial.mcc_problem(d) : trial.fb_problem(d);
-        const Grid<bool>& mask = *p.obstacles;
+        const Grid<bool>& mask = use_mcc ? mcc_mask : fb_mask;
 
         // Base condition.
         if (cond::source_safe(p)) {
@@ -88,6 +90,7 @@ TEST(EndToEnd, CertificatesConvertToExecutedRoutes) {
     const info::BoundaryInfoMap boundary(trial.mesh, trial.blocks);
     route::QueryView view = trial.query_view();
     view.boundary = &boundary;
+    const Grid<bool> fb_mask = info::obstacle_mask(trial.mesh, trial.blocks);
     for (int t = 0; t < 25; ++t) {
       const Coord d = sample_quadrant1_dest(trial, rng);
       const cond::RoutingProblem p = trial.fb_problem(d);
@@ -98,7 +101,7 @@ TEST(EndToEnd, CertificatesConvertToExecutedRoutes) {
         const auto r = route::route_via(view, trial.source, via, d, &rng);
         ASSERT_TRUE(r.delivered());
         EXPECT_TRUE(route::path_is_minimal(r.path));
-        EXPECT_TRUE(route::path_avoids(trial.fb_mask, r.path));
+        EXPECT_TRUE(route::path_avoids(fb_mask, r.path));
       } else if (e1 == Decision::SubMinimal) {
         const auto r = route::route_via(view, trial.source, via, d, &rng);
         ASSERT_TRUE(r.delivered());
@@ -138,7 +141,7 @@ TEST(EndToEnd, ExtensionHierarchyHoldsStatistically) {
       const bool e2 = cond::extension2(p, 1) == Decision::Minimal;
       const bool e3 = cond::extension3(p, pivots) == Decision::Minimal;
       const bool exist =
-          cond::monotone_path_exists(trial.mesh, trial.faulty_mask, trial.source, d);
+          cond::monotone_path_exists(trial.mesh, trial.faults.mask(), trial.source, d);
       // Pointwise: every extension subsumes the base condition; existence
       // subsumes every certificate.
       if (base) {
@@ -168,14 +171,15 @@ TEST(EndToEnd, DistributedPipelineEqualsCentralizedDecisions) {
   // decisions computed from distributed state equal the centralized ones.
   Rng rng(808);
   const Trial trial = make_trial({.n = 60, .faults = 40}, rng);
-  const auto dist = simsub::distributed_safety_levels(trial.mesh, trial.fb_mask);
+  const Grid<bool> fb_mask = info::obstacle_mask(trial.mesh, trial.blocks);
+  const auto dist = simsub::distributed_safety_levels(trial.mesh, fb_mask);
   // The decision procedures read a SafetyGrid, which is built from obstacle
   // bits. Rebuild one from only what the protocol delivered: every finite
   // level names the obstacle one hop past its gap. It must reproduce the
   // distributed tuple at every participating node.
   Grid<bool> seen(trial.mesh.width(), trial.mesh.height(), false);
   trial.mesh.for_each_node([&](Coord c) {
-    if (trial.fb_mask[c]) return;
+    if (fb_mask[c]) return;
     for (const Direction d : kAllDirections) {
       const Dist level = dist.levels[c].get(d);
       if (is_infinite(level)) continue;
@@ -185,12 +189,11 @@ TEST(EndToEnd, DistributedPipelineEqualsCentralizedDecisions) {
     }
   });
   const info::SafetyGrid dist_safety = info::compute_safety_levels(trial.mesh, seen);
-  ASSERT_TRUE(testing_support::SafetyMatchesOracle(dist_safety, dist.levels, &trial.fb_mask));
+  ASSERT_TRUE(testing_support::SafetyMatchesOracle(dist_safety, dist.levels, &fb_mask));
   for (int t = 0; t < 50; ++t) {
     const Coord d = sample_quadrant1_dest(trial, rng);
     const cond::RoutingProblem central = trial.fb_problem(d);
-    const cond::RoutingProblem distributed{&trial.mesh, &trial.fb_mask, &dist_safety,
-                                           trial.source, d};
+    const cond::RoutingProblem distributed{&trial.mesh, &dist_safety, trial.source, d};
     EXPECT_EQ(cond::source_safe(central), cond::source_safe(distributed));
     EXPECT_EQ(cond::extension1(central), cond::extension1(distributed));
     EXPECT_EQ(cond::extension2(central, 5), cond::extension2(distributed, 5));

@@ -2,10 +2,12 @@
 // generation (Section 4's information-distribution machinery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
 #include "info/pivots.hpp"
 #include "info/regions.hpp"
 
@@ -72,8 +74,8 @@ TEST(Segments, SizeOneCollectsEveryNode) {
   const Mesh2D mesh(10, 10);
   const Grid<bool> obstacles = mask_with(mesh, {{6, 5}});
   const SafetyGrid safety = compute_safety_levels(mesh, obstacles);
-  const auto reps = segment_representatives(mesh, obstacles, safety, {1, 5}, Direction::East,
-                                            Direction::North, 1);
+  const auto reps =
+      segment_representatives(mesh, safety, {1, 5}, Direction::East, Direction::North, 1);
   ASSERT_EQ(reps.size(), 4u);  // (2,5), (3,5), (4,5), (5,5)
   for (std::size_t i = 0; i < reps.size(); ++i) {
     EXPECT_EQ(reps[i].hops, static_cast<Dist>(i + 1));
@@ -86,7 +88,7 @@ TEST(Segments, WholeRegionSelectsSingleBestRepresentative) {
   // Obstacle above the run at x=4 limits N there; x=7 has clear north.
   const Grid<bool> obstacles = mask_with(mesh, {{4, 8}, {10, 5}});
   const SafetyGrid safety = compute_safety_levels(mesh, obstacles);
-  const auto reps = segment_representatives(mesh, obstacles, safety, {2, 5}, Direction::East,
+  const auto reps = segment_representatives(mesh, safety, {2, 5}, Direction::East,
                                             Direction::North, kWholeRegionSegment);
   ASSERT_EQ(reps.size(), 1u);
   // Representative maximizes N; node (3,5) has N=inf while (4,5) has N=2.
@@ -98,7 +100,7 @@ TEST(Segments, SegmentSizePartitionsRun) {
   const Grid<bool> obstacles = mask_with(mesh, {{15, 1}});
   const SafetyGrid safety = compute_safety_levels(mesh, obstacles);
   // Run from (0,1): nodes (1,1)..(14,1) = 14 nodes; segment size 5 -> 3 reps.
-  const auto reps = segment_representatives(mesh, obstacles, safety, {0, 1}, Direction::East,
+  const auto reps = segment_representatives(mesh, safety, {0, 1}, Direction::East,
                                             Direction::North, 5);
   EXPECT_EQ(reps.size(), 3u);
   // Hops must be monotone increasing and within run bounds.
@@ -127,10 +129,9 @@ TEST(Segments, MultiDirectionalRepsIncludePerpendicularRep) {
       const Coord src{static_cast<Dist>(rng.uniform(0, 29)),
                       static_cast<Dist>(rng.uniform(0, 29))};
       if (obstacles[src]) continue;
-      const auto single = segment_representatives(mesh, obstacles, safety, src,
-                                                  Direction::East, Direction::North, seg);
-      const auto multi =
-          segment_representatives_multi(mesh, obstacles, safety, src, Direction::East, seg);
+      const auto single =
+          segment_representatives(mesh, safety, src, Direction::East, Direction::North, seg);
+      const auto multi = segment_representatives_multi(mesh, safety, src, Direction::East, seg);
       EXPECT_GE(multi.size(), single.size());
       EXPECT_LE(multi.size(), single.size() * 4);
       for (const auto& s : single) {
@@ -174,17 +175,49 @@ TEST(Segments, MaxHopsDropsOnlySegmentsPastIt) {
       if (obstacles[src]) continue;
       for (const Direction dir : kAllDirections) {
         const Direction perp = is_horizontal(dir) ? Direction::North : Direction::East;
-        const auto all = segment_representatives(mesh, obstacles, safety, src, dir, perp, seg);
-        const auto all_multi = segment_representatives_multi(mesh, obstacles, safety, src, dir, seg);
+        const auto all = segment_representatives(mesh, safety, src, dir, perp, seg);
+        const auto all_multi = segment_representatives_multi(mesh, safety, src, dir, seg);
         for (const Dist max_hops : {Dist{0}, Dist{1}, Dist{4}, Dist{5}, Dist{6}, Dist{23}}) {
           expect_bounded_prefix(
-              all, segment_representatives(mesh, obstacles, safety, src, dir, perp, seg, max_hops),
+              all, segment_representatives(mesh, safety, src, dir, perp, seg, max_hops),
               max_hops);
           expect_bounded_prefix(
               all_multi,
-              segment_representatives_multi(mesh, obstacles, safety, src, dir, seg, max_hops),
+              segment_representatives_multi(mesh, safety, src, dir, seg, max_hops),
               max_hops);
         }
+      }
+    }
+  }
+}
+
+TEST(Segments, RunLengthMatchesClearRun) {
+  // segment_representatives reads the clear run from a node off its safety
+  // level (infinite: up to the mesh edge). That must be clear_run's length
+  // at every node, obstacle nodes included, in every direction, on FB and
+  // MCC worlds whose widths and heights straddle the 64-bit word edges.
+  Rng rng(0x5e9);
+  for (const Dist w : {1, 63, 64, 65, 129}) {
+    for (const Dist h : {1, 64, 65}) {
+      const Mesh2D mesh(w, h);
+      const auto fs = fault::uniform_random_faults(mesh, mesh.node_count() / 12, rng);
+      const Grid<bool> masks[] = {
+          obstacle_mask(mesh, fault::build_faulty_blocks(mesh, fs)),
+          obstacle_mask(mesh, fault::build_mcc(mesh, fs, fault::MccKind::TypeOne)),
+          obstacle_mask(mesh, fault::build_mcc(mesh, fs, fault::MccKind::TypeTwo))};
+      for (const Grid<bool>& mask : masks) {
+        const SafetyGrid safety = compute_safety_levels(mesh, mask);
+        mesh.for_each_node([&](Coord c) {
+          for (const Direction d : kAllDirections) {
+            const Dist to_edge = d == Direction::East    ? w - 1 - c.x
+                                 : d == Direction::West  ? c.x
+                                 : d == Direction::North ? h - 1 - c.y
+                                                         : c.y;
+            const Dist run = static_cast<Dist>(clear_run(mesh, mask, c, d).size());
+            ASSERT_EQ(run, std::min(safety.get(c, d), to_edge))
+                << w << "x" << h << " " << to_string(c) << " " << to_string(d);
+          }
+        });
       }
     }
   }
@@ -194,8 +227,18 @@ TEST(Segments, RejectsNegativeSize) {
   const Mesh2D mesh(5, 5);
   const Grid<bool> obstacles(5, 5, false);
   const SafetyGrid safety = compute_safety_levels(mesh, obstacles);
-  EXPECT_THROW((void)segment_representatives(mesh, obstacles, safety, {0, 0}, Direction::East,
-                                             Direction::North, -1),
+  EXPECT_THROW(
+      (void)segment_representatives(mesh, safety, {0, 0}, Direction::East, Direction::North, -1),
+      std::invalid_argument);
+}
+
+TEST(Segments, RejectsSourceOutsideMesh) {
+  const Mesh2D mesh(5, 5);
+  const SafetyGrid safety = compute_safety_levels(mesh, Grid<bool>(5, 5, false));
+  EXPECT_THROW(
+      (void)segment_representatives(mesh, safety, {-1, 2}, Direction::East, Direction::North, 1),
+      std::invalid_argument);
+  EXPECT_THROW((void)segment_representatives_multi(mesh, safety, {2, 5}, Direction::South, 1),
                std::invalid_argument);
 }
 

@@ -159,7 +159,7 @@ TEST(Router, CompositeTrapRequiresJoinedBoundaries) {
   const Coord s{0, 0};
   const Coord d{5, 12};
   // Source is safe (both axes clear).
-  const cond::RoutingProblem p{&w.mesh, &w.mask, &w.safety, s, d};
+  const cond::RoutingProblem p{&w.mesh, &w.safety, s, d};
   ASSERT_TRUE(cond::source_safe(p));
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -323,7 +323,7 @@ TEST_P(SafeSourceGuarantee, BoundaryInfoDeliversMinimalFromSafeSources) {
       const Coord d{static_cast<Dist>(rng.uniform(0, 39)),
                     static_cast<Dist>(rng.uniform(0, 39))};
       if (w.mask[s] || w.mask[d]) continue;
-      const cond::RoutingProblem p{&w.mesh, &w.mask, &w.safety, s, d};
+      const cond::RoutingProblem p{&w.mesh, &w.safety, s, d};
       if (!cond::safe_with_respect_to(p, s, d)) continue;
       ++safe_pairs;
       const auto r = route(w.view(), s, d, &rng);
@@ -343,7 +343,7 @@ TEST(Router, TwoPhaseSubMinimalViaSpareNeighbor) {
   const World w = make_world(14, {Rect{4, 6, 3, 4}});
   const Coord s{3, 3};
   const Coord d{6, 9};
-  const cond::RoutingProblem p{&w.mesh, &w.mask, &w.safety, s, d};
+  const cond::RoutingProblem p{&w.mesh, &w.safety, s, d};
   Coord via{-1, -1};
   ASSERT_EQ(cond::extension1(p, &via), cond::Decision::SubMinimal);
   const auto r = route_via(w.view(), s, via, d);
@@ -356,7 +356,7 @@ TEST(Router, TwoPhaseMinimalViaAxisNode) {
   const World w = make_world(14, {Rect{0, 2, 5, 6}});
   const Coord s{1, 1};
   const Coord d{6, 10};
-  const cond::RoutingProblem p{&w.mesh, &w.mask, &w.safety, s, d};
+  const cond::RoutingProblem p{&w.mesh, &w.safety, s, d};
   Coord via{-1, -1};
   ASSERT_EQ(cond::extension2(p, 1, &via), cond::Decision::Minimal);
   const auto r = route_via(w.view(), s, via, d);

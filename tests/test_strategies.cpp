@@ -27,7 +27,7 @@ struct Batch {
   }
 
   [[nodiscard]] RoutingProblem problem(Coord s, Coord d) const {
-    return {&mesh, &mask, &safety, s, d};
+    return {&mesh, &safety, s, d};
   }
 };
 

@@ -90,7 +90,7 @@ TEST_P(Clustered, CertificatesRemainSound) {
   for (int t = 0; t < 120; ++t) {
     const Coord s = w.random_free(rng, w.fb_mask);
     const Coord d = w.random_free(rng, w.fb_mask);
-    const cond::RoutingProblem p{&w.mesh, &w.fb_mask, &w.fb_safety, s, d};
+    const cond::RoutingProblem p{&w.mesh, &w.fb_safety, s, d};
     const bool reachable = cond::monotone_path_exists(w.mesh, w.fb_mask, s, d);
     if (cond::source_safe(p)) {
       EXPECT_TRUE(reachable);
@@ -122,7 +122,7 @@ TEST_P(Clustered, SafeSourcesRouteMinimallyAroundBigBlocks) {
   for (int t = 0; t < 400 && safe_pairs < 60; ++t) {
     const Coord s = w.random_free(rng, w.fb_mask);
     const Coord d = w.random_free(rng, w.fb_mask);
-    const cond::RoutingProblem p{&w.mesh, &w.fb_mask, &w.fb_safety, s, d};
+    const cond::RoutingProblem p{&w.mesh, &w.fb_safety, s, d};
     if (!cond::safe_with_respect_to(p, s, d)) continue;
     ++safe_pairs;
     const auto r = route::route(view, s, d, &rng);
