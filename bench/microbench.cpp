@@ -2,9 +2,10 @@
 // every sweep, snapshot and query (model builders, oracles, decision
 // procedures, rung-0 walks, incremental injection, the simsub protocols;
 // DESIGN §7 lists the rows) on one fixed-seed workload, 200x200 with 200
-// faults. Three guards exit 1 before their rows are timed: the safety levels
-// must equal the scalar oracle's, the route pair must be walked minimally,
-// and incremental injection must match the builder.
+// faults. Four guards exit 1 before their rows are timed: the boundary map's
+// deposit totals must equal the per-node map's, the safety levels must equal
+// the scalar oracle's, the route pair must be walked minimally, and
+// incremental injection must match the builder.
 // Reports the median of --reps repetitions per kernel and, with --json=,
 // emits the schema consumed by tools/bench_compare:
 //
@@ -191,6 +192,21 @@ int main(int argc, char** argv) {
     results.push_back(run_kernel(name, opt.reps, std::max(1, iters / scale), fn));
   };
 
+  // A fast but wrong boundary map must not produce a row either: its
+  // per-node totals on this world are pinned to the values the per-node
+  // (CSR) map produced.
+  {
+    constexpr std::size_t kDeposits = 157'639;
+    constexpr std::size_t kCovered = 36'412;
+    const info::BoundaryInfoMap map(mesh, blocks);
+    if (map.deposited_entries() != kDeposits || map.covered_nodes() != kCovered) {
+      std::cerr << "microbench: boundary map has " << map.deposited_entries() << " deposits on "
+                << map.covered_nodes() << " nodes, want " << kDeposits << " on " << kCovered
+                << "\n";
+      return 1;
+    }
+  }
+
   // The historical kernel names time the PRODUCTION entry points (the
   // bit-plane kernels), so they stay comparable across
   // BENCH files; scalar_* pins the reference kernels and bitgrid_* calls the
@@ -218,7 +234,7 @@ int main(int argc, char** argv) {
   }
   bench("safety_build", 64, [&] { info::compute_safety_levels(mesh, fb_mask, safety_out); });
   bench("boundary_build", 64,
-        [&] { sink = info::BoundaryInfoMap(mesh, blocks).deposited_entries() != 0; });
+        [&] { sink = info::BoundaryInfoMap(mesh, blocks).run_count() != 0; });
   bench("reach_oracle", 256, [&] { cond::monotone_reachability(mesh, fault_mask, source,
                                                                reach); });
   bench("scalar_block_build", 32,

@@ -17,7 +17,10 @@ bool disable_condition(const Mesh2D& mesh, const info::SafetyGrid& bad, Coord c)
 }  // namespace
 
 DynamicMeshState::DynamicMeshState(Mesh2D mesh)
-    : mesh_(mesh), faults_(mesh_), safety_(mesh_.width(), mesh_.height()) {}
+    : mesh_(mesh),
+      faults_(mesh_),
+      safety_(mesh_.width(), mesh_.height()),
+      seen_(mesh_.width(), mesh_.height()) {}
 
 std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& seeds) {
   // The disable rule is monotone, so seeding the worklist with the enabled
@@ -44,28 +47,27 @@ std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& se
 
 void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats) {
   // Bounding box of the (single) component containing the changed cells.
+  // The search list doubles as the queue and as the record of the `seen_`
+  // bits to clear, so the search costs the component, not the mesh.
   Rect box;
-  {
-    Grid<bool> seen(mesh_.width(), mesh_.height(), false);
-    std::deque<Coord> frontier;
-    for (const Coord c : changed) {
-      if (!seen[c]) {
-        seen[c] = true;
-        frontier.push_back(c);
-      }
+  component_.clear();
+  for (const Coord c : changed) {
+    if (!seen_.test(c)) {
+      seen_.set(c);
+      component_.push_back(c);
     }
-    while (!frontier.empty()) {
-      const Coord c = frontier.front();
-      frontier.pop_front();
-      box = box.united(c);
-      for (const Coord v : mesh_.neighbors(c)) {
-        if (safety_.blocked(v) && !seen[v]) {
-          seen[v] = true;
-          frontier.push_back(v);
-        }
+  }
+  for (std::size_t i = 0; i < component_.size(); ++i) {
+    const Coord c = component_[i];
+    box = box.united(c);
+    for (const Coord v : mesh_.neighbors(c)) {
+      if (safety_.blocked(v) && !seen_.test(v)) {
+        seen_.set(v);
+        component_.push_back(v);
       }
     }
   }
+  for (const Coord c : component_) seen_.reset(c);
   if (!box.valid()) return;
 
   // Absorb overlapped blocks, fill to the rectangle, re-propagate; repeat

@@ -15,20 +15,26 @@
 // Routing then needs *only* the block information stored at the node a packet
 // currently occupies (see route/router.hpp).
 //
-// Layout: one flat CSR table. Node i (row-major, as Grid::index) owns
-// ids_[offsets_[i] .. offsets_[i+1]); `offsets_` has area+1 entries and `ids_`
-// holds every deposit back to back, so the map is two allocations, however
-// many nodes it covers. The constructor paints the block rects into a
-// row-major and a column-major obstacle bit plane and walks each trail a
-// clear run at a time: countr_zero/countl_zero on the plane's words find
-// where the run meets a block (or the mesh edge), the run's nodes are
-// deposited in one tight loop, and the one slide step (turn-and-join) is
-// tested against the same plane. The rings and trails are walked twice —
-// once to count each node's unique deposits, once to fill them.
+// Layout: a run index. A block's deposits are a few straight runs — each
+// side of its ring, joined with the first clear run of the two trails that
+// leave that side's corners, then each trail's later runs, where a
+// turn-and-join slide node starts the run on its new line — so the map
+// stores the runs, not the nodes: horizontal runs `{lo, hi, id}` (an x
+// range) bucketed by row, vertical runs (a y range) bucketed by column, each
+// as a small CSR (one start per line, the runs back to back). The
+// constructor paints the block rects into a row-major and a column-major
+// obstacle bit plane and walks each trail a clear run at a time:
+// countr_zero/countl_zero on the plane's words find where the run meets a
+// block (or the mesh edge), and the slide is tested against the same plane.
+// One walk fills both tables; nothing is stored per node. known_blocks(c)
+// scans c's row bucket and column bucket and merges the two. The per-node
+// counts (deposited_entries, covered_nodes) are computed on demand from the
+// runs.
 //
-// Order contract: each node's list is unique and in ascending block id
-// order (blocks are walked in id order and a block's deposits are
-// contiguous). Believed-block sets, routes and serve replies depend on it.
+// Order contract: known_blocks(c) is unique and in ascending block id order
+// (blocks are walked in id order, so each bucket holds its runs in id order,
+// and the row and column halves are merged without repeats). Believed-block
+// sets, routes and serve replies depend on it.
 #pragma once
 
 #include <cstdint>
@@ -41,36 +47,67 @@
 
 namespace meshroute::info {
 
-/// Per-node store of which blocks are known there (ids into BlockSet).
+/// Which blocks are known at each node (ids into BlockSet), as runs.
 class BoundaryInfoMap {
  public:
   /// Build the full (all-quadrant) distribution for `blocks`.
   BoundaryInfoMap(const Mesh2D& mesh, const fault::BlockSet& blocks);
 
-  /// Ids of blocks whose information is stored at `c` (unique, ascending).
-  [[nodiscard]] std::span<const std::int32_t> known_blocks(Coord c) const noexcept {
-    const std::size_t i = index(c);
-    return {ids_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-  }
+  /// Overwrite `out` with the ids of the blocks whose information is stored
+  /// at `c` (unique, ascending).
+  void known_blocks(Coord c, std::vector<std::int32_t>& out) const;
 
   [[nodiscard]] bool knows(Coord c, std::int32_t block) const noexcept;
 
-  /// Total (node, block) pairs deposited — the memory cost of the model.
-  [[nodiscard]] std::size_t deposited_entries() const noexcept { return ids_.size(); }
+  /// Total (node, block) pairs deposited — the memory cost of the per-node
+  /// model. Computed from the runs on each call.
+  [[nodiscard]] std::size_t deposited_entries() const;
 
-  /// Number of nodes storing at least one entry.
-  [[nodiscard]] std::size_t covered_nodes() const noexcept { return covered_; }
+  /// Number of nodes storing at least one entry. Computed on each call.
+  [[nodiscard]] std::size_t covered_nodes() const;
 
- private:
-  [[nodiscard]] std::size_t index(Coord c) const noexcept {
-    return static_cast<std::size_t>(c.y) * static_cast<std::size_t>(width_) +
-           static_cast<std::size_t>(c.x);
+  /// Runs stored, both axes.
+  [[nodiscard]] std::size_t run_count() const noexcept {
+    return rows_.runs.size() + cols_.runs.size();
   }
 
+ private:
+  /// A stretch of a line where block `id` is deposited: positions lo..hi
+  /// along the line (x for a row, y for a column).
+  struct Run {
+    Dist lo;
+    Dist hi;
+    std::int32_t id;
+  };
+
+  /// Runs bucketed by line: line `v` owns runs[start[v] .. start[v+1]), in
+  /// block id order.
+  struct Lines {
+    std::vector<std::uint32_t> start;
+    std::vector<Run> runs;
+
+    [[nodiscard]] std::span<const Run> line(Dist v) const noexcept {
+      const auto i = static_cast<std::size_t>(v);
+      return {runs.data() + start[i], start[i + 1] - start[i]};
+    }
+  };
+
+  struct Totals {
+    std::size_t entries = 0;
+    std::size_t covered = 0;
+  };
+  [[nodiscard]] Totals totals() const;
+
   Dist width_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::int32_t> ids_;
-  std::size_t covered_ = 0;
+  Dist height_;
+  Lines rows_;  ///< horizontal runs, one line per row (x ranges)
+  Lines cols_;  ///< vertical runs, one line per column (y ranges)
 };
+
+/// The rects of the blocks known at `c`, in ascending id order (the believed
+/// set of Wu's protocol at `c`). Overwrites `out`; reuses a per-thread id
+/// buffer, so a call allocates nothing once `out` and the buffer are warm.
+void believed_rects(const BoundaryInfoMap& map, const fault::BlockSet& blocks, Coord c,
+                    std::vector<Rect>& out);
 
 }  // namespace meshroute::info

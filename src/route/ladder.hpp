@@ -96,14 +96,12 @@ class StaticFaultView final : public FaultView {
 
   void believed_blocks(Coord at, std::int64_t /*time*/,
                        std::vector<Rect>& out) const override {
-    out.clear();
-    if (boundary_ == nullptr) {
-      for (const auto& b : blocks_.blocks()) out.push_back(b.rect);
+    if (boundary_ != nullptr) {
+      info::believed_rects(*boundary_, blocks_, at, out);
       return;
     }
-    for (const std::int32_t id : boundary_->known_blocks(at)) {
-      out.push_back(blocks_.blocks()[static_cast<std::size_t>(id)].rect);
-    }
+    out.clear();
+    for (const auto& b : blocks_.blocks()) out.push_back(b.rect);
   }
 
   [[nodiscard]] bool is_stale(Coord /*at*/, std::int64_t /*time*/) const override {

@@ -102,10 +102,7 @@ bool RoutingSnapshot::truly_bad(Coord c, std::int64_t /*time*/) const {
 
 void RoutingSnapshot::believed_blocks(Coord at, std::int64_t /*time*/,
                                       std::vector<Rect>& out) const {
-  out.clear();
-  for (const std::int32_t id : boundary_.known_blocks(at)) {
-    out.push_back(blocks_.blocks()[static_cast<std::size_t>(id)].rect);
-  }
+  info::believed_rects(boundary_, blocks_, at, out);
 }
 
 bool RoutingSnapshot::is_stale(Coord /*at*/, std::int64_t /*time*/) const { return false; }

@@ -23,7 +23,7 @@ BlockSet single_block(const Mesh2D& mesh, const Rect& r) {
 }
 
 // Reference oracle: the straightforward per-node-vector builder (append in
-// block order, linear duplicate scan). The CSR map must reproduce it
+// block order, linear duplicate scan). The run index must reproduce it
 // exactly, including the order of every node's list.
 void reference_deposit(Coord c, std::int32_t id, Grid<std::vector<std::int32_t>>& out) {
   auto& v = out[c];
@@ -75,6 +75,13 @@ Grid<std::vector<std::int32_t>> reference_deposits(const Mesh2D& mesh, const Blo
   return out;
 }
 
+/// The ids known at `c`, as a fresh vector.
+std::vector<std::int32_t> known(const BoundaryInfoMap& info, Coord c) {
+  std::vector<std::int32_t> ids;
+  info.known_blocks(c, ids);
+  return ids;
+}
+
 /// Every node's list equals the oracle's in order; the totals agree.
 void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks,
                               const BoundaryInfoMap& info) {
@@ -82,8 +89,7 @@ void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks,
   std::size_t entries = 0;
   std::size_t covered = 0;
   mesh.for_each_node([&](Coord c) {
-    const auto got = info.known_blocks(c);
-    EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()), want[c]) << to_string(c);
+    EXPECT_EQ(known(info, c), want[c]) << to_string(c);
     entries += want[c].size();
     if (!want[c].empty()) ++covered;
   });
@@ -130,11 +136,11 @@ TEST(Boundary, OffLineNodesKnowNothing) {
   const Mesh2D mesh(12, 12);
   const BlockSet blocks = single_block(mesh, Rect{4, 6, 4, 6});
   const BoundaryInfoMap info(mesh, blocks);
-  EXPECT_TRUE(info.known_blocks({0, 0}).empty());
-  EXPECT_TRUE(info.known_blocks({1, 9}).empty());
-  EXPECT_TRUE(info.known_blocks({9, 1}).empty());
+  EXPECT_TRUE(known(info, {0, 0}).empty());
+  EXPECT_TRUE(known(info, {1, 9}).empty());
+  EXPECT_TRUE(known(info, {9, 1}).empty());
   // Inside the block: trails never enter it.
-  EXPECT_TRUE(info.known_blocks({5, 5}).empty());
+  EXPECT_TRUE(known(info, {5, 5}).empty());
 }
 
 TEST(Boundary, BlockAtMeshCornerClipsGracefully) {
@@ -193,7 +199,7 @@ TEST(Boundary, DepositStatsAreConsistent) {
   std::size_t entries = 0;
   std::size_t covered = 0;
   mesh.for_each_node([&](Coord c) {
-    const auto v = info.known_blocks(c);
+    const auto v = known(info, c);
     entries += v.size();
     if (!v.empty()) ++covered;
     // No duplicates.
@@ -214,7 +220,7 @@ TEST(Boundary, NoInfoEverDepositedOnBlockNodes) {
   const BoundaryInfoMap info(mesh, blocks);
   mesh.for_each_node([&](Coord c) {
     if (blocks.is_block_node(c)) {
-      EXPECT_TRUE(info.known_blocks(c).empty()) << to_string(c);
+      EXPECT_TRUE(known(info, c).empty()) << to_string(c);
     }
   });
 }
@@ -384,6 +390,116 @@ TEST(BoundaryReference, HandBuiltNearbyRectsMatchInOrder) {
       expect_matches_reference(mesh, hand_built(mesh, rects));
     }
   }
+}
+
+// The run index against the stepwise walker on shapes that stress its
+// layout: lines with no runs, runs of one node, lines that are one block,
+// blocks flush with the mesh edges, and word-edge mesh sizes. Besides each
+// node's ordered list, knows() is checked for every (node, block) pair.
+void expect_runs_match(const Mesh2D& mesh, const BlockSet& blocks) {
+  const BoundaryInfoMap info(mesh, blocks);
+  expect_matches_reference(mesh, blocks, info);
+  const Grid<std::vector<std::int32_t>> want = reference_deposits(mesh, blocks);
+  const auto count = static_cast<std::int32_t>(blocks.blocks().size());
+  mesh.for_each_node([&](Coord c) {
+    for (std::int32_t b = 0; b < count; ++b) {
+      const bool deposited = std::find(want[c].begin(), want[c].end(), b) != want[c].end();
+      EXPECT_EQ(info.knows(c, b), deposited) << to_string(c) << " block " << b;
+    }
+  });
+}
+
+TEST(BoundaryRuns, OneNodeMesh) {
+  const Mesh2D mesh(1, 1);
+  expect_runs_match(mesh, build_faulty_blocks(mesh, FaultSet(mesh)));
+  FaultSet fs(mesh);
+  fs.add({0, 0});
+  const BlockSet blocks = build_faulty_blocks(mesh, fs);
+  ASSERT_EQ(blocks.block_count(), 1u);
+  expect_runs_match(mesh, blocks);
+  EXPECT_EQ(BoundaryInfoMap(mesh, blocks).deposited_entries(), 0u);
+}
+
+TEST(BoundaryRuns, OneWideMeshes) {
+  for (const Dist n : {2, 3, 9}) {
+    for (const bool row : {true, false}) {
+      const Mesh2D mesh = row ? Mesh2D(n, 1) : Mesh2D(1, n);
+      const auto at = [&](Dist i) { return row ? Coord{i, 0} : Coord{0, i}; };
+      SCOPED_TRACE(testing::Message() << (row ? "row " : "column ") << n);
+      for (Dist i = 0; i < n; ++i) {
+        FaultSet fs(mesh);
+        fs.add(at(i));
+        expect_runs_match(mesh, build_faulty_blocks(mesh, fs));
+      }
+      FaultSet ends(mesh);
+      ends.add(at(0));
+      ends.add(at(n - 1));
+      expect_runs_match(mesh, build_faulty_blocks(mesh, ends));
+    }
+  }
+}
+
+TEST(BoundaryRuns, LinesWithoutRuns) {
+  // One small block: every row but its two ring rows and every column but
+  // its two ring columns holds no run of its own axis.
+  const Mesh2D mesh(20, 14);
+  expect_runs_match(mesh, single_block(mesh, Rect{8, 9, 5, 6}));
+  // A whole row is one block: its ring columns and vertical trails lie off
+  // the mesh, so no column holds a run at all.
+  for (const Dist y : {0, 6, 13}) {
+    SCOPED_TRACE(testing::Message() << "full row " << y);
+    expect_runs_match(mesh, single_block(mesh, Rect{0, 19, y, y}));
+  }
+  // And a whole column: no row holds a run.
+  for (const Dist x : {0, 7, 19}) {
+    SCOPED_TRACE(testing::Message() << "full column " << x);
+    expect_runs_match(mesh, single_block(mesh, Rect{x, x, 0, 13}));
+  }
+}
+
+TEST(BoundaryRuns, BlocksFlushWithEveryEdgeAndCorner) {
+  const Mesh2D mesh(15, 12);
+  const std::vector<Rect> rects = {
+      {0, 2, 0, 1},  {12, 14, 0, 2},  {0, 1, 10, 11}, {13, 14, 9, 11},  // corners
+      {6, 8, 0, 1},  {6, 7, 10, 11},  {0, 1, 5, 6},   {14, 14, 5, 7},   // edges
+  };
+  for (const Rect& r : rects) {
+    SCOPED_TRACE(to_string(Coord{r.xmin, r.ymin}));
+    expect_runs_match(mesh, single_block(mesh, r));
+  }
+  expect_runs_match(mesh, blocks_of(mesh, rects));
+}
+
+TEST(BoundaryRuns, SingleSlideNodeRuns) {
+  // Block 0's L1 runs west along y = 9 into the tall block 1 at (6, 9) and
+  // slides south down its east face: (7, 8) .. (7, 5) are runs of one slide
+  // node each, and (7, 4) starts the run on to the west edge. Block 0's L3
+  // runs south along x = 9 into block 2 and slides west to (8, 3), whose
+  // node ahead is block 2 and whose next slide is block 3: a trail that ends
+  // in a run of one slide node.
+  const Mesh2D mesh(20, 20);
+  const BlockSet blocks =
+      hand_built(mesh, {{10, 12, 10, 12}, {5, 6, 5, 9}, {8, 9, 0, 2}, {7, 7, 3, 3}});
+  expect_runs_match(mesh, blocks);
+  const BoundaryInfoMap info(mesh, blocks);
+  for (Dist y = 4; y <= 9; ++y) EXPECT_TRUE(info.knows({7, y}, 0)) << y;
+  for (Dist x = 0; x <= 6; ++x) EXPECT_TRUE(info.knows({x, 4}, 0)) << x;
+  EXPECT_FALSE(info.knows({6, 8}, 0));
+  EXPECT_TRUE(info.knows({8, 3}, 0));
+}
+
+TEST(BoundaryRuns, WordEdgeSizes) {
+  for (const Dist n : {63, 64, 65, 129}) {
+    const Mesh2D mesh(n, n);
+    Rng rng(seed_combine(0x7a11, static_cast<std::uint64_t>(n)));
+    const std::size_t k = static_cast<std::size_t>(n) * static_cast<std::size_t>(n) / 150;
+    SCOPED_TRACE(testing::Message() << n << "x" << n << " k=" << k);
+    expect_runs_match(mesh, build_faulty_blocks(mesh, fault::uniform_random_faults(mesh, k, rng)));
+  }
+  // Blocks whose edges, ring lines and trail ends sit on both sides of word
+  // boundaries, on a 129x65 mesh.
+  const Mesh2D mesh(129, 65);
+  expect_runs_match(mesh, blocks_of(mesh, {{62, 64, 62, 63}, {126, 128, 0, 1}, {0, 63, 30, 30}}));
 }
 
 TEST(BoundaryReference, DeltaFedGrowAndMergeMatchesEveryEpoch) {

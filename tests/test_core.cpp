@@ -330,11 +330,11 @@ TEST(FaultTolerantMesh, PlanesMatchScalarOracles) {
 
       const info::BoundaryInfoMap boundary(mesh, blocks);
       mesh.for_each_node([&](Coord c) {
-        const auto got = ftm.boundary().known_blocks(c);
-        const auto want = boundary.known_blocks(c);
-        EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()),
-                  std::vector<std::int32_t>(want.begin(), want.end()))
-            << "seed " << seed << " node " << to_string(c);
+        std::vector<std::int32_t> got;
+        std::vector<std::int32_t> want;
+        ftm.boundary().known_blocks(c, got);
+        boundary.known_blocks(c, want);
+        EXPECT_EQ(got, want) << "seed " << seed << " node " << to_string(c);
       });
     }
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -164,6 +165,15 @@ struct StressCase {
   Dist n;
   int injections;
 };
+
+// Names each case "seed<seed>_n<side>_i<injections>". gtest_discover_tests
+// (CMake 3.25) names a value-parameterized ctest case by its printed
+// parameter when gtest names it by index, and keeps gtest's whole listing
+// line, "# GetParam() = ..." comment and all, under a name generator; so the
+// readable name comes from the printer.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_n" << c.n << "_i" << c.injections;
+}
 
 void check_every_injection(std::uint64_t seed, Dist width, Dist height, int injections) {
   Rng rng(seed);
