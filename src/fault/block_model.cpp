@@ -96,13 +96,9 @@ void merge_overlapping(std::vector<Rect>& boxes) {
 /// at the disable fixed point and scratch.fault_plane holds the raw faults.
 /// Runs the rectangular closure to stability (re-running the fixed point
 /// whenever a box grew) and assembles `out`.
-void finish_blocks_from_fixpoint(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
-                                 BlockScratch& scratch) {
-  const Dist w = mesh.width();
-  const Dist h = mesh.height();
+void finish_blocks_from_fixpoint(const Mesh2D& mesh, BlockSet& out, BlockScratch& scratch) {
   core::BitGrid& bad = scratch.bad_plane;
   const core::BitGrid& fplane = scratch.fault_plane;
-  const std::size_t nw = bad.words_per_row();
 
   while (true) {
     scratch.cc.build(bad);
@@ -143,20 +139,7 @@ void finish_blocks_from_fixpoint(const Mesh2D& mesh, const FaultSet& faults, Blo
     blocks.push_back(blk);
   }
 
-  Grid<NodeLabel>& labels = scratch.labels;
-  if (labels.width() != w || labels.height() != h) {
-    labels = Grid<NodeLabel>(w, h, NodeLabel::Enabled);
-  } else {
-    labels.fill(NodeLabel::Enabled);
-  }
-  for (Dist y = 0; y < h; ++y) {
-    NodeLabel* lrow = labels.data().data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    core::BitGrid::for_each_set_in_row(bad.row(y), nw,
-                                       [&](Dist x) { lrow[x] = NodeLabel::Disabled; });
-  }
-  for (const Coord f : faults.faults()) labels[f] = NodeLabel::Faulty;
-
-  out.assign(mesh, blocks, labels);
+  out.assign(mesh, blocks);
 }
 
 }  // namespace
@@ -176,38 +159,39 @@ Grid<NodeLabel> disable_labeling_fixed_point(const Mesh2D& mesh, const FaultSet&
   return labels;
 }
 
-BlockSet::BlockSet(const Mesh2D& mesh, std::vector<FaultyBlock> blocks, Grid<NodeLabel> labels)
-    : blocks_(std::move(blocks)), labels_(std::move(labels)) {
-  paint_ids(mesh);
+BlockSet::BlockSet(const Mesh2D& mesh, std::vector<FaultyBlock> blocks)
+    : blocks_(std::move(blocks)) {
+  paint(mesh);
 }
 
-void BlockSet::assign(const Mesh2D& mesh, const std::vector<FaultyBlock>& blocks,
-                      const Grid<NodeLabel>& labels) {
+void BlockSet::assign(const Mesh2D& mesh, const std::vector<FaultyBlock>& blocks) {
   blocks_ = blocks;
-  labels_ = labels;
-  paint_ids(mesh);
+  paint(mesh);
 }
 
-void BlockSet::paint_ids(const Mesh2D& mesh) {
-  if (id_.width() != mesh.width() || id_.height() != mesh.height()) {
-    id_ = Grid<std::int32_t>(mesh.width(), mesh.height(), kNoBlock);
-  } else {
-    id_.fill(kNoBlock);
-  }
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const Rect& r = blocks_[b].rect;
-    if (!mesh.bounds().contains(r)) {
-      throw std::invalid_argument("BlockSet: block outside mesh " + r.to_string());
+void BlockSet::paint(const Mesh2D& mesh) {
+  for (const FaultyBlock& b : blocks_) {
+    if (!mesh.bounds().contains(b.rect)) {
+      throw std::invalid_argument("BlockSet: block outside mesh " + b.rect.to_string());
     }
+  }
+  plane_.resize(mesh.width(), mesh.height());
+  for (const FaultyBlock& b : blocks_) {
+    const Rect& r = b.rect;
     for (Dist y = r.ymin; y <= r.ymax; ++y) {
-      for (Dist x = r.xmin; x <= r.xmax; ++x) {
-        if (id_[{x, y}] != kNoBlock) {
-          throw std::invalid_argument("BlockSet: overlapping blocks");
-        }
-        id_[{x, y}] = static_cast<std::int32_t>(b);
+      if (core::row_range_popcount(plane_.row(y), r.xmin, r.xmax) != 0) {
+        throw std::invalid_argument("BlockSet: overlapping blocks");
       }
+      core::row_range_set(plane_.row(y), r.xmin, r.xmax);
     }
   }
+}
+
+std::int32_t BlockSet::block_id(Coord c) const noexcept {
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    if (blocks_[b].rect.contains(c)) return static_cast<std::int32_t>(b);
+  }
+  return kNoBlock;
 }
 
 std::int64_t BlockSet::total_disabled() const noexcept {
@@ -281,20 +265,8 @@ void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, Bloc
     blocks.push_back(blk);
   }
 
-  Grid<NodeLabel>& labels = scratch.labels;
-  if (labels.width() != mesh.width() || labels.height() != mesh.height()) {
-    labels = Grid<NodeLabel>(mesh.width(), mesh.height(), NodeLabel::Enabled);
-  } else {
-    labels.fill(NodeLabel::Enabled);
-  }
-  mesh.for_each_node([&](Coord c) {
-    if (faults.contains(c)) {
-      labels[c] = NodeLabel::Faulty;
-    } else if (bad[c]) {
-      labels[c] = NodeLabel::Disabled;
-    }
-  });
-  out.assign(mesh, blocks, labels);
+  scratch.bad_plane.assign(bad);
+  out.assign(mesh, blocks);
 }
 
 void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
@@ -311,7 +283,7 @@ void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, Bl
   // tail (which alternates closure and fixed point until stable — the same
   // loop as the scalar builder).
   core::simd::block_fixpoint(bad, scratch.simd);
-  finish_blocks_from_fixpoint(mesh, faults, out, scratch);
+  finish_blocks_from_fixpoint(mesh, out, scratch);
 }
 
 }  // namespace meshroute::fault

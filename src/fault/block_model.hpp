@@ -27,7 +27,8 @@
 
 namespace meshroute::fault {
 
-/// Per-node status under the faulty-block model.
+/// Per-node status under the faulty-block model (the test-only
+/// disable_labeling_fixed_point reports it; a BlockSet holds no labels).
 enum class NodeLabel : std::uint8_t { Enabled = 0, Disabled = 1, Faulty = 2 };
 
 /// One disjoint rectangular faulty block [xmin:xmax, ymin:ymax].
@@ -35,50 +36,53 @@ struct FaultyBlock {
   Rect rect;
   std::int32_t faulty_count = 0;    ///< truly faulty nodes inside
   std::int32_t disabled_count = 0;  ///< healthy-but-disabled nodes inside
+
+  friend bool operator==(const FaultyBlock&, const FaultyBlock&) = default;
 };
 
-/// Identifier of "no block" in the id grid.
+/// block_id() of a node outside every block.
 inline constexpr std::int32_t kNoBlock = -1;
 
-/// The set of disjoint faulty blocks of a mesh plus an O(1) node -> block map.
+/// The set of disjoint faulty blocks of a mesh plus a bit plane of their
+/// nodes. Whether a block node is faulty or disabled is the fault set's to
+/// say (FaultSet::contains); the set keeps nothing per node wider than a bit.
 class BlockSet {
  public:
   /// Empty set over an empty mesh; assign() before use.
   BlockSet() = default;
 
-  BlockSet(const Mesh2D& mesh, std::vector<FaultyBlock> blocks, Grid<NodeLabel> labels);
+  /// Throws std::invalid_argument when a rect leaves the mesh or two rects
+  /// overlap.
+  BlockSet(const Mesh2D& mesh, std::vector<FaultyBlock> blocks);
 
-  /// Rebuild in place from caller-owned inputs. Copy-assignments reuse the
-  /// existing grid/vector capacity, so steady-state rebuilds allocate
-  /// nothing; semantics are identical to constructing a fresh BlockSet.
-  void assign(const Mesh2D& mesh, const std::vector<FaultyBlock>& blocks,
-              const Grid<NodeLabel>& labels);
+  /// Rebuild in place; reuses the list's and the plane's capacity, so
+  /// steady-state rebuilds allocate nothing. Same checks as the constructor.
+  void assign(const Mesh2D& mesh, const std::vector<FaultyBlock>& blocks);
 
   [[nodiscard]] const std::vector<FaultyBlock>& blocks() const noexcept { return blocks_; }
   [[nodiscard]] std::size_t block_count() const noexcept { return blocks_.size(); }
 
-  /// Block id at `c`, or kNoBlock.
-  [[nodiscard]] std::int32_t block_id(Coord c) const noexcept { return id_[c]; }
+  /// Index of the block holding `c`, or kNoBlock (a scan of the rects).
+  [[nodiscard]] std::int32_t block_id(Coord c) const noexcept;
 
   /// True when `c` lies inside some faulty block (faulty or disabled node).
-  [[nodiscard]] bool is_block_node(Coord c) const noexcept { return id_[c] != kNoBlock; }
+  [[nodiscard]] bool is_block_node(Coord c) const noexcept { return plane_.test(c); }
 
-  /// Label of `c` under Definition 1.
-  [[nodiscard]] NodeLabel label(Coord c) const noexcept { return labels_[c]; }
-
-  [[nodiscard]] const Grid<NodeLabel>& labels() const noexcept { return labels_; }
+  /// The block nodes, row-major (the union of the rects).
+  [[nodiscard]] const core::BitGrid& plane() const noexcept { return plane_; }
 
   /// Total healthy nodes sacrificed to blocks.
   [[nodiscard]] std::int64_t total_disabled() const noexcept;
   [[nodiscard]] std::int64_t total_faulty() const noexcept;
 
+  friend bool operator==(const BlockSet&, const BlockSet&) = default;
+
  private:
-  /// Repaint the id grid from blocks_ (shared by ctor and assign()).
-  void paint_ids(const Mesh2D& mesh);
+  /// Check the rects against the mesh and paint them into plane_.
+  void paint(const Mesh2D& mesh);
 
   std::vector<FaultyBlock> blocks_;
-  Grid<NodeLabel> labels_;
-  Grid<std::int32_t> id_;
+  core::BitGrid plane_;
 };
 
 /// Reusable buffers for the in-place builders (one per worker thread).
@@ -86,7 +90,6 @@ struct BlockScratch {
   // Scalar-path buffers.
   Grid<bool> bad;
   Grid<bool> seen;
-  Grid<NodeLabel> labels;
   std::vector<Coord> work;
   std::vector<Coord> frontier;
   std::vector<Coord> grown;
@@ -120,7 +123,7 @@ void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, Bloc
 
 /// The word-parallel implementation: Gauss-Seidel disable sweeps over bit
 /// rows, run-union components, word-filled rectangular closure. Produces a
-/// BlockSet identical (blocks, labels, ids) to the scalar builder.
+/// BlockSet identical to the scalar builder's.
 void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                   BlockScratch& scratch);
 

@@ -55,62 +55,68 @@ struct MccComponent {
 
   /// Healthy nodes the model sacrifices in this component.
   [[nodiscard]] std::int32_t disabled_count() const noexcept { return size - faulty_count; }
+
+  friend bool operator==(const MccComponent&, const MccComponent&) = default;
 };
 
-/// Identifier of "no component".
-inline constexpr std::int32_t kNoMcc = -1;
-
-/// The MCC labeling of a mesh for one kind, with components extracted.
+/// The MCC labeling of a mesh for one kind: its components plus three bit
+/// planes (every labeled node, the useless ones, the can't-reach ones).
 class MccSet {
  public:
   /// Empty labeling over an empty mesh; assign() before use.
   MccSet() = default;
 
-  MccSet(MccKind kind, Grid<std::uint8_t> status, Grid<std::int32_t> comp_id,
-         std::vector<MccComponent> components)
-      : kind_(kind), status_(std::move(status)), comp_id_(std::move(comp_id)),
-        components_(std::move(components)) {}
-
   /// Rebuild in place from caller-owned inputs; copy-assignments reuse the
-  /// existing grid/vector capacity (zero allocations in steady state).
-  void assign(MccKind kind, const Grid<std::uint8_t>& status, const Grid<std::int32_t>& comp_id,
-              const std::vector<MccComponent>& components) {
+  /// existing plane/vector capacity (zero allocations in steady state).
+  /// `labeled` must be the faults ORed with `useless` and `cant_reach`, and
+  /// the two labels must be disjoint from the faults.
+  void assign(MccKind kind, const core::BitGrid& labeled, const core::BitGrid& useless,
+              const core::BitGrid& cant_reach, const std::vector<MccComponent>& components) {
     kind_ = kind;
-    status_ = status;
-    comp_id_ = comp_id;
+    labeled_ = labeled;
+    useless_ = useless;
+    cant_reach_ = cant_reach;
     components_ = components;
   }
 
   [[nodiscard]] MccKind kind() const noexcept { return kind_; }
 
-  /// Bitmask of mcc_status flags at `c`.
-  [[nodiscard]] std::uint8_t status(Coord c) const noexcept { return status_[c]; }
+  /// Bitmask of mcc_status flags at `c`. A labeled node that is neither
+  /// useless nor can't-reach is faulty (the labels never hold a fault).
+  [[nodiscard]] std::uint8_t status(Coord c) const noexcept {
+    if (!labeled_.test(c)) return mcc_status::kFaultFree;
+    const auto flags = static_cast<std::uint8_t>((useless_.test(c) ? mcc_status::kUseless : 0) |
+                                                 (cant_reach_.test(c) ? mcc_status::kCantReach : 0));
+    return flags != 0 ? flags : mcc_status::kFaulty;
+  }
 
   /// True when `c` belongs to an MCC (faulty, useless, or can't-reach).
-  [[nodiscard]] bool is_mcc_node(Coord c) const noexcept { return status_[c] != 0; }
+  [[nodiscard]] bool is_mcc_node(Coord c) const noexcept { return labeled_.test(c); }
 
-  /// Component id at `c`, or kNoMcc.
-  [[nodiscard]] std::int32_t component_id(Coord c) const noexcept { return comp_id_[c]; }
+  /// Every MCC node, row-major.
+  [[nodiscard]] const core::BitGrid& plane() const noexcept { return labeled_; }
 
   [[nodiscard]] const std::vector<MccComponent>& components() const noexcept {
     return components_;
   }
 
-  [[nodiscard]] const Grid<std::uint8_t>& status_grid() const noexcept { return status_; }
-
   /// Total healthy nodes disabled across all components.
   [[nodiscard]] std::int64_t total_disabled() const noexcept;
 
+  friend bool operator==(const MccSet&, const MccSet&) = default;
+
  private:
   MccKind kind_ = MccKind::TypeOne;
-  Grid<std::uint8_t> status_;
-  Grid<std::int32_t> comp_id_;
+  core::BitGrid labeled_;
+  core::BitGrid useless_;
+  core::BitGrid cant_reach_;
   std::vector<MccComponent> components_;
 };
 
 /// Reusable buffers for the in-place builders (one per worker thread).
 struct MccScratch {
-  // Scalar-path buffers.
+  // Scalar-path buffers (the oracle's byte grids, packed into the planes
+  // below at the end).
   Grid<std::uint8_t> status;
   Grid<std::int32_t> comp_id;
   std::vector<MccComponent> components;

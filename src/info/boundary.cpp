@@ -102,16 +102,17 @@ void ring_side(const TrailAxis& ax, Dist v, Dist ulo, Dist uhi, int dv, Visit& v
   if (uhi < ulen) walk_on<+1>(ax, hi, v, dv, visit);
 }
 
-/// The union of the block rects, row-major (bit x of row y) and
-/// column-major (bit y of row x), so a trail in any direction scans one row.
+/// The union of the block rects, row-major (bit x of row y: the block set's
+/// own plane) and column-major (bit y of row x, painted here), so a trail in
+/// any direction scans one row.
 struct ObstaclePlanes {
-  core::BitGrid rows;
+  const core::BitGrid& rows;
   core::BitGrid cols;
 
-  ObstaclePlanes(const fault::BlockSet& blocks, Dist w, Dist h) : rows(w, h), cols(h, w) {
+  explicit ObstaclePlanes(const fault::BlockSet& blocks)
+      : rows(blocks.plane()), cols(rows.height(), rows.width()) {
     for (const fault::FaultyBlock& b : blocks.blocks()) {
       const Rect& r = b.rect;
-      for (Dist y = r.ymin; y <= r.ymax; ++y) core::row_range_set(rows.row(y), r.xmin, r.xmax);
       for (Dist x = r.xmin; x <= r.xmax; ++x) core::row_range_set(cols.row(x), r.ymin, r.ymax);
     }
   }
@@ -152,7 +153,7 @@ void for_each_deposit_run(const fault::BlockSet& blocks, const ObstaclePlanes& p
 
 BoundaryInfoMap::BoundaryInfoMap(const Mesh2D& mesh, const fault::BlockSet& blocks)
     : width_(mesh.width()), height_(mesh.height()) {
-  const ObstaclePlanes planes(blocks, width_, height_);
+  const ObstaclePlanes planes(blocks);
   struct Pending {
     Dist line;
     Run run;

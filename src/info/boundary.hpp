@@ -22,8 +22,8 @@
 // stores the runs, not the nodes: horizontal runs `{lo, hi, id}` (an x
 // range) bucketed by row, vertical runs (a y range) bucketed by column, each
 // as a small CSR (one start per line, the runs back to back). The
-// constructor paints the block rects into a row-major and a column-major
-// obstacle bit plane and walks each trail a clear run at a time:
+// constructor reads the block set's row-major plane, paints the rects into
+// a column-major one, and walks each trail a clear run at a time:
 // countr_zero/countl_zero on the plane's words find where the run meets a
 // block (or the mesh edge), and the slide is tested against the same plane.
 // One walk fills both tables; nothing is stored per node. known_blocks(c)

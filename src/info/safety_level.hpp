@@ -174,8 +174,8 @@ class SafetyGrid {
 };
 
 /// Obstacle mask of a fault model: true at every node belonging to a block.
-/// The in-place overloads write into a caller-owned grid (resized only on
-/// dimension mismatch) — the workspace path; the allocating ones delegate.
+/// An unpacked copy of the set's plane; the in-place overloads write into a
+/// caller-owned grid (resized only on dimension mismatch).
 [[nodiscard]] Grid<bool> obstacle_mask(const Mesh2D& mesh, const fault::BlockSet& blocks);
 [[nodiscard]] Grid<bool> obstacle_mask(const Mesh2D& mesh, const fault::MccSet& mcc);
 void obstacle_mask(const Mesh2D& mesh, const fault::BlockSet& blocks, Grid<bool>& out);

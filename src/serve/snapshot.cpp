@@ -10,35 +10,25 @@ namespace meshroute::serve {
 namespace {
 
 /// Package the incremental maintainer's rectangle list as a BlockSet (the
-/// labeled, id-mapped form the boundary walks and the ladder consume).
-/// Rectangles are sorted (ymin, xmin) so snapshot content is a pure function
-/// of the fault set, never of injection order.
+/// form the boundary walks and the ladder consume). Rectangles are sorted
+/// (ymin, xmin) so snapshot content is a pure function of the fault set,
+/// never of injection order.
 fault::BlockSet block_set_from_state(const dynamic::DynamicMeshState& state) {
   std::vector<Rect> rects = state.blocks();
   std::sort(rects.begin(), rects.end(), [](const Rect& a, const Rect& b) {
     return a.ymin != b.ymin ? a.ymin < b.ymin : a.xmin < b.xmin;
   });
-  const Mesh2D& mesh = state.mesh();
-  Grid<fault::NodeLabel> labels(mesh.width(), mesh.height(), fault::NodeLabel::Enabled);
   std::vector<fault::FaultyBlock> blocks;
   blocks.reserve(rects.size());
   for (const Rect& r : rects) {
     fault::FaultyBlock b{r, 0, 0};
     for (Dist y = r.ymin; y <= r.ymax; ++y) {
-      for (Dist x = r.xmin; x <= r.xmax; ++x) {
-        const Coord c{x, y};
-        if (state.faults().contains(c)) {
-          labels[c] = fault::NodeLabel::Faulty;
-          ++b.faulty_count;
-        } else {
-          labels[c] = fault::NodeLabel::Disabled;
-          ++b.disabled_count;
-        }
-      }
+      for (Dist x = r.xmin; x <= r.xmax; ++x) b.faulty_count += state.faults().contains({x, y});
     }
+    b.disabled_count = static_cast<std::int32_t>(r.area()) - b.faulty_count;
     blocks.push_back(b);
   }
-  return fault::BlockSet(mesh, std::move(blocks), std::move(labels));
+  return fault::BlockSet(state.mesh(), std::move(blocks));
 }
 
 fault::BlockSet build_blocks_scratch(const Mesh2D& mesh, const fault::FaultSet& faults,

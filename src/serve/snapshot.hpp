@@ -1,8 +1,10 @@
 // RoutingSnapshot: one immutable, epoch-stamped view of the whole fault
-// world — faulty blocks, both MCC labelings, boundary deposits, safety
-// planes (each also its fault model's obstacle set), and the fault set with
-// its ground-truth mask — built once and then shared by any
-// number of reader threads with no synchronization at all. This is the unit
+// world — faulty blocks (the rect list and one block-node bit plane), both
+// MCC labelings (the component lists and three label planes each), boundary
+// runs, safety planes (each also its fault model's obstacle set), and the
+// fault set with its ground-truth mask — built once and then shared by any
+// number of reader threads with no synchronization at all. Nothing in it is
+// wider than a bit per node except the fault set's mask. This is the unit
 // the routing-as-a-service layer publishes: queries are pure functions of a
 // snapshot, so millions of decide/route calls can run against one while
 // fault churn rebuilds the next off to the side (store.hpp).

@@ -167,13 +167,15 @@ void expect_blocksets_equal(const Mesh2D& mesh, const fault::BlockSet& a,
     EXPECT_EQ(a.blocks()[i].faulty_count, b.blocks()[i].faulty_count) << i;
     EXPECT_EQ(a.blocks()[i].disabled_count, b.blocks()[i].disabled_count) << i;
   }
-  EXPECT_EQ(a.labels(), b.labels());
+  EXPECT_TRUE(a == b);  // the list and the block-node plane
   mesh.for_each_node([&](Coord c) { ASSERT_EQ(a.block_id(c), b.block_id(c)) << c.x << "," << c.y; });
 }
 
+// status(c) everywhere plus the component list in order: together the
+// partition of the MCC nodes and its row-major numbering.
 void expect_mccsets_equal(const Mesh2D& mesh, const fault::MccSet& a, const fault::MccSet& b) {
-  EXPECT_EQ(a.status_grid(), b.status_grid());
-  mesh.for_each_node([&](Coord c) { ASSERT_EQ(a.component_id(c), b.component_id(c)); });
+  mesh.for_each_node([&](Coord c) { ASSERT_EQ(a.status(c), b.status(c)) << c.x << "," << c.y; });
+  EXPECT_TRUE(a == b);
   ASSERT_EQ(a.components().size(), b.components().size());
   for (std::size_t i = 0; i < a.components().size(); ++i) {
     EXPECT_EQ(a.components()[i].bbox, b.components()[i].bbox) << i;

@@ -33,8 +33,9 @@ TEST(BlockModel, SingleFaultIsUnitBlock) {
   ASSERT_EQ(blocks.block_count(), 1u);
   EXPECT_EQ(blocks.blocks()[0].rect, rect_at({4, 4}));
   EXPECT_EQ(blocks.blocks()[0].disabled_count, 0);
-  EXPECT_EQ(blocks.label({4, 4}), NodeLabel::Faulty);
-  EXPECT_EQ(blocks.label({4, 5}), NodeLabel::Enabled);
+  EXPECT_TRUE(blocks.is_block_node({4, 4}));
+  EXPECT_TRUE(fs.contains({4, 4}));
+  EXPECT_FALSE(blocks.is_block_node({4, 5}));
 }
 
 TEST(BlockModel, NoFaultsNoBlocks) {
@@ -60,7 +61,7 @@ TEST(BlockModel, SameDimensionNeighborsDoNotDisable) {
   const FaultSet fs = faults_at(mesh, {{2, 5}, {4, 5}});
   const BlockSet blocks = build_faulty_blocks(mesh, fs);
   EXPECT_EQ(blocks.block_count(), 2u);
-  EXPECT_EQ(blocks.label({3, 5}), NodeLabel::Enabled);
+  EXPECT_FALSE(blocks.is_block_node({3, 5}));
 }
 
 TEST(BlockModel, DiagonalFaultsMergeIntoSquare) {
@@ -70,8 +71,10 @@ TEST(BlockModel, DiagonalFaultsMergeIntoSquare) {
   const BlockSet blocks = build_faulty_blocks(mesh, fs);
   ASSERT_EQ(blocks.block_count(), 1u);
   EXPECT_EQ(blocks.blocks()[0].rect, (Rect{3, 4, 3, 4}));
-  EXPECT_EQ(blocks.label({3, 4}), NodeLabel::Disabled);
-  EXPECT_EQ(blocks.label({4, 3}), NodeLabel::Disabled);
+  for (const Coord c : {Coord{3, 4}, Coord{4, 3}}) {
+    EXPECT_TRUE(blocks.is_block_node(c));
+    EXPECT_FALSE(fs.contains(c));
+  }
 }
 
 TEST(BlockModel, LShapeFillsItsBoundingRectangle) {
@@ -107,10 +110,36 @@ TEST(BlockModel, BlockIdMapMatchesRects) {
 
 TEST(BlockModel, RejectsOverlappingBlocksInCtor) {
   const Mesh2D mesh(6, 6);
-  Grid<NodeLabel> labels(6, 6, NodeLabel::Enabled);
   std::vector<FaultyBlock> overlapping{{Rect{0, 2, 0, 2}, 1, 8}, {Rect{2, 4, 2, 4}, 1, 8}};
-  EXPECT_THROW(BlockSet(mesh, std::move(overlapping), std::move(labels)),
-               std::invalid_argument);
+  EXPECT_THROW(BlockSet(mesh, std::move(overlapping)), std::invalid_argument);
+}
+
+TEST(BlockModel, CtorChecksRectsAgainstTheMesh) {
+  // The constructor paints caller-supplied rects into its plane, so a rect
+  // off the mesh must throw before any bit is written.
+  const Mesh2D mesh(8, 6);
+  const auto make = [&](std::vector<Rect> rects) {
+    std::vector<FaultyBlock> blocks;
+    for (const Rect& r : rects) blocks.push_back({r, 1, static_cast<std::int32_t>(r.area()) - 1});
+    return BlockSet(mesh, std::move(blocks));
+  };
+  EXPECT_THROW(make({Rect{-1, 0, 2, 3}}), std::invalid_argument);  // negative x
+  EXPECT_THROW(make({Rect{2, 3, -2, 1}}), std::invalid_argument);  // negative y
+  EXPECT_THROW(make({Rect{6, 8, 2, 3}}), std::invalid_argument);   // past the east edge
+  EXPECT_THROW(make({Rect{2, 3, 4, 6}}), std::invalid_argument);   // past the north edge
+  // Flush with each edge: west, east, south, north.
+  const BlockSet flush = make({Rect{0, 1, 2, 3}, Rect{6, 7, 2, 3}, Rect{3, 4, 0, 0},
+                               Rect{3, 4, 5, 5}});
+  EXPECT_TRUE(flush.is_block_node({0, 2}));
+  EXPECT_TRUE(flush.is_block_node({7, 3}));
+  EXPECT_TRUE(flush.is_block_node({4, 0}));
+  EXPECT_TRUE(flush.is_block_node({3, 5}));
+  EXPECT_EQ(flush.block_id({7, 3}), 1);
+  EXPECT_EQ(flush.block_id({5, 5}), kNoBlock);
+  // Touching along a side and at a corner, never sharing a node.
+  const BlockSet touching = make({Rect{1, 2, 1, 2}, Rect{3, 4, 1, 2}, Rect{5, 5, 3, 4}});
+  EXPECT_EQ(touching.block_count(), 3u);
+  EXPECT_EQ(touching.plane().popcount(), 4 + 4 + 2);
 }
 
 TEST(BlockModel, LabelingFixedPointAloneYieldsRectangles) {
@@ -149,7 +178,6 @@ TEST_P(BlockDisjointness, BlocksArePairwiseDisjointAndCoverAllFaults) {
   }
   for (const Coord f : fs.faults()) {
     EXPECT_TRUE(blocks.is_block_node(f));
-    EXPECT_EQ(blocks.label(f), NodeLabel::Faulty);
   }
   // Counts are consistent.
   EXPECT_EQ(blocks.total_faulty(), static_cast<std::int64_t>(fs.count()));
@@ -174,7 +202,7 @@ TEST(BlockModel, DisabledNodesNeverHaveTwoCleanDimensions) {
         bad(neighbor(c, Direction::East)) || bad(neighbor(c, Direction::West));
     const bool vert =
         bad(neighbor(c, Direction::North)) || bad(neighbor(c, Direction::South));
-    if (blocks.label(c) == NodeLabel::Enabled) {
+    if (!blocks.is_block_node(c)) {
       EXPECT_FALSE(horiz && vert) << "enabled node " << to_string(c)
                                   << " should have been disabled";
     }

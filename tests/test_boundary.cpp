@@ -346,13 +346,8 @@ TEST(BoundaryReference, BlockEdgesOnWordBoundariesMatchInOrder) {
 /// A BlockSet straight from `rects`, with no fault-model fixpoint behind it.
 BlockSet hand_built(const Mesh2D& mesh, const std::vector<Rect>& rects) {
   std::vector<fault::FaultyBlock> blocks;
-  Grid<fault::NodeLabel> labels(mesh.width(), mesh.height(), fault::NodeLabel::Enabled);
-  for (const Rect& r : rects) {
-    blocks.push_back({r, static_cast<std::int32_t>(r.width() * r.height()), 0});
-    for (Dist y = r.ymin; y <= r.ymax; ++y)
-      for (Dist x = r.xmin; x <= r.xmax; ++x) labels[{x, y}] = fault::NodeLabel::Faulty;
-  }
-  return BlockSet(mesh, std::move(blocks), std::move(labels));
+  for (const Rect& r : rects) blocks.push_back({r, static_cast<std::int32_t>(r.area()), 0});
+  return BlockSet(mesh, std::move(blocks));
 }
 
 TEST(BoundaryReference, HandBuiltBlockedSlideMatchesInOrder) {

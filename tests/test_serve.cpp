@@ -112,7 +112,7 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
   EXPECT_EQ(snap->epoch(), 12u);
 
   EXPECT_EQ(sorted_rects(snap->blocks()), sorted_rects(reference.blocks()));
-  EXPECT_EQ(snap->blocks().labels(), reference.blocks().labels());
+  EXPECT_TRUE(snap->blocks() == reference.blocks());
 
   const route::QueryView live = snap->query_view();
   const route::QueryView ref = reference.query_view();
@@ -164,7 +164,7 @@ TEST(SnapshotBuilder, EveryEpochMatchesFromScratch) {
     const serve::RoutingSnapshot ref(mesh, builder.state().faults(), epoch, scratch);
     EXPECT_EQ(snap->epoch(), epoch);
     EXPECT_EQ(sorted_rects(snap->blocks()), sorted_rects(ref.blocks()));
-    EXPECT_EQ(snap->blocks().labels(), ref.blocks().labels());
+    EXPECT_TRUE(snap->blocks() == ref.blocks()) << "epoch " << epoch;
     const route::QueryView a = snap->query_view();
     const route::QueryView b = ref.query_view();
     EXPECT_EQ(*a.faulty_mask, *b.faulty_mask) << "epoch " << epoch;

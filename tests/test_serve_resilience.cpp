@@ -69,7 +69,7 @@ void expect_snapshots_identical(serve::SnapshotStore& a, serve::SnapshotStore& b
   const serve::SnapshotStore::Ref sb = rb.acquire();
   EXPECT_EQ(sa->epoch(), sb->epoch());
   EXPECT_EQ(sorted_rects(sa->blocks()), sorted_rects(sb->blocks()));
-  EXPECT_EQ(sa->blocks().labels(), sb->blocks().labels());
+  EXPECT_TRUE(sa->blocks() == sb->blocks());
 
   const std::vector<route::QuerySpec> specs = corner_specs(mesh);
   std::vector<route::RouteAnswer> ans_a;
