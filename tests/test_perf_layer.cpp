@@ -1,8 +1,7 @@
 // Tests for the hot-path performance layer: the batched reachability oracle
-// (2-D four-quadrant sweep and its 3-D octant lift) against the
-// per-destination DP it replaces, the bit-identical contract of the reusable
-// TrialWorkspace, and the in-place builder entry points against their
-// allocating originals.
+// (the four-quadrant sweep) against the per-destination DP it replaces, the
+// bit-identical contract of the reusable TrialWorkspace, and the in-place
+// builder entry points against their allocating originals.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "fault/fault_set.hpp"
 #include "fault/mcc_model.hpp"
 #include "info/safety_level.hpp"
-#include "mesh3d/cond3.hpp"
 #include "safety_oracle.hpp"
 
 namespace meshroute {
@@ -75,25 +73,6 @@ TEST(ReachabilityOracle, InPlaceReusesDirtyBufferExactly) {
   Grid<bool> wrong_shape(3, 3, true);  // mismatched buffer gets resized
   cond::monotone_reachability(mesh, blocked, s, wrong_shape);
   EXPECT_EQ(fresh, wrong_shape);
-}
-
-TEST(ReachabilityOracle3d, MatchesPerDestinationDpEverywhere) {
-  using namespace meshroute::d3;
-  for (const std::uint64_t seed : {7ull, 8ull, 9ull}) {
-    Rng rng(seed);
-    const Mesh3D mesh(7, 6, 5);
-    Grid3<bool> blocked(7, 6, 5, false);
-    mesh.for_each_node([&](Coord3 c) { blocked[c] = rng.chance(0.2); });
-    for (const Coord3 s : {Coord3{3, 3, 2}, Coord3{0, 0, 0}, Coord3{6, 5, 4},
-                           Coord3{6, 0, 2}}) {
-      const Grid3<bool> reach = monotone_reachability3(mesh, blocked, s);
-      mesh.for_each_node([&](Coord3 d) {
-        EXPECT_EQ(reach[d], monotone_path_exists3(mesh, blocked, s, d))
-            << "seed=" << seed << " s=(" << s.x << "," << s.y << "," << s.z << ") d=("
-            << d.x << "," << d.y << "," << d.z << ")";
-      });
-    }
-  }
 }
 
 // A worker thread reuses one workspace for its whole slice of trials; the
