@@ -2,10 +2,11 @@
 // every sweep, snapshot and query (model builders, oracles, decision
 // procedures, rung-0 walks, incremental injection, the simsub protocols;
 // DESIGN §7 lists the rows) on one fixed-seed workload, 200x200 with 200
-// faults. Four guards exit 1 before their rows are timed: the boundary map's
+// faults. Five guards exit 1 before their rows are timed: the boundary map's
 // deposit totals must equal the per-node map's, the safety levels must equal
-// the scalar oracle's, the route pair must be walked minimally, and
-// incremental injection must match the builder.
+// the scalar oracle's, the route pair must be walked minimally, incremental
+// injection must match the builder, and the delta-fed snapshot's safety
+// grids must equal the from-scratch snapshot's.
 // Reports the median of --reps repetitions per kernel and, with --json=,
 // emits the schema consumed by tools/bench_compare:
 //
@@ -59,6 +60,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "route/query.hpp"
+#include "serve/snapshot.hpp"
 #include "simsub/protocols.hpp"
 
 // Provenance injected by bench/CMakeLists.txt; fall back cleanly when the
@@ -327,6 +329,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   bench("dynamic_inject", 8, [&] { sink = inject_all().blocks().empty(); });
+
+  // The delta-fed snapshot build after those injections: it adopts the
+  // maintained blocks and safety grids and walks the boundary runs. Its
+  // three safety grids must be the from-scratch snapshot's.
+  const dynamic::DynamicMeshState injected = inject_all();
+  serve::SnapshotScratch snapshot_scratch;
+  {
+    const serve::RoutingSnapshot delta_built(injected, 1, snapshot_scratch);
+    const serve::RoutingSnapshot scratch_built(mesh, faults, 1, snapshot_scratch);
+    const route::QueryView got = delta_built.query_view();
+    const route::QueryView want = scratch_built.query_view();
+    if (!(*got.fb_safety == *want.fb_safety && *got.mcc1_safety == *want.mcc1_safety &&
+          *got.mcc2_safety == *want.mcc2_safety)) {
+      std::cerr << "microbench: delta-fed snapshot disagrees with the from-scratch build\n";
+      return 1;
+    }
+  }
+  bench("snapshot_delta", 32, [&] {
+    sink = serve::RoutingSnapshot(injected, 1, snapshot_scratch).blocks().blocks().empty();
+  });
 
   // The distributed protocols' message-passing simulations.
   bench("distributed_safety", 4, [&] {

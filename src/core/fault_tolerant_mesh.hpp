@@ -1,8 +1,10 @@
 // The library facade: one object that owns a mesh, its fault set and a
 // serve::RoutingSnapshot of it (both fault models and all derived
-// limited-global information), rebuilt lazily after fault injection. It owns
-// state only; every read — decisions, routing, ground truth — goes through
-// its route::QueryView (route/query.hpp).
+// limited-global information), rebuilt lazily after fault injection. The
+// MCC components, which no query reads, are built from the fault set on
+// first use of mcc() and cached beside the snapshot. It owns state only;
+// every read — decisions, routing, ground truth — goes through its
+// route::QueryView (route/query.hpp).
 //
 //   FaultTolerantMesh ftm(200, 200);
 //   ftm.inject_fault({57, 80});
@@ -12,7 +14,9 @@
 //   const auto walk = route::route_via(view, src, cert.via, dst);
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "common/coord.hpp"
@@ -60,11 +64,14 @@ class FaultTolerantMesh {
   [[nodiscard]] route::QueryView query_view() const;
 
  private:
+  /// Drop every derived structure; each is rebuilt on next access.
+  void invalidate();
   [[nodiscard]] const serve::RoutingSnapshot& derived() const;
 
   Mesh2D mesh_;
   fault::FaultSet faults_;
   mutable std::shared_ptr<const serve::RoutingSnapshot> derived_;
+  mutable std::array<std::optional<fault::MccSet>, 2> mcc_;  ///< by fault::MccKind
 };
 
 }  // namespace meshroute

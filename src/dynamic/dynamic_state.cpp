@@ -20,7 +20,13 @@ DynamicMeshState::DynamicMeshState(Mesh2D mesh)
     : mesh_(mesh),
       faults_(mesh_),
       safety_(mesh_.width(), mesh_.height()),
-      seen_(mesh_.width(), mesh_.height()) {}
+      seen_(mesh_.width(), mesh_.height()) {
+  for (MccLabels& m : mcc_) {
+    m.useless.resize(mesh_.width(), mesh_.height());
+    m.cant_reach.resize(mesh_.width(), mesh_.height());
+    m.safety = info::SafetyGrid(mesh_.width(), mesh_.height());
+  }
+}
 
 std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& seeds) {
   // The disable rule is monotone, so seeding the worklist with the enabled
@@ -108,6 +114,30 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
   blocks_.push_back(box);
 }
 
+void DynamicMeshState::update_mcc(Coord c) {
+  using fault::mcc_status::kCantReach;
+  using fault::mcc_status::kUseless;
+  for (const fault::MccKind kind : {fault::MccKind::TypeOne, fault::MccKind::TypeTwo}) {
+    MccLabels& m = mcc_[static_cast<std::size_t>(kind)];
+    // c leaves its labels for the fault set; it stays a member of both
+    // "faulty or labeled" sets, so no label is lost.
+    m.useless.reset(c);
+    m.cant_reach.reset(c);
+    m.safety.add_obstacle(c);
+    const auto propagate = [&](std::uint8_t flag, core::BitGrid& plane) {
+      const auto member = [&](Coord v) { return faults_.contains(v) || plane.test(v); };
+      const auto label = [&](Coord v) {
+        plane.set(v);
+        m.safety.add_obstacle(v);
+      };
+      fault::propagate_mcc_label(mesh_, fault::mcc_trigger_dirs(kind, flag), {&c, 1}, mcc_work_,
+                                 member, label);
+    };
+    propagate(kUseless, m.useless);
+    propagate(kCantReach, m.cant_reach);
+  }
+}
+
 void DynamicMeshState::count_lines(const std::vector<Coord>& changed, UpdateStats& stats) {
   // The levels are read off the obstacle bits, which the disable rule and
   // the rectangle fill set cell by cell. The dirty-line bitsets only count
@@ -127,6 +157,7 @@ UpdateStats DynamicMeshState::inject_fault(Coord c) {
   changed_.clear();
   if (faults_.contains(c)) return stats;
   faults_.add(c);
+  update_mcc(c);
   if (safety_.blocked(c)) return stats;  // was a disabled block node; structure unchanged
 
   safety_.add_obstacle(c);

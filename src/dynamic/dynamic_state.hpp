@@ -12,11 +12,17 @@
 // The safety grid is the one copy of the block-node set: the disable rule
 // and the rectangle fill read and set its bits (SafetyGrid::blocked /
 // add_obstacle) as they go.
+// Both MCC labelings (Definition 2) are kept the same way: per kind, a
+// useless and a can't-reach plane plus a safety grid whose obstacles are the
+// faults and both labels. Wang's rules are monotone in the fault set, so each
+// injection runs the labels' worklist rule (fault::propagate_mcc_label)
+// seeded at the new fault only, and adds every node it labels to the grid.
 // Consistency with a from-scratch rebuild is asserted by the test-suite
 // after every injection; UpdateStats quantifies how little work each
 // disturbance costs (the figure behind the "converges quickly" argument).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +31,7 @@
 #include "common/grid.hpp"
 #include "common/rect.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
 #include "info/safety_level.hpp"
 #include "mesh/mesh2d.hpp"
 
@@ -45,9 +52,10 @@ class DynamicMeshState {
  public:
   explicit DynamicMeshState(Mesh2D mesh);
 
-  /// Inject one fault and update blocks + safety levels incrementally.
-  /// Injecting an already-faulty or block-interior node is a cheap no-op
-  /// for the block structure (the node was already disabled).
+  /// Inject one fault and update blocks, MCC labels and all three safety
+  /// grids incrementally. Injecting an already-faulty node is a no-op; a
+  /// block-interior node leaves the block structure unchanged (it was
+  /// already disabled) but can still add MCC labels.
   UpdateStats inject_fault(Coord c);
 
   [[nodiscard]] const Mesh2D& mesh() const noexcept { return mesh_; }
@@ -59,6 +67,13 @@ class DynamicMeshState {
   /// Extended safety levels, maintained incrementally; blocked() is the
   /// block-node set (faulty + disabled).
   [[nodiscard]] const info::SafetyGrid& safety() const noexcept { return safety_; }
+
+  /// Extended safety levels under MCC labeling `kind`, maintained
+  /// incrementally; blocked() is that kind's MCC node set (faulty, useless
+  /// or can't-reach).
+  [[nodiscard]] const info::SafetyGrid& mcc_safety(fault::MccKind kind) const noexcept {
+    return mcc_[static_cast<std::size_t>(kind)].safety;
+  }
 
   /// The exact set of nodes the last inject_fault flipped from good to bad
   /// (faulty, relabeled, and rectangle-filled cells alike; empty for no-op
@@ -77,6 +92,9 @@ class DynamicMeshState {
   /// `changed`.
   void rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats);
 
+  /// Bring both MCC labelings to their fixed point after fault `c`.
+  void update_mcc(Coord c);
+
   /// Count the distinct rows/columns the changed cells lie on (their
   /// obstacle bits are already set).
   void count_lines(const std::vector<Coord>& changed, UpdateStats& stats);
@@ -86,6 +104,15 @@ class DynamicMeshState {
   std::vector<Rect> blocks_;
   info::SafetyGrid safety_;
   std::vector<Coord> changed_;               ///< last injection's epoch delta
+
+  /// One MCC labeling at its fixed point; the labels never hold a fault.
+  struct MccLabels {
+    core::BitGrid useless;
+    core::BitGrid cant_reach;
+    info::SafetyGrid safety;  ///< obstacles: faults, useless and can't-reach
+  };
+  std::array<MccLabels, 2> mcc_;             ///< indexed by fault::MccKind
+  std::vector<Coord> mcc_work_;              ///< propagate_mcc_label worklist
   core::BitGrid seen_;                       ///< rebuild_block_around marks; clear between calls
   std::vector<Coord> component_;             ///< rebuild_block_around search list
   std::vector<std::uint64_t> row_dirty_;     ///< count_lines line-count bitsets

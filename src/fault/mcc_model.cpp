@@ -2,7 +2,6 @@
 
 #include <array>
 #include <numeric>
-#include <span>
 #include <vector>
 
 namespace meshroute::fault {
@@ -14,55 +13,6 @@ using mcc_status::kUseless;
 
 /// "No component" in the scalar oracle's component id grid.
 constexpr std::int32_t kNoMcc = -1;
-
-/// Directions whose neighbors trigger the `flag` label under `kind`.
-std::array<Direction, 2> trigger_dirs(MccKind kind, std::uint8_t flag) {
-  if (flag == kUseless) {
-    return kind == MccKind::TypeOne
-               ? std::array{Direction::North, Direction::East}
-               : std::array{Direction::North, Direction::West};
-  }
-  // can't-reach uses the opposite corner pair.
-  return kind == MccKind::TypeOne ? std::array{Direction::South, Direction::West}
-                                  : std::array{Direction::South, Direction::East};
-}
-
-/// Propagate one label (useless or can't-reach) to its fixed point.
-/// A fault-free node gains `flag` when BOTH trigger-direction neighbors
-/// exist and are faulty-or-`flag`ged. An initially-qualifying node has both
-/// trigger neighbors faulty, so seeding from the opposite-direction
-/// neighbors of the faults finds them all without an O(area) scan; the
-/// worklist is a vector stack (the fixed point is order-independent).
-void propagate_label(const Mesh2D& mesh, Grid<std::uint8_t>& status,
-                     std::span<const Coord> faults, std::vector<Coord>& work, MccKind kind,
-                     std::uint8_t flag) {
-  const auto dirs = trigger_dirs(kind, flag);
-  const auto qualifies = [&](Coord c) {
-    if (status[c] & (kFaulty | flag)) return false;  // already labeled
-    for (const Direction d : dirs) {
-      const Coord v = neighbor(c, d);
-      if (!mesh.in_bounds(v) || !(status[v] & (kFaulty | flag))) return false;
-    }
-    return true;
-  };
-  // Newly labeled c can only enable nodes that look at c through a trigger
-  // direction, i.e. c's neighbors in the opposite directions.
-  const auto push_dependents = [&](Coord c) {
-    for (const Direction d : dirs) {
-      const Coord v = neighbor(c, opposite(d));
-      if (mesh.in_bounds(v) && qualifies(v)) work.push_back(v);
-    }
-  };
-  work.clear();
-  for (const Coord f : faults) push_dependents(f);
-  while (!work.empty()) {
-    const Coord c = work.back();
-    work.pop_back();
-    if (!qualifies(c)) continue;
-    status[c] |= flag;
-    push_dependents(c);
-  }
-}
 
 /// The tail of the bit-plane builder: assumes scratch's fault/useless/cant-reach
 /// planes hold the label fixed points; assembles the labeled plane, the
@@ -110,6 +60,16 @@ void finish_mcc_from_planes(const Mesh2D& mesh, MccKind kind, MccSet& out,
 
 }  // namespace
 
+std::array<Direction, 2> mcc_trigger_dirs(MccKind kind, std::uint8_t flag) noexcept {
+  if (flag == kUseless) {
+    return kind == MccKind::TypeOne ? std::array{Direction::North, Direction::East}
+                                    : std::array{Direction::North, Direction::West};
+  }
+  // can't-reach uses the opposite corner pair.
+  return kind == MccKind::TypeOne ? std::array{Direction::South, Direction::West}
+                                  : std::array{Direction::South, Direction::East};
+}
+
 std::int64_t MccSet::total_disabled() const noexcept {
   return std::accumulate(components_.begin(), components_.end(), std::int64_t{0},
                          [](std::int64_t acc, const MccComponent& c) {
@@ -140,9 +100,15 @@ void build_mcc_scalar(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, 
   for (const Coord f : faults.faults()) status[f] = kFaulty;
 
   // The two labels reference disjoint predicates ("faulty or useless" vs
-  // "faulty or can't-reach"), so their fixed points are independent.
-  propagate_label(mesh, status, faults.faults(), scratch.work, kind, kUseless);
-  propagate_label(mesh, status, faults.faults(), scratch.work, kind, kCantReach);
+  // "faulty or can't-reach"), so their fixed points are independent. An
+  // initially-qualifying node has both trigger neighbors faulty, so seeding
+  // from the faults finds them all without an O(area) scan.
+  for (const std::uint8_t flag : {kUseless, kCantReach}) {
+    const auto member = [&](Coord c) { return (status[c] & (kFaulty | flag)) != 0; };
+    const auto label = [&](Coord c) { status[c] |= flag; };
+    propagate_mcc_label(mesh, mcc_trigger_dirs(kind, flag), faults.faults(), scratch.work,
+                        member, label);
+  }
 
   // Connected components of labeled nodes (4-adjacency), discovered in
   // row-major order of their first node (fixes component ids). The frontier

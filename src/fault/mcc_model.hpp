@@ -15,7 +15,9 @@
 // soundness of every condition built on top is unaffected).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitgrid.hpp"
@@ -44,6 +46,48 @@ inline constexpr std::uint8_t kFaulty = 1;
 inline constexpr std::uint8_t kUseless = 2;
 inline constexpr std::uint8_t kCantReach = 4;
 }  // namespace mcc_status
+
+/// The two neighbor directions whose nodes trigger label `flag`
+/// (mcc_status::kUseless or kCantReach) under `kind`.
+[[nodiscard]] std::array<Direction, 2> mcc_trigger_dirs(MccKind kind, std::uint8_t flag) noexcept;
+
+/// Definition 2's worklist rule for one label, run to its fixed point. A node
+/// gains the label when it is not yet a `member` (faulty or labeled) and both
+/// its `dirs` neighbors exist and are members. Only the dependents of
+/// `seeds` (their neighbors opposite `dirs`) are examined first: the rule is
+/// monotone, so seeding at every node whose membership grew reaches the
+/// global fixed point. `label(c)` must make `member(c)` true. The worklist is
+/// a vector stack (the fixed point is order-independent).
+template <class Member, class Label>
+void propagate_mcc_label(const Mesh2D& mesh, std::array<Direction, 2> dirs,
+                         std::span<const Coord> seeds, std::vector<Coord>& work,
+                         const Member& member, const Label& label) {
+  const auto qualifies = [&](Coord c) {
+    if (member(c)) return false;
+    for (const Direction d : dirs) {
+      const Coord v = neighbor(c, d);
+      if (!mesh.in_bounds(v) || !member(v)) return false;
+    }
+    return true;
+  };
+  // Newly labeled c can only enable nodes that look at c through a trigger
+  // direction, i.e. c's neighbors in the opposite directions.
+  const auto push_dependents = [&](Coord c) {
+    for (const Direction d : dirs) {
+      const Coord v = neighbor(c, opposite(d));
+      if (mesh.in_bounds(v) && qualifies(v)) work.push_back(v);
+    }
+  };
+  work.clear();
+  for (const Coord s : seeds) push_dependents(s);
+  while (!work.empty()) {
+    const Coord c = work.back();
+    work.pop_back();
+    if (!qualifies(c)) continue;
+    label(c);
+    push_dependents(c);
+  }
+}
 
 /// One connected MCC region (rectilinear-monotone polygon).
 struct MccComponent {

@@ -47,32 +47,29 @@ RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faul
       faults_(faults),
       blocks_(build_blocks_scratch(mesh_, faults_, scratch.block)),
       boundary_(mesh_, blocks_) {
-  // The block builder leaves its final obstacle plane (the union of the
-  // block rects) in the scratch; the safety grid adopts it directly.
+  // Each builder leaves its final obstacle plane in its scratch (the union of
+  // the block rects; every MCC node of one kind); the safety grids adopt them
+  // directly. Only those planes are kept, not the MCC components.
   info::compute_safety_levels(mesh_, scratch.block.bad_plane, fb_safety_);
-  finish_derived(scratch);
+  fault::MccSet labels;
+  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, labels, scratch.mcc1);
+  info::compute_safety_levels(mesh_, scratch.mcc1.labeled_plane, mcc1_safety_);
+  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, labels, scratch.mcc2);
+  info::compute_safety_levels(mesh_, scratch.mcc2.labeled_plane, mcc2_safety_);
 }
 
+// The faulty-block and MCC fixpoints arrive pre-maintained in O(|delta|) per
+// injection; adopting them is a copy of each safety grid's two bit planes.
 RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
-                                 SnapshotScratch& scratch)
+                                 SnapshotScratch& /*scratch*/)
     : epoch_(epoch),
       mesh_(state.mesh()),
       faults_(state.faults()),
       blocks_(block_set_from_state(state)),
-      boundary_(mesh_, blocks_) {
-  // The expensive faulty-block fixpoints arrive pre-maintained in O(|delta|)
-  // per injection; adopting them here is a copy of the safety grid's two bit
-  // planes.
-  fb_safety_ = state.safety();
-  finish_derived(scratch);
-}
-
-void RoutingSnapshot::finish_derived(SnapshotScratch& scratch) {
-  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, mcc1_, scratch.mcc1);
-  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, mcc2_, scratch.mcc2);
-  info::compute_safety_levels(mesh_, scratch.mcc1.labeled_plane, mcc1_safety_);
-  info::compute_safety_levels(mesh_, scratch.mcc2.labeled_plane, mcc2_safety_);
-}
+      boundary_(mesh_, blocks_),
+      fb_safety_(state.safety()),
+      mcc1_safety_(state.mcc_safety(fault::MccKind::TypeOne)),
+      mcc2_safety_(state.mcc_safety(fault::MccKind::TypeTwo)) {}
 
 route::QueryView RoutingSnapshot::query_view() const noexcept {
   route::QueryView v;

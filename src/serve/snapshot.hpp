@@ -1,10 +1,11 @@
 // RoutingSnapshot: one immutable, epoch-stamped view of the whole fault
-// world — faulty blocks (the rect list and one block-node bit plane), both
-// MCC labelings (the component lists and three label planes each), boundary
-// runs, safety planes (each also its fault model's obstacle set), and the
-// fault set with its ground-truth mask — built once and then shared by any
-// number of reader threads with no synchronization at all. Nothing in it is
-// wider than a bit per node except the fault set's mask. This is the unit
+// world — faulty blocks (the rect list and one block-node bit plane),
+// boundary runs, three safety grids (faulty blocks and both MCC labelings;
+// each grid is also its fault model's obstacle set), and the fault set with
+// its ground-truth mask — built once and then shared by any number of reader
+// threads with no synchronization at all. Nothing in it is wider than a bit
+// per node except the fault set's mask, and it keeps no MCC components: the
+// facade builds those on demand (core/fault_tolerant_mesh.hpp). This is the unit
 // the routing-as-a-service layer publishes: queries are pure functions of a
 // snapshot, so millions of decide/route calls can run against one while
 // fault churn rebuilds the next off to the side (store.hpp).
@@ -17,11 +18,10 @@
 //     builder's watchdog rebuild and core::FaultTolerantMesh, whose lazily
 //     derived state is one such snapshot at epoch 0;
 //   * from the incremental maintainer — SnapshotBuilder (builder.hpp) feeds
-//     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and safety
-//     grid straight in, so the block and FB-safety fixpoints are never
-//     re-run; the MCC planes, their safety planes (a copy and a
-//     transpose each), and the boundary walk still are, once per epoch over
-//     the whole mesh.
+//     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and three
+//     safety grids straight in, so no fault-model fixpoint is re-run and no
+//     safety grid is re-derived (each is a copy); only the boundary walk
+//     still runs once per epoch over the whole mesh.
 //
 // RoutingSnapshot implements route::FaultView (the frozen-world reading:
 // truth = its block set, belief = its boundary deposits, never stale), so
@@ -68,10 +68,9 @@ class RoutingSnapshot final : public route::FaultView {
                   SnapshotScratch& scratch);
 
   /// Delta-fed build: adopts the incrementally-maintained faulty blocks and
-  /// safety grid of `state` (no block/safety fixpoint is re-run); the MCC
-  /// planes are recomputed with the bit-plane kernels against `scratch`,
-  /// their safety grids adopt those planes, and the boundary deposits are
-  /// rebuilt by their walk.
+  /// the three safety grids of `state` by copy (no fault-model fixpoint is
+  /// re-run, and `scratch` is not used); the boundary runs are rebuilt by
+  /// their walk.
   RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                   SnapshotScratch& scratch);
 
@@ -85,9 +84,6 @@ class RoutingSnapshot final : public route::FaultView {
   [[nodiscard]] const Mesh2D& mesh() const noexcept { return mesh_; }
   [[nodiscard]] const fault::FaultSet& faults() const noexcept { return faults_; }
   [[nodiscard]] const fault::BlockSet& blocks() const noexcept { return blocks_; }
-  [[nodiscard]] const fault::MccSet& mcc(fault::MccKind kind) const noexcept {
-    return kind == fault::MccKind::TypeOne ? mcc1_ : mcc2_;
-  }
   [[nodiscard]] const info::BoundaryInfoMap& boundary() const noexcept { return boundary_; }
 
   /// The consolidated query surface over this snapshot. The view borrows
@@ -103,16 +99,10 @@ class RoutingSnapshot final : public route::FaultView {
   [[nodiscard]] bool is_stale(Coord at, std::int64_t time) const override;
 
  private:
-  /// Shared tail of both ctors: both MCC labelings and their planes (the
-  /// faulty-block planes come from the producer).
-  void finish_derived(SnapshotScratch& scratch);
-
   std::uint64_t epoch_;
   Mesh2D mesh_;
   fault::FaultSet faults_;
   fault::BlockSet blocks_;
-  fault::MccSet mcc1_;
-  fault::MccSet mcc2_;
   info::BoundaryInfoMap boundary_;
   info::SafetyGrid fb_safety_;
   info::SafetyGrid mcc1_safety_;

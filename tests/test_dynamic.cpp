@@ -4,17 +4,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <set>
 #include <vector>
 
 #include "dynamic/dynamic_state.hpp"
 #include "fault/block_model.hpp"
+#include "fault/mcc_model.hpp"
 #include "info/safety_level.hpp"
 #include "safety_oracle.hpp"
 
 namespace meshroute::dynamic {
 namespace {
+
+constexpr std::array kMccKinds{fault::MccKind::TypeOne, fault::MccKind::TypeTwo};
+
+/// The safety levels of one MCC labeling, built from scratch.
+info::SafetyGrid mcc_levels(const Mesh2D& mesh, const fault::FaultSet& faults,
+                            fault::MccKind kind) {
+  info::SafetyGrid levels;
+  info::compute_safety_levels(mesh, fault::build_mcc(mesh, faults, kind).plane(), levels);
+  return levels;
+}
 
 /// Full rebuild reference for the current fault set.
 struct Reference {
@@ -28,7 +40,15 @@ struct Reference {
         safety(info::compute_safety_levels(mesh, mask)) {}
 };
 
+void expect_mcc_equal_to_rebuild(const DynamicMeshState& dyn) {
+  for (const fault::MccKind kind : kMccKinds) {
+    ASSERT_TRUE(dyn.mcc_safety(kind) == mcc_levels(dyn.mesh(), dyn.faults(), kind))
+        << "MCC kind " << static_cast<int>(kind);
+  }
+}
+
 void expect_equal_to_rebuild(const DynamicMeshState& dyn) {
+  ASSERT_NO_FATAL_FAILURE(expect_mcc_equal_to_rebuild(dyn));
   const Reference ref(dyn.mesh(), dyn.faults());
   // Obstacle sets identical.
   ASSERT_TRUE(testing_support::ObstaclesMatchMask(dyn.safety(), ref.mask));
@@ -135,6 +155,87 @@ TEST(DynamicState, PaperExampleIncrementally) {
   }
   ASSERT_EQ(dyn.blocks().size(), 1u);
   EXPECT_EQ(dyn.blocks()[0], (Rect{2, 6, 3, 6}));
+}
+
+std::int64_t obstacle_count(const Mesh2D& mesh, const info::SafetyGrid& grid) {
+  std::int64_t n = 0;
+  mesh.for_each_node([&](Coord c) { n += grid.blocked(c) ? 1 : 0; });
+  return n;
+}
+
+/// Inject `faults` in order, then `c`, which must carry `status` in labeling
+/// `kind` beforehand. The other labeling must gain nodes besides `c`, so the
+/// case exercises the propagation and not only the new fault's own bit.
+void check_fault_on_labeled_node(std::initializer_list<Coord> faults, Coord c,
+                                 fault::MccKind kind, std::uint8_t status) {
+  const Mesh2D mesh(7, 7);
+  DynamicMeshState dyn(mesh);
+  for (const Coord f : faults) (void)dyn.inject_fault(f);
+  ASSERT_EQ(fault::build_mcc(mesh, dyn.faults(), kind).status(c), status);
+  const fault::MccKind other =
+      kind == fault::MccKind::TypeOne ? fault::MccKind::TypeTwo : fault::MccKind::TypeOne;
+  const std::int64_t before = obstacle_count(mesh, dyn.mcc_safety(other));
+  (void)dyn.inject_fault(c);
+  expect_equal_to_rebuild(dyn);
+  EXPECT_GT(obstacle_count(mesh, dyn.mcc_safety(other)), before + 1);
+}
+
+TEST(DynamicMcc, FaultOnUselessNode) {
+  // (5,5) and then (4,5) are type-one useless (north and east neighbors
+  // faulty or useless); the fault at (4,5) makes (5,5) type-two useless.
+  check_fault_on_labeled_node({{5, 6}, {4, 6}, {6, 5}}, {4, 5}, fault::MccKind::TypeOne,
+                              fault::mcc_status::kUseless);
+}
+
+TEST(DynamicMcc, FaultOnCantReachNode) {
+  // The mirror image: (1,1) and then (2,1) are type-one can't-reach.
+  check_fault_on_labeled_node({{1, 0}, {2, 0}, {0, 1}}, {2, 1}, fault::MccKind::TypeOne,
+                              fault::mcc_status::kCantReach);
+}
+
+TEST(DynamicMcc, FaultInsideBlockAddsLabels) {
+  // (1,2) is disabled inside the block [0:2, 0:2]; a fault there changes no
+  // block but becomes a type-one MCC node and labels (1,1), (2,2) and more.
+  const Mesh2D mesh(7, 7);
+  DynamicMeshState dyn(mesh);
+  for (const Coord f : {Coord{1, 0}, Coord{2, 1}, Coord{0, 2}}) (void)dyn.inject_fault(f);
+  const Coord c{1, 2};
+  ASSERT_TRUE(dyn.safety().blocked(c));
+  const std::vector<Rect> blocks = dyn.blocks();
+  const std::int64_t before = obstacle_count(mesh, dyn.mcc_safety(fault::MccKind::TypeOne));
+  const UpdateStats s = dyn.inject_fault(c);
+  EXPECT_EQ(s.relabeled_nodes, 0);
+  EXPECT_EQ(dyn.blocks(), blocks);
+  EXPECT_GT(obstacle_count(mesh, dyn.mcc_safety(fault::MccKind::TypeOne)), before + 1);
+  expect_equal_to_rebuild(dyn);
+}
+
+TEST(DynamicMcc, EveryThreeFaultPlacementInEveryOrderOn5x5) {
+  // All C(25, 3) placements, each injected in all 3! orders, against the
+  // rebuild after every step.
+  const Mesh2D mesh(5, 5);
+  std::vector<Coord> nodes;
+  mesh.for_each_node([&](Coord c) { nodes.push_back(c); });
+  int placements = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      for (std::size_t k = j + 1; k < nodes.size(); ++k) {
+        ++placements;
+        std::array<Coord, 3> order{nodes[i], nodes[j], nodes[k]};
+        std::sort(order.begin(), order.end());
+        do {
+          DynamicMeshState dyn(mesh);
+          for (const Coord c : order) {
+            (void)dyn.inject_fault(c);
+            ASSERT_NO_FATAL_FAILURE(expect_equal_to_rebuild(dyn))
+                << "order " << to_string(order[0]) << " " << to_string(order[1]) << " "
+                << to_string(order[2]) << ", after " << to_string(c);
+          }
+        } while (std::next_permutation(order.begin(), order.end()));
+      }
+    }
+  }
+  EXPECT_EQ(placements, 2300);
 }
 
 class DynamicRandom : public ::testing::TestWithParam<std::uint64_t> {};

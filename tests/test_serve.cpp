@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "dynamic/dynamic_state.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
 #include "obs/live.hpp"
 #include "obs/trace.hpp"
 #include "route/query.hpp"
@@ -59,17 +60,18 @@ std::vector<route::QuerySpec> fixed_specs(const Mesh2D& mesh, std::size_t n,
 }
 
 /// The obstacle sets a view's three safety grids hold are, at every node,
-/// the block, type-one MCC and type-two MCC nodes of the from-scratch
-/// snapshot `ref`.
+/// the block nodes of the from-scratch snapshot `ref` and the type-one and
+/// type-two MCC nodes built from its fault set.
 ::testing::AssertionResult obstacles_are_models(const route::QueryView& v,
                                                 const serve::RoutingSnapshot& ref) {
   const Mesh2D& mesh = ref.mesh();
+  const auto mcc_mask = [&](fault::MccKind kind) {
+    return info::obstacle_mask(mesh, fault::build_mcc(mesh, ref.faults(), kind));
+  };
   for (const auto& [name, got, want] :
        {std::tuple{"faulty-block", v.fb_safety, info::obstacle_mask(mesh, ref.blocks())},
-        std::tuple{"type-one MCC", v.mcc1_safety,
-                   info::obstacle_mask(mesh, ref.mcc(fault::MccKind::TypeOne))},
-        std::tuple{"type-two MCC", v.mcc2_safety,
-                   info::obstacle_mask(mesh, ref.mcc(fault::MccKind::TypeTwo))}}) {
+        std::tuple{"type-one MCC", v.mcc1_safety, mcc_mask(fault::MccKind::TypeOne)},
+        std::tuple{"type-two MCC", v.mcc2_safety, mcc_mask(fault::MccKind::TypeTwo)}}) {
     const ::testing::AssertionResult same = testing_support::ObstaclesMatchMask(*got, want);
     if (!same) return ::testing::AssertionFailure() << name << ": " << same.message();
   }
