@@ -317,22 +317,22 @@ int main(int argc, char** argv) {
         [&] { sink = route::route(global_view, source, *walk_dest).delivered(); });
 
   // Incremental maintenance: the workload's faults, in order, into a fresh
-  // state; its blocks must be the from-scratch builder's.
+  // state; its block list must be the from-scratch builder's, in order and
+  // counted.
   const auto inject_all = [&] {
     dynamic::DynamicMeshState state(mesh);
     for (const Coord c : faults.faults()) state.inject_fault(c);
     return state;
   };
-  const auto sorted = [](std::vector<Rect> v) { std::sort(v.begin(), v.end()); return v; };
-  if (sorted(inject_all().blocks()) != sorted(rects)) {
+  if (inject_all().blocks() != blocks.blocks()) {
     std::cerr << "microbench: incremental injection disagrees with build_faulty_blocks\n";
     return 1;
   }
   bench("dynamic_inject", 8, [&] { sink = inject_all().blocks().empty(); });
 
-  // The delta-fed snapshot build after those injections: it adopts the
-  // maintained blocks and safety grids and walks the boundary runs. Its
-  // three safety grids must be the from-scratch snapshot's.
+  // The delta-fed snapshot build after those injections: it copies the
+  // maintained blocks and safety grids and shares the boundary runs. Its
+  // blocks, runs and three safety grids must be the from-scratch snapshot's.
   const dynamic::DynamicMeshState injected = inject_all();
   serve::SnapshotScratch snapshot_scratch;
   {
@@ -340,7 +340,9 @@ int main(int argc, char** argv) {
     const serve::RoutingSnapshot scratch_built(mesh, faults, 1, snapshot_scratch);
     const route::QueryView got = delta_built.query_view();
     const route::QueryView want = scratch_built.query_view();
-    if (!(*got.fb_safety == *want.fb_safety && *got.mcc1_safety == *want.mcc1_safety &&
+    if (!(delta_built.blocks() == scratch_built.blocks() &&
+          delta_built.boundary() == scratch_built.boundary() &&
+          *got.fb_safety == *want.fb_safety && *got.mcc1_safety == *want.mcc1_safety &&
           *got.mcc2_safety == *want.mcc2_safety)) {
       std::cerr << "microbench: delta-fed snapshot disagrees with the from-scratch build\n";
       return 1;

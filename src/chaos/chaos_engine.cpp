@@ -16,7 +16,8 @@ constexpr std::int64_t kNeverBad = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kAlwaysBad = std::numeric_limits<std::int64_t>::min();
 
 std::vector<Rect> sorted_blocks(const dynamic::DynamicMeshState& state) {
-  std::vector<Rect> blocks = state.blocks();
+  std::vector<Rect> blocks;
+  for (const fault::FaultyBlock& b : state.blocks()) blocks.push_back(b.rect);
   std::sort(blocks.begin(), blocks.end());
   return blocks;
 }

@@ -1,5 +1,6 @@
 #include "dynamic/dynamic_state.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <deque>
 
@@ -14,18 +15,32 @@ bool disable_condition(const Mesh2D& mesh, const info::SafetyGrid& bad, Coord c)
   return horiz && vert;
 }
 
+/// The block list's order: by (ymin, xmin), the order in which
+/// build_faulty_blocks discovers its components.
+bool before(const fault::FaultyBlock& a, const fault::FaultyBlock& b) noexcept {
+  return a.rect.ymin != b.rect.ymin ? a.rect.ymin < b.rect.ymin : a.rect.xmin < b.rect.xmin;
+}
+
 }  // namespace
 
 DynamicMeshState::DynamicMeshState(Mesh2D mesh)
     : mesh_(mesh),
       faults_(mesh_),
       safety_(mesh_.width(), mesh_.height()),
+      boundary_(std::make_shared<const info::BoundaryInfoMap>(mesh_, fault::BlockSet(mesh_, {}))),
       seen_(mesh_.width(), mesh_.height()) {
   for (MccLabels& m : mcc_) {
     m.useless.resize(mesh_.width(), mesh_.height());
     m.cant_reach.resize(mesh_.width(), mesh_.height());
     m.safety = info::SafetyGrid(mesh_.width(), mesh_.height());
   }
+}
+
+DynamicMeshState::DynamicMeshState(Mesh2D mesh, std::span<const Coord> faults)
+    : DynamicMeshState(mesh) {
+  for (const Coord c : faults) (void)inject(c, /*update_runs=*/false);
+  boundary_ = std::make_shared<const info::BoundaryInfoMap>(
+      mesh_, fault::BlockSet(blocks_, safety_.row_plane()));
 }
 
 std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& seeds) {
@@ -51,7 +66,8 @@ std::vector<Coord> DynamicMeshState::propagate_from(const std::vector<Coord>& se
   return newly;
 }
 
-void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats) {
+std::int32_t DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed,
+                                                   UpdateStats& stats) {
   // Bounding box of the (single) component containing the changed cells.
   // The search list doubles as the queue and as the record of the `seen_`
   // bits to clear, so the search costs the component, not the mesh.
@@ -74,21 +90,22 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
     }
   }
   for (const Coord c : component_) seen_.reset(c);
-  if (!box.valid()) return;
 
   // Absorb overlapped blocks, fill to the rectangle, re-propagate; repeat
   // until stable (the incremental version of build_faulty_blocks' closure).
+  // The absorbed blocks stay in the list until the box is final.
+  absorbed_.clear();
   bool grew = true;
   while (grew) {
     grew = false;
-    for (std::size_t i = 0; i < blocks_.size();) {
-      if (blocks_[i].overlaps(box)) {
-        box = box.united(blocks_[i]);
-        blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      const auto id = static_cast<std::int32_t>(i);
+      if (blocks_[i].rect.overlaps(box) &&
+          std::find(absorbed_.begin(), absorbed_.end(), id) == absorbed_.end()) {
+        box = box.united(blocks_[i].rect);
+        absorbed_.push_back(id);
         ++stats.absorbed_blocks;
         grew = true;
-      } else {
-        ++i;
       }
     }
     std::vector<Coord> filled;
@@ -111,7 +128,25 @@ void DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateS
     }
   }
   stats.relabeled_nodes += static_cast<std::int64_t>(changed.size());
-  blocks_.push_back(box);
+
+  // Every old fault in the box lies in an absorbed block, so the grown
+  // block holds their faults plus the injected one.
+  std::sort(absorbed_.begin(), absorbed_.end());
+  fault::FaultyBlock grown{box, 1, 0};
+  std::size_t kept = 0;
+  for (std::size_t i = 0, a = 0; i < blocks_.size(); ++i) {
+    if (a < absorbed_.size() && static_cast<std::size_t>(absorbed_[a]) == i) {
+      grown.faulty_count += blocks_[i].faulty_count;
+      ++a;
+    } else {
+      blocks_[kept++] = blocks_[i];
+    }
+  }
+  blocks_.resize(kept);
+  grown.disabled_count = static_cast<std::int32_t>(box.area()) - grown.faulty_count;
+  const auto at = blocks_.insert(std::upper_bound(blocks_.begin(), blocks_.end(), grown, before),
+                                 grown);
+  return static_cast<std::int32_t>(at - blocks_.begin());
 }
 
 void DynamicMeshState::update_mcc(Coord c) {
@@ -152,19 +187,35 @@ void DynamicMeshState::count_lines(const std::vector<Coord>& changed, UpdateStat
   for (const std::uint64_t m : col_dirty_) stats.cols_resweeped += std::popcount(m);
 }
 
-UpdateStats DynamicMeshState::inject_fault(Coord c) {
+UpdateStats DynamicMeshState::inject_fault(Coord c) { return inject(c, /*update_runs=*/true); }
+
+UpdateStats DynamicMeshState::inject(Coord c, bool update_runs) {
   UpdateStats stats;
   changed_.clear();
   if (faults_.contains(c)) return stats;
   faults_.add(c);
   update_mcc(c);
-  if (safety_.blocked(c)) return stats;  // was a disabled block node; structure unchanged
+  if (safety_.blocked(c)) {
+    // A disabled block node turns faulty: no rect and no run changes.
+    for (fault::FaultyBlock& b : blocks_) {
+      if (b.rect.contains(c)) {
+        ++b.faulty_count;
+        --b.disabled_count;
+        break;
+      }
+    }
+    return stats;
+  }
 
   safety_.add_obstacle(c);
   changed_.push_back(c);
   const std::vector<Coord> cascaded = propagate_from(changed_);
   changed_.insert(changed_.end(), cascaded.begin(), cascaded.end());
-  rebuild_block_around(changed_, stats);
+  const std::int32_t added = rebuild_block_around(changed_, stats);
+  if (update_runs) {
+    boundary_ = std::make_shared<const info::BoundaryInfoMap>(boundary_->updated(
+        blocks_, added, absorbed_, safety_.row_plane(), safety_.col_plane()));
+  }
   count_lines(changed_, stats);
   return stats;
 }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bitgrid.hpp"
@@ -54,6 +55,12 @@ class BlockSet {
   /// Throws std::invalid_argument when a rect leaves the mesh or two rects
   /// overlap.
   BlockSet(const Mesh2D& mesh, std::vector<FaultyBlock> blocks);
+
+  /// Adopt a block list and its block-node plane as given: nothing is
+  /// checked or painted. For a maintainer that already keeps both
+  /// (dynamic::DynamicMeshState); `plane` must be the union of the rects.
+  BlockSet(std::vector<FaultyBlock> blocks, core::BitGrid plane)
+      : blocks_(std::move(blocks)), plane_(std::move(plane)) {}
 
   /// Rebuild in place; reuses the list's and the plane's capacity, so
   /// steady-state rebuilds allocate nothing. Same checks as the constructor.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/bitgrid.hpp"
 
@@ -102,85 +103,163 @@ void ring_side(const TrailAxis& ax, Dist v, Dist ulo, Dist uhi, int dv, Visit& v
   if (uhi < ulen) walk_on<+1>(ax, hi, v, dv, visit);
 }
 
-/// The union of the block rects, row-major (bit x of row y: the block set's
-/// own plane) and column-major (bit y of row x, painted here), so a trail in
-/// any direction scans one row.
-struct ObstaclePlanes {
-  const core::BitGrid& rows;
-  core::BitGrid cols;
-
-  explicit ObstaclePlanes(const fault::BlockSet& blocks)
-      : rows(blocks.plane()), cols(rows.height(), rows.width()) {
-    for (const fault::FaultyBlock& b : blocks.blocks()) {
-      const Rect& r = b.rect;
-      for (Dist x = r.xmin; x <= r.xmax; ++x) core::row_range_set(cols.row(x), r.ymin, r.ymax);
-    }
+/// The union of the block rects, column-major (bit y of row x); the block
+/// set's own plane is the row-major one. A trail in any direction then scans
+/// one row of one of the two.
+core::BitGrid column_plane(const fault::BlockSet& blocks) {
+  const core::BitGrid& rows = blocks.plane();
+  core::BitGrid cols(rows.height(), rows.width());
+  for (const fault::FaultyBlock& b : blocks.blocks()) {
+    const Rect& r = b.rect;
+    for (Dist x = r.xmin; x <= r.xmax; ++x) core::row_range_set(cols.row(x), r.ymin, r.ymax);
   }
-};
+  return cols;
+}
 
-/// Call `visit(horizontal, line, lo, hi, id)` for runs covering every
-/// deposit of every block, blocks in id order. A node may be visited more
-/// than once for the same block (ring corners, and trails that cross or
-/// overlap); never for an earlier block after a later.
+/// Call `visit(horizontal, line, lo, hi)` for runs covering every deposit of
+/// the block `rect`. A node may be visited more than once (ring corners, and
+/// trails that cross or overlap).
 template <typename Visit>
-void for_each_deposit_run(const fault::BlockSet& blocks, const ObstaclePlanes& planes,
-                          Visit&& visit) {
-  const TrailAxis horizontal{planes.rows, true};
-  const TrailAxis vertical{planes.cols, false};
-  const auto& blk = blocks.blocks();
-  for (std::size_t b = 0; b < blk.size(); ++b) {
-    const auto id = static_cast<std::int32_t>(b);
-    const auto deposit = [&](bool is_row, Dist line, Dist lo, Dist hi) {
-      visit(is_row, line, lo, hi, id);
-    };
-    // The perimeter ring is the nodes adjacent to the block, including the
-    // four diagonal corner nodes (the "corners" of Definition 1's adjacency
-    // discussion). Each side's line propagates both ways, so routing toward
-    // any quadrant is served:
-    //   L1, the south row: west from SW and east from SE, sliding south;
-    //   L2, the north row: west from NW and east from NE, sliding north;
-    //   L3, the west column: south from SW and north from NW, sliding west;
-    //   L4, the east column: south from SE and north from NE, sliding east.
-    const Rect ring = blk[b].rect.expanded(1);
-    ring_side(horizontal, ring.ymin, ring.xmin, ring.xmax, -1, deposit);
-    ring_side(horizontal, ring.ymax, ring.xmin, ring.xmax, +1, deposit);
-    ring_side(vertical, ring.xmin, ring.ymin, ring.ymax, -1, deposit);
-    ring_side(vertical, ring.xmax, ring.ymin, ring.ymax, +1, deposit);
-  }
+void walk_block(const TrailAxis& horizontal, const TrailAxis& vertical, const Rect& rect,
+                Visit& visit) {
+  // The perimeter ring is the nodes adjacent to the block, including the
+  // four diagonal corner nodes (the "corners" of Definition 1's adjacency
+  // discussion). Each side's line propagates both ways, so routing toward
+  // any quadrant is served:
+  //   L1, the south row: west from SW and east from SE, sliding south;
+  //   L2, the north row: west from NW and east from NE, sliding north;
+  //   L3, the west column: south from SW and north from NW, sliding west;
+  //   L4, the east column: south from SE and north from NE, sliding east.
+  const Rect ring = rect.expanded(1);
+  ring_side(horizontal, ring.ymin, ring.xmin, ring.xmax, -1, visit);
+  ring_side(horizontal, ring.ymax, ring.xmin, ring.xmax, +1, visit);
+  ring_side(vertical, ring.xmin, ring.ymin, ring.ymax, -1, visit);
+  ring_side(vertical, ring.xmax, ring.ymin, ring.ymax, +1, visit);
 }
 
 }  // namespace
 
+void BoundaryInfoMap::walk_blocks(std::span<const fault::FaultyBlock> blocks,
+                                  std::span<const std::int32_t> ids,
+                                  const core::BitGrid& row_plane, const core::BitGrid& col_plane,
+                                  PendingRuns& out) {
+  const TrailAxis horizontal{row_plane, true};
+  const TrailAxis vertical{col_plane, false};
+  for (std::vector<Pending>& p : out) {
+    p.clear();
+    // Random worlds hold about four to six runs per block and axis.
+    p.reserve(ids.size() * 8);
+  }
+  for (const std::int32_t id : ids) {
+    const auto deposit = [&](bool is_row, Dist line, Dist lo, Dist hi) {
+      out[is_row ? 0 : 1].push_back({line, {lo, hi, id}});
+    };
+    walk_block(horizontal, vertical, blocks[static_cast<std::size_t>(id)].rect, deposit);
+  }
+}
+
+void BoundaryInfoMap::bucket(const std::vector<Pending>& in, Dist lines, Lines& out) {
+  std::vector<std::uint32_t>& start = out.start;
+  start.assign(static_cast<std::size_t>(lines) + 1, 0);
+  for (const Pending& p : in) ++start[static_cast<std::size_t>(p.line) + 1];
+  for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+  out.runs.resize(in.size());
+  // Place each run at its line's cursor; the cursors end one line ahead.
+  for (const Pending& p : in) out.runs[start[static_cast<std::size_t>(p.line)]++] = p.run;
+  std::copy_backward(start.begin(), start.end() - 1, start.end());
+  start[0] = 0;
+}
+
 BoundaryInfoMap::BoundaryInfoMap(const Mesh2D& mesh, const fault::BlockSet& blocks)
     : width_(mesh.width()), height_(mesh.height()) {
-  const ObstaclePlanes planes(blocks);
-  struct Pending {
-    Dist line;
-    Run run;
-  };
-  std::vector<Pending> pending[2];  // rows, columns
-  // Random worlds hold about four to six runs per block and axis.
-  for (std::vector<Pending>& p : pending) p.reserve(blocks.blocks().size() * 8);
-  for_each_deposit_run(blocks, planes,
-                       [&](bool is_row, Dist line, Dist lo, Dist hi, std::int32_t id) {
-                         pending[is_row ? 0 : 1].push_back({line, {lo, hi, id}});
-                       });
-
-  // Counting sort by line. It is stable, so each line keeps its runs in
-  // block id order.
-  const auto bucket = [](const std::vector<Pending>& in, Dist lines, Lines& out) {
-    std::vector<std::uint32_t>& start = out.start;
-    start.assign(static_cast<std::size_t>(lines) + 1, 0);
-    for (const Pending& p : in) ++start[static_cast<std::size_t>(p.line) + 1];
-    for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
-    out.runs.resize(in.size());
-    // Place each run at its line's cursor; the cursors end one line ahead.
-    for (const Pending& p : in) out.runs[start[static_cast<std::size_t>(p.line)]++] = p.run;
-    std::copy_backward(start.begin(), start.end() - 1, start.end());
-    start[0] = 0;
-  };
+  std::vector<std::int32_t> all(blocks.block_count());
+  std::iota(all.begin(), all.end(), 0);
+  PendingRuns pending;
+  walk_blocks(blocks.blocks(), all, blocks.plane(), column_plane(blocks), pending);
   bucket(pending[0], height_, rows_);
   bucket(pending[1], width_, cols_);
+}
+
+void BoundaryInfoMap::splice(const Lines& lines, const std::int32_t* new_id, const Lines& fresh,
+                             Lines& out) {
+  // Sized for every run; the dropped ones are trimmed off the end.
+  const std::size_t line_count = lines.start.size() - 1;
+  out.start.resize(line_count + 1);
+  out.runs.resize(lines.runs.size() + fresh.runs.size());
+  Run* const first = out.runs.data();
+  Run* o = first;
+  const Run* r = lines.runs.data();
+  const Run* f = fresh.runs.data();
+  for (std::size_t v = 0; v < line_count; ++v) {
+    out.start[v] = static_cast<std::uint32_t>(o - first);
+    const Run* const r_end = lines.runs.data() + lines.start[v + 1];
+    const Run* const f_end = fresh.runs.data() + fresh.start[v + 1];
+    for (; r != r_end; ++r) {
+      const Run kept{r->lo, r->hi, new_id[static_cast<std::size_t>(r->id)]};
+      if (kept.id == fault::kNoBlock) continue;
+      for (; f != f_end && f->id < kept.id; ++f) *o++ = *f;
+      *o++ = kept;
+    }
+    o = std::copy(f, f_end, o);
+    f = f_end;
+  }
+  out.start[line_count] = static_cast<std::uint32_t>(o - first);
+  out.runs.resize(static_cast<std::size_t>(o - first));
+}
+
+BoundaryInfoMap BoundaryInfoMap::updated(std::span<const fault::FaultyBlock> blocks,
+                                         std::int32_t added,
+                                         std::span<const std::int32_t> absorbed,
+                                         const core::BitGrid& rows,
+                                         const core::BitGrid& cols) const {
+  thread_local std::vector<std::int32_t> new_id_tls;
+  thread_local std::vector<std::int32_t> walk_tls;
+  thread_local PendingRuns fresh_tls;
+  thread_local Lines fresh_lines_tls;
+  std::vector<std::int32_t>& walk = walk_tls;
+  PendingRuns& fresh = fresh_tls;
+  Lines& fresh_lines = fresh_lines_tls;
+
+  const Rect grown = blocks[static_cast<std::size_t>(added)].rect;
+  const std::size_t old_count = blocks.size() - 1 + absorbed.size();
+  // Each old block's new id: the survivors keep their order around the
+  // grown block's slot.
+  new_id_tls.resize(old_count);
+  std::int32_t* const new_id = new_id_tls.data();
+  std::int32_t next = 0;
+  for (std::size_t i = 0, a = 0; i < old_count; ++i) {
+    if (a < absorbed.size() && static_cast<std::size_t>(absorbed[a]) == i) {
+      new_id[i] = fault::kNoBlock;
+      ++a;
+      continue;
+    }
+    next += next == added ? 1 : 0;
+    new_id[i] = next++;
+  }
+  // A survivor with a run crossing the grown rect is walked again; so is
+  // the grown block. Their old runs are dropped with the absorbed blocks'.
+  walk.assign(1, added);
+  const auto mark_crossing = [&](const Lines& lines, Dist vlo, Dist vhi, Dist ulo, Dist uhi) {
+    for (Dist v = vlo; v <= vhi; ++v) {
+      for (const Run& r : lines.line(v)) {
+        std::int32_t& id = new_id[static_cast<std::size_t>(r.id)];
+        if (id == fault::kNoBlock || r.hi < ulo || uhi < r.lo) continue;
+        walk.push_back(id);
+        id = fault::kNoBlock;
+      }
+    }
+  };
+  mark_crossing(rows_, grown.ymin, grown.ymax, grown.xmin, grown.xmax);
+  mark_crossing(cols_, grown.xmin, grown.xmax, grown.ymin, grown.ymax);
+  std::sort(walk.begin(), walk.end());
+  walk_blocks(blocks, walk, rows, cols, fresh);
+
+  BoundaryInfoMap next_map(width_, height_);
+  bucket(fresh[0], height_, fresh_lines);
+  splice(rows_, new_id, fresh_lines, next_map.rows_);
+  bucket(fresh[1], width_, fresh_lines);
+  splice(cols_, new_id, fresh_lines, next_map.cols_);
+  return next_map;
 }
 
 void BoundaryInfoMap::known_blocks(Coord c, std::vector<std::int32_t>& out) const {

@@ -118,6 +118,11 @@ class SafetyGrid {
   /// model)? One bit test on the row plane; `c` must be in bounds.
   [[nodiscard]] bool blocked(Coord c) const noexcept { return rows_.test(c); }
 
+  /// The obstacle plane, row-major (bit x of row y is node (x, y)).
+  [[nodiscard]] const core::BitGrid& row_plane() const noexcept { return rows_; }
+  /// Its transpose, column-major (bit y of row x is node (x, y)).
+  [[nodiscard]] const core::BitGrid& col_plane() const noexcept { return cols_; }
+
   /// Mark `c` as an obstacle: the levels along its row and column change,
   /// nothing is re-swept.
   void add_obstacle(Coord c) noexcept {

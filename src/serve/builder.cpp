@@ -19,22 +19,16 @@ std::int64_t now_us() {
       .count();
 }
 
-dynamic::DynamicMeshState seeded_state(Mesh2D mesh, std::span<const Coord> initial_faults) {
-  dynamic::DynamicMeshState state(std::move(mesh));
-  for (const Coord c : initial_faults) state.inject_fault(c);
-  return state;
-}
-
 }  // namespace
 
 SnapshotBuilder::SnapshotBuilder(Mesh2D mesh, std::span<const Coord> initial_faults)
-    : state_(seeded_state(std::move(mesh), initial_faults)),
+    : state_(std::move(mesh), initial_faults),
       next_epoch_(1),
       store_(std::make_unique<const RoutingSnapshot>(state_, /*epoch=*/0, scratch_)) {}
 
 SnapshotBuilder::SnapshotBuilder(Mesh2D mesh, std::span<const Coord> initial_faults,
                                  const std::string& journal_path, RecoverFromJournal)
-    : state_(seeded_state(std::move(mesh), initial_faults)),
+    : state_(std::move(mesh), initial_faults),
       next_epoch_(1),
       store_(recover_snapshot(journal_path)) {}
 

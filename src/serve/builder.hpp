@@ -1,12 +1,12 @@
 // SnapshotBuilder: the write side of routing-as-a-service.
 //
-// Owns the live world (a dynamic::DynamicMeshState, whose faulty blocks and
-// safety grid are maintained in O(|delta|) per injection) plus the
+// Owns the live world (a dynamic::DynamicMeshState, whose faulty blocks,
+// boundary runs and safety grids are maintained per injection) plus the
 // SnapshotStore readers subscribe to. Fault churn flows in through
 // inject(); publish() freezes the current world into an immutable
-// RoutingSnapshot — via the delta-fed constructor, so the expensive
-// faulty-block fixpoints are adopted rather than recomputed — and swaps it
-// in. Injections may be batched between publishes; readers simply keep
+// RoutingSnapshot — via the delta-fed constructor, so the fault-model
+// fixpoints and the boundary walk are adopted rather than recomputed — and
+// swaps it in. Injections may be batched between publishes; readers simply keep
 // answering against the previous epoch until the swap (their measured
 // staleness is the serve.staleness_epochs histogram's subject).
 //

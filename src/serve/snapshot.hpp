@@ -18,10 +18,12 @@
 //     builder's watchdog rebuild and core::FaultTolerantMesh, whose lazily
 //     derived state is one such snapshot at epoch 0;
 //   * from the incremental maintainer — SnapshotBuilder (builder.hpp) feeds
-//     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and three
-//     safety grids straight in, so no fault-model fixpoint is re-run and no
-//     safety grid is re-derived (each is a copy); only the boundary walk
-//     still runs once per epoch over the whole mesh.
+//     dynamic::DynamicMeshState's per-injection-maintained block list (sorted
+//     and counted), boundary runs and three safety grids straight in, so no
+//     fault-model fixpoint, sort or boundary walk runs: the build copies the
+//     list, the block-node plane, the safety grids' planes and the fault set,
+//     and shares the state's boundary map, which is immutable (an injection
+//     that grows a block makes a new one).
 //
 // RoutingSnapshot implements route::FaultView (the frozen-world reading:
 // truth = its block set, belief = its boundary deposits, never stale), so
@@ -54,7 +56,8 @@ namespace meshroute::serve {
 
 /// Reusable build buffers (one per builder/thread): the fault-model scratch
 /// planes the bit-plane kernels sweep. Snapshots never reference scratch
-/// memory — everything a snapshot holds is owned by the snapshot.
+/// memory — everything a snapshot holds it owns, or co-owns immutably (the
+/// boundary map of a delta-fed snapshot).
 struct SnapshotScratch {
   fault::BlockScratch block;
   fault::MccScratch mcc1;
@@ -67,10 +70,10 @@ class RoutingSnapshot final : public route::FaultView {
   RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faults, std::uint64_t epoch,
                   SnapshotScratch& scratch);
 
-  /// Delta-fed build: adopts the incrementally-maintained faulty blocks and
-  /// the three safety grids of `state` by copy (no fault-model fixpoint is
-  /// re-run, and `scratch` is not used); the boundary runs are rebuilt by
-  /// their walk.
+  /// Delta-fed build: adopts the incrementally-maintained faulty blocks
+  /// and three safety grids of `state` by copy and shares its immutable
+  /// boundary map (nothing is re-run or re-walked, and `scratch` is not
+  /// used).
   RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                   SnapshotScratch& scratch);
 
@@ -84,7 +87,7 @@ class RoutingSnapshot final : public route::FaultView {
   [[nodiscard]] const Mesh2D& mesh() const noexcept { return mesh_; }
   [[nodiscard]] const fault::FaultSet& faults() const noexcept { return faults_; }
   [[nodiscard]] const fault::BlockSet& blocks() const noexcept { return blocks_; }
-  [[nodiscard]] const info::BoundaryInfoMap& boundary() const noexcept { return boundary_; }
+  [[nodiscard]] const info::BoundaryInfoMap& boundary() const noexcept { return *boundary_; }
 
   /// The consolidated query surface over this snapshot. The view borrows
   /// the snapshot's planes: keep the snapshot alive (it is handed out as
@@ -103,7 +106,8 @@ class RoutingSnapshot final : public route::FaultView {
   Mesh2D mesh_;
   fault::FaultSet faults_;
   fault::BlockSet blocks_;
-  info::BoundaryInfoMap boundary_;
+  /// Immutable; a delta-fed snapshot shares it with the state it came from.
+  std::shared_ptr<const info::BoundaryInfoMap> boundary_;
   info::SafetyGrid fb_safety_;
   info::SafetyGrid mcc1_safety_;
   info::SafetyGrid mcc2_safety_;

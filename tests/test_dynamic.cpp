@@ -12,6 +12,7 @@
 #include "dynamic/dynamic_state.hpp"
 #include "fault/block_model.hpp"
 #include "fault/mcc_model.hpp"
+#include "info/boundary.hpp"
 #include "info/safety_level.hpp"
 #include "safety_oracle.hpp"
 
@@ -47,18 +48,28 @@ void expect_mcc_equal_to_rebuild(const DynamicMeshState& dyn) {
   }
 }
 
+std::vector<Rect> rects_of(const DynamicMeshState& dyn) {
+  std::vector<Rect> out;
+  for (const fault::FaultyBlock& b : dyn.blocks()) out.push_back(b.rect);
+  return out;
+}
+
+/// Position of `r` in the block list, or -1.
+std::int32_t id_of(const DynamicMeshState& dyn, const Rect& r) {
+  const std::vector<Rect> rects = rects_of(dyn);
+  const auto it = std::find(rects.begin(), rects.end(), r);
+  return it == rects.end() ? -1 : static_cast<std::int32_t>(it - rects.begin());
+}
+
 void expect_equal_to_rebuild(const DynamicMeshState& dyn) {
   ASSERT_NO_FATAL_FAILURE(expect_mcc_equal_to_rebuild(dyn));
   const Reference ref(dyn.mesh(), dyn.faults());
   // Obstacle sets identical.
   ASSERT_TRUE(testing_support::ObstaclesMatchMask(dyn.safety(), ref.mask));
-  // Block rectangles identical as sets.
-  std::vector<Rect> got = dyn.blocks();
-  std::vector<Rect> want;
-  for (const auto& b : ref.blocks.blocks()) want.push_back(b.rect);
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  ASSERT_EQ(got, want);
+  // Block list identical: rects, order and counts.
+  ASSERT_EQ(dyn.blocks(), ref.blocks.blocks());
+  // Boundary runs identical, run for run, to a from-scratch walk.
+  ASSERT_TRUE(dyn.boundary() == info::BoundaryInfoMap(dyn.mesh(), ref.blocks));
   // Safety levels identical on non-block nodes.
   dyn.mesh().for_each_node([&](Coord c) {
     if (ref.mask[c]) return;
@@ -126,7 +137,7 @@ TEST(DynamicState, DiagonalMergeAbsorbsBlock) {
   EXPECT_EQ(s.absorbed_blocks, 1);
   EXPECT_GE(s.relabeled_nodes, 3);  // (5,5) + two disabled bridge nodes
   ASSERT_EQ(dyn.blocks().size(), 1u);
-  EXPECT_EQ(dyn.blocks()[0], (Rect{4, 5, 4, 5}));
+  EXPECT_EQ(dyn.blocks()[0].rect, (Rect{4, 5, 4, 5}));
   expect_equal_to_rebuild(dyn);
 }
 
@@ -139,7 +150,7 @@ TEST(DynamicState, BridgingFaultMergesTwoBlocks) {
   const UpdateStats s = dyn.inject_fault({5, 5});  // diagonal to both
   EXPECT_EQ(s.absorbed_blocks, 2);
   ASSERT_EQ(dyn.blocks().size(), 1u);
-  EXPECT_EQ(dyn.blocks()[0], (Rect{4, 6, 4, 6}));
+  EXPECT_EQ(dyn.blocks()[0].rect, (Rect{4, 6, 4, 6}));
   expect_equal_to_rebuild(dyn);
 }
 
@@ -154,7 +165,67 @@ TEST(DynamicState, PaperExampleIncrementally) {
     expect_equal_to_rebuild(dyn);
   }
   ASSERT_EQ(dyn.blocks().size(), 1u);
-  EXPECT_EQ(dyn.blocks()[0], (Rect{2, 6, 3, 6}));
+  EXPECT_EQ(dyn.blocks()[0].rect, (Rect{2, 6, 3, 6}));
+}
+
+TEST(DynamicBoundary, NewBlockCutsSurvivorTrail) {
+  // [5,5]'s south-east trail runs east along row 4. A fault at (8,4) makes
+  // a 1x1 block on it, which sorts first (ymin 4), so the old block moves
+  // to id 1 and its trail turns south at x = 7: it must be re-walked.
+  const Mesh2D mesh(12, 12);
+  DynamicMeshState dyn(mesh);
+  (void)dyn.inject_fault({5, 5});
+  const Coord c{8, 4};
+  ASSERT_TRUE(dyn.boundary().knows(c, 0));
+  ASSERT_TRUE(dyn.boundary().knows({9, 4}, 0));
+  const UpdateStats s = dyn.inject_fault(c);
+  ASSERT_EQ(s.absorbed_blocks, 0);
+  ASSERT_EQ(rects_of(dyn), (std::vector<Rect>{rect_at(c), rect_at({5, 5})}));
+  EXPECT_FALSE(dyn.boundary().knows({9, 4}, 1));
+  EXPECT_TRUE(dyn.boundary().knows({9, 3}, 1));
+  EXPECT_TRUE(dyn.boundary().knows({9, 4}, 0));
+  expect_equal_to_rebuild(dyn);
+}
+
+TEST(DynamicBoundary, MergeShiftsIdsBothWays) {
+  // (5,5) bridges the blocks at (4,6) and (6,6) into [4:6, 5:6], which
+  // sorts before the block at (9,5) (that one moves up an id) while (2,9)
+  // moves down, since two blocks left ahead of it. (1,1) keeps id 0.
+  const Mesh2D mesh(12, 12);
+  DynamicMeshState dyn(mesh);
+  for (const Coord f : {Coord{1, 1}, Coord{4, 6}, Coord{6, 6}, Coord{9, 5}, Coord{2, 9}}) {
+    (void)dyn.inject_fault(f);
+  }
+  ASSERT_EQ(dyn.blocks().size(), 5u);
+  const std::int32_t up_before = id_of(dyn, rect_at({9, 5}));
+  const std::int32_t down_before = id_of(dyn, rect_at({2, 9}));
+  const UpdateStats s = dyn.inject_fault({5, 5});
+  ASSERT_EQ(s.absorbed_blocks, 2);
+  ASSERT_EQ(id_of(dyn, Rect{4, 6, 5, 6}), 1);
+  EXPECT_EQ(dyn.blocks()[1].faulty_count, 3);
+  EXPECT_EQ(dyn.blocks()[1].disabled_count, 3);
+  EXPECT_EQ(id_of(dyn, rect_at({1, 1})), 0);
+  EXPECT_GT(id_of(dyn, rect_at({9, 5})), up_before);
+  EXPECT_LT(id_of(dyn, rect_at({2, 9})), down_before);
+  expect_equal_to_rebuild(dyn);
+}
+
+TEST(DynamicBoundary, FaultInsideBlockMovesCountsOnly) {
+  // (4,5) is disabled inside [4:5, 4:5]; a fault there moves one node from
+  // the block's disabled count to its faulty count and changes no run.
+  const Mesh2D mesh(10, 10);
+  DynamicMeshState dyn(mesh);
+  (void)dyn.inject_fault({4, 4});
+  (void)dyn.inject_fault({5, 5});
+  const Coord c{4, 5};
+  ASSERT_TRUE(dyn.safety().blocked(c));
+  ASSERT_FALSE(dyn.faults().contains(c));
+  ASSERT_EQ(dyn.blocks(), (std::vector<fault::FaultyBlock>{{Rect{4, 5, 4, 5}, 2, 2}}));
+  const info::BoundaryInfoMap runs = dyn.boundary();
+  (void)dyn.inject_fault(c);
+  EXPECT_EQ(dyn.blocks(), (std::vector<fault::FaultyBlock>{{Rect{4, 5, 4, 5}, 3, 1}}));
+  EXPECT_TRUE(dyn.boundary() == runs);
+  expect_equal_to_rebuild(dyn);
 }
 
 std::int64_t obstacle_count(const Mesh2D& mesh, const info::SafetyGrid& grid) {
@@ -201,11 +272,11 @@ TEST(DynamicMcc, FaultInsideBlockAddsLabels) {
   for (const Coord f : {Coord{1, 0}, Coord{2, 1}, Coord{0, 2}}) (void)dyn.inject_fault(f);
   const Coord c{1, 2};
   ASSERT_TRUE(dyn.safety().blocked(c));
-  const std::vector<Rect> blocks = dyn.blocks();
+  const std::vector<Rect> blocks = rects_of(dyn);
   const std::int64_t before = obstacle_count(mesh, dyn.mcc_safety(fault::MccKind::TypeOne));
   const UpdateStats s = dyn.inject_fault(c);
   EXPECT_EQ(s.relabeled_nodes, 0);
-  EXPECT_EQ(dyn.blocks(), blocks);
+  EXPECT_EQ(rects_of(dyn), blocks);
   EXPECT_GT(obstacle_count(mesh, dyn.mcc_safety(fault::MccKind::TypeOne)), before + 1);
   expect_equal_to_rebuild(dyn);
 }
@@ -305,6 +376,29 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndSizes, DynamicStressEveryStep,
 TEST(DynamicState, BitIdenticalToRebuildAfterEveryInjectionAtWordEdges) {
   // 129 x 65: every row and column runs one node past a 64-bit word.
   check_every_injection(0x129065u, 129, 65, 300);
+}
+
+TEST(DynamicState, SeededStateEqualsInjectingOneByOne) {
+  // The seeding constructor builds the boundary runs once at the end; every
+  // structure must match injecting the same faults (duplicates included) in
+  // order, the runs included.
+  Rng rng(0x5eed);
+  const Mesh2D mesh(40, 40);
+  std::vector<Coord> faults;
+  for (int i = 0; i < 150; ++i) {
+    faults.push_back({static_cast<Dist>(rng.uniform(0, 39)), static_cast<Dist>(rng.uniform(0, 39))});
+  }
+  DynamicMeshState one_by_one(mesh);
+  for (const Coord c : faults) (void)one_by_one.inject_fault(c);
+  const DynamicMeshState seeded(mesh, faults);
+  EXPECT_EQ(seeded.blocks(), one_by_one.blocks());
+  EXPECT_TRUE(seeded.boundary() == one_by_one.boundary());
+  EXPECT_TRUE(seeded.safety() == one_by_one.safety());
+  for (const fault::MccKind kind : kMccKinds) {
+    EXPECT_TRUE(seeded.mcc_safety(kind) == one_by_one.mcc_safety(kind));
+  }
+  EXPECT_EQ(seeded.last_changed(), one_by_one.last_changed());
+  expect_equal_to_rebuild(seeded);
 }
 
 TEST(DynamicState, ResweepBoundedByAffectedBand) {

@@ -115,6 +115,7 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
 
   EXPECT_EQ(sorted_rects(snap->blocks()), sorted_rects(reference.blocks()));
   EXPECT_TRUE(snap->blocks() == reference.blocks());
+  EXPECT_TRUE(snap->boundary() == reference.boundary());
 
   const route::QueryView live = snap->query_view();
   const route::QueryView ref = reference.query_view();
@@ -167,6 +168,7 @@ TEST(SnapshotBuilder, EveryEpochMatchesFromScratch) {
     EXPECT_EQ(snap->epoch(), epoch);
     EXPECT_EQ(sorted_rects(snap->blocks()), sorted_rects(ref.blocks()));
     EXPECT_TRUE(snap->blocks() == ref.blocks()) << "epoch " << epoch;
+    EXPECT_TRUE(snap->boundary() == ref.boundary()) << "epoch " << epoch;
     const route::QueryView a = snap->query_view();
     const route::QueryView b = ref.query_view();
     EXPECT_EQ(*a.faulty_mask, *b.faulty_mask) << "epoch " << epoch;
