@@ -2,11 +2,13 @@
 // every sweep, snapshot and query (model builders, oracles, decision
 // procedures, rung-0 walks, incremental injection, the simsub protocols;
 // DESIGN §7 lists the rows) on one fixed-seed workload, 200x200 with 200
-// faults. Five guards exit 1 before their rows are timed: the boundary map's
-// deposit totals must equal the per-node map's, the safety levels must equal
-// the scalar oracle's, the route pair must be walked minimally, incremental
-// injection must match the builder, and the delta-fed snapshot's safety
-// grids must equal the from-scratch snapshot's.
+// faults; the boundary_update row replays the serve world instead (96x96,
+// 64 seed faults, 200 injections). Six guards exit 1 before their rows are
+// timed: the boundary map's deposit totals must equal the per-node map's,
+// the safety levels must equal the scalar oracle's, the route pair must be
+// walked minimally, incremental injection must match the builder, the
+// delta-fed snapshot's safety grids must equal the from-scratch snapshot's,
+// and every replayed boundary update must equal a from-scratch map.
 // Reports the median of --reps repetitions per kernel and, with --json=,
 // emits the schema consumed by tools/bench_compare:
 //
@@ -37,6 +39,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -358,6 +361,65 @@ int main(int argc, char** argv) {
   });
   bench("pivot_broadcast", 4,
         [&] { sink = simsub::broadcast_from(mesh, fb_mask, source).stats.messages != 0; });
+
+  // The boundary run update alone, on the serve world: 96x96 with 64 seed
+  // faults, then 200 uniform injections. Each injection that grows a block
+  // is recorded with its inputs; one invocation replays the next recorded
+  // update on the map the previous one made, as inject_fault does (the
+  // first starts from the seeded map). Every recorded update must equal the
+  // state's map and a from-scratch map over the same blocks.
+  {
+    const Mesh2D serve_mesh = Mesh2D::square(96);
+    Rng serve_rng(0x5e7e);
+    const fault::FaultSet seed = fault::uniform_random_faults(serve_mesh, 64, serve_rng);
+    dynamic::DynamicMeshState state(serve_mesh, seed.faults());
+    struct Update {
+      std::shared_ptr<const info::BoundaryInfoMap> before;
+      std::vector<fault::FaultyBlock> blocks;
+      std::int32_t added = -1;
+      std::vector<std::int32_t> absorbed;
+      core::BitGrid rows;
+      core::BitGrid cols;
+    };
+    std::vector<Update> updates;
+    const auto holds = [](const std::vector<fault::FaultyBlock>& list, const Rect& r) {
+      return std::any_of(list.begin(), list.end(),
+                         [&](const fault::FaultyBlock& b) { return b.rect == r; });
+    };
+    for (int i = 0; i < 200; ++i) {
+      const Coord c{static_cast<Dist>(serve_rng.uniform(0, 95)),
+                    static_cast<Dist>(serve_rng.uniform(0, 95))};
+      const std::shared_ptr<const info::BoundaryInfoMap> before = state.boundary_ptr();
+      const std::vector<fault::FaultyBlock> old_blocks = state.blocks();
+      state.inject_fault(c);
+      if (state.boundary_ptr() == before) continue;
+      Update u{before, state.blocks(), -1, {}, state.safety().row_plane(),
+               state.safety().col_plane()};
+      for (std::size_t b = 0; b < u.blocks.size(); ++b) {
+        if (!holds(old_blocks, u.blocks[b].rect)) u.added = static_cast<std::int32_t>(b);
+      }
+      for (std::size_t b = 0; b < old_blocks.size(); ++b) {
+        if (!holds(u.blocks, old_blocks[b].rect)) u.absorbed.push_back(static_cast<std::int32_t>(b));
+      }
+      const info::BoundaryInfoMap replayed =
+          before->updated(u.blocks, u.added, u.absorbed, u.rows, u.cols);
+      if (!(replayed == state.boundary() &&
+            replayed == info::BoundaryInfoMap(serve_mesh, fault::BlockSet(u.blocks, u.rows)))) {
+        std::cerr << "microbench: boundary update disagrees with the from-scratch map\n";
+        return 1;
+      }
+      updates.push_back(std::move(u));
+    }
+    std::shared_ptr<const info::BoundaryInfoMap> current;
+    std::size_t next = 0;
+    bench("boundary_update", 4 * static_cast<int>(updates.size()), [&] {
+      const Update& u = updates[next];
+      const info::BoundaryInfoMap& from = next == 0 ? *u.before : *current;
+      current = std::make_shared<const info::BoundaryInfoMap>(
+          from.updated(u.blocks, u.added, u.absorbed, u.rows, u.cols));
+      next = next + 1 == updates.size() ? 0 : next + 1;
+    });
+  }
 
   (void)sink;
 
