@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -62,6 +63,21 @@ bool parse_dist(std::string_view tok, Dist& out) {
   return true;
 }
 
+/// Append each part to `s`: an integer in decimal (as an ostream prints
+/// it), anything else as it is.
+template <typename... Parts>
+void append(std::string& s, const Parts&... parts) {
+  const auto one = [&s](const auto& part) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(part)>>) {
+      char buf[24];
+      s.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+    } else {
+      s += part;
+    }
+  };
+  (one(parts), ...);
+}
+
 bool parse_coords(const std::vector<std::string_view>& toks, std::size_t want,
                   const Mesh2D& mesh, std::vector<Coord>& out, std::string& err) {
   if (toks.size() != 1 + 2 * want) {
@@ -96,7 +112,7 @@ std::string handle_line(QueryServer::Session& session, std::string_view line, bo
   const std::string_view cmd = toks[0];
   std::vector<Coord> args;
   std::string err;
-  std::ostringstream reply;
+  std::string reply;
 
   session.note_command();  // tear=SEQ applies to every real command
 
@@ -112,28 +128,27 @@ std::string handle_line(QueryServer::Session& session, std::string_view line, bo
     if (cmd == "DECIDE") {
       guard = session.decide_batch_guarded({&spec, 1}, decide_out, force_shed);
       if (!guard.admitted) return "BUSY " + std::to_string(guard.retry_after_ms);
-      reply << (guard.degraded ? "DEGRADED" : "OK") << " DECIDE "
-            << decision_name(decide_out.front()) << " epoch=" << session.last_epoch();
+      append(reply, guard.degraded ? "DEGRADED" : "OK", " DECIDE ",
+             decision_name(decide_out.front()), " epoch=", session.last_epoch());
     } else {
       guard = session.route_batch_guarded({&spec, 1}, route_out, force_shed);
       if (!guard.admitted) return "BUSY " + std::to_string(guard.retry_after_ms);
       const route::RouteAnswer& ans = route_out.front();
-      reply << (guard.degraded ? "DEGRADED" : "OK") << " ROUTE "
-            << route::to_string(ans.status);
-      if (guard.degraded) reply << " attr=" << route::to_string(ans.attribution);
-      reply << " rung=" << route::to_string(ans.rung) << " hops=" << ans.stats.hops
-            << " detours=" << ans.stats.detours << " epoch=" << session.last_epoch();
+      append(reply, guard.degraded ? "DEGRADED" : "OK", " ROUTE ", route::to_string(ans.status));
+      if (guard.degraded) append(reply, " attr=", route::to_string(ans.attribution));
+      append(reply, " rung=", route::to_string(ans.rung), " hops=", ans.stats.hops,
+             " detours=", ans.stats.detours, " epoch=", session.last_epoch());
     }
-    if (guard.degraded) reply << " lag=" << guard.lag;
-    return reply.str();
+    if (guard.degraded) append(reply, " lag=", guard.lag);
+    return reply;
   }
   if (cmd == "INJECT") {
     if (!parse_coords(toks, 1, server.builder().mesh(), args, err)) {
       return "ERR INJECT: " + err;
     }
     const QueryServer::InjectResult r = server.inject_and_publish(args[0]);
-    reply << "OK INJECT epoch=" << r.epoch << " changed=" << r.changed;
-    return reply.str();
+    append(reply, "OK INJECT epoch=", r.epoch, " changed=", r.changed);
+    return reply;
   }
   if (cmd == "STATS") {
     if (toks.size() != 1) return "ERR STATS takes no arguments";
@@ -152,8 +167,8 @@ std::string handle_line(QueryServer::Session& session, std::string_view line, bo
   }
   if (cmd == "EPOCH") {
     if (toks.size() != 1) return "ERR EPOCH takes no arguments";
-    reply << "OK EPOCH " << server.builder().store().current_epoch();
-    return reply.str();
+    append(reply, "OK EPOCH ", server.builder().store().current_epoch());
+    return reply;
   }
   if (cmd == "SHUTDOWN") {
     quit = true;
