@@ -65,7 +65,7 @@ experiment::Table run_workload(const experiment::SweepRunner& runner, bool clust
                                                [&](Coord c) { return c == source; });
         const World w(mesh, fs);
         if (w.mask[source]) return;
-        cond::monotone_reachability(mesh, w.mask, source, ws.reach);
+        cond::monotone_reachability(mesh, w.blocks.plane(), source, ws.reach);
         const route::QueryView boundary_view{.mesh = &mesh, .blocks = &w.blocks,
                                              .boundary = &w.boundary};
         const route::QueryView global_view{.mesh = &mesh, .blocks = &w.blocks};

@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
       mesh, kFaults, rng, [&](Coord c) { return c == source; });
   const fault::BlockSet blocks = fault::build_faulty_blocks(mesh, faults);
   const fault::MccSet mcc = fault::build_mcc(mesh, faults, fault::MccKind::TypeOne);
-  const Grid<bool> fault_mask = faults.mask();
   const Grid<bool> fb_mask = info::obstacle_mask(mesh, blocks);
   const info::SafetyGrid safety = info::compute_safety_levels(mesh, fb_mask);
   std::vector<Rect> rects;
@@ -187,7 +186,7 @@ int main(int argc, char** argv) {
   fault::MccScratch mcc_scratch;
   Grid<bool> mask_out;
   info::SafetyGrid safety_out;
-  Grid<bool> reach;
+  core::BitGrid reach;
   experiment::TrialWorkspace ws;
   Rng trial_rng(0xfeedbeef);
   volatile bool sink = false;
@@ -215,8 +214,8 @@ int main(int argc, char** argv) {
   // The historical kernel names time the PRODUCTION entry points (the
   // bit-plane kernels), so they stay comparable across
   // BENCH files; scalar_* pins the reference kernels and bitgrid_* calls the
-  // word-parallel kernels directly (no dispatch, and for safety/reach no
-  // byte-mask pack either).
+  // word-parallel kernels directly (for safety, on a plane instead of the
+  // byte mask).
   bench("block_build", 32, [&] { fault::build_faulty_blocks(mesh, faults, blocks_out,
                                                             block_scratch); });
   bench("mcc_build", 32, [&] { fault::build_mcc(mesh, faults, fault::MccKind::TypeOne,
@@ -240,8 +239,8 @@ int main(int argc, char** argv) {
   bench("safety_build", 64, [&] { info::compute_safety_levels(mesh, fb_mask, safety_out); });
   bench("boundary_build", 64,
         [&] { sink = info::BoundaryInfoMap(mesh, blocks).run_count() != 0; });
-  bench("reach_oracle", 256, [&] { cond::monotone_reachability(mesh, fault_mask, source,
-                                                               reach); });
+  bench("reach_oracle", 256,
+        [&] { cond::monotone_reachability(mesh, faults.mask(), source, reach); });
   bench("scalar_block_build", 32,
         [&] { fault::build_faulty_blocks_scalar(mesh, faults, blocks_out, block_scratch); });
   bench("scalar_mcc_build", 32, [&] {
@@ -255,13 +254,12 @@ int main(int argc, char** argv) {
   core::BitGrid fb_plane;
   fb_plane.assign(fb_mask);
   bench("bitgrid_safety", 64, [&] { info::compute_safety_levels(mesh, fb_plane, safety_out); });
-  core::BitGrid fault_plane;
-  fault_plane.assign(fault_mask);
+  core::simd::SweepScratch reach_scratch;
   core::BitGrid reach_plane;
   bench("bitgrid_reach", 256,
-        [&] { cond::monotone_reachability(mesh, fault_plane, source, reach_plane); });
+        [&] { core::simd::reach_fill(faults.mask(), source, reach_plane, reach_scratch); });
   bench("perdest_dp", 256,
-        [&] { sink = cond::monotone_path_exists(mesh, fault_mask, source, far_dest); });
+        [&] { sink = cond::monotone_path_exists(mesh, faults.mask(), source, far_dest); });
   bench("rects_dp", 4096,
         [&] { sink = cond::monotone_path_exists_rects(rects, source, far_dest); });
   bench("ext1_decide", 4096,

@@ -2,9 +2,10 @@
 // columns, row-major, with word-parallel row operations. The trial hot path
 // (block/MCC fixpoints, the reachability oracle) runs on these planes — a
 // dense-grid fixpoint step touches width/64 words per row instead of width
-// bytes, and directional run propagation collapses to Kogge-Stone occluded
-// fills. Extended safety levels are read off a plane and its transpose by
-// the next/previous-set-bit scans below (info/safety_level.hpp).
+// bytes, and directional run propagation collapses to occluded fills (a
+// carry-add toward the east, Kogge-Stone doubling toward the west).
+// Extended safety levels are read off a plane and its transpose by the
+// next/previous-set-bit scans below (info/safety_level.hpp).
 //
 // Layout invariants (DESIGN §10):
 //   * bit x of word row[x / 64] is column x (LSB = west, MSB = east, so a
@@ -69,6 +70,9 @@ class BitGrid {
     assert(in_bounds(c));
     row(c.y)[static_cast<std::size_t>(c.x) >> 6] &= ~(std::uint64_t{1} << (c.x & 63));
   }
+
+  /// Read-only cell access with the same spelling as Grid<bool>.
+  [[nodiscard]] bool operator[](Coord c) const noexcept { return test(c); }
 
   [[nodiscard]] bool in_bounds(Coord c) const noexcept {
     return c.x >= 0 && c.x < width_ && c.y >= 0 && c.y < height_;
@@ -156,22 +160,6 @@ inline void shift_west_row(const std::uint64_t* src, std::uint64_t* dst,
   }
 }
 
-/// Kogge-Stone occluded fill within one word, toward the MSB (east).
-[[nodiscard]] inline std::uint64_t word_fill_east(std::uint64_t gen, std::uint64_t pro) noexcept {
-  gen |= pro & (gen << 1);
-  pro &= pro << 1;
-  gen |= pro & (gen << 2);
-  pro &= pro << 2;
-  gen |= pro & (gen << 4);
-  pro &= pro << 4;
-  gen |= pro & (gen << 8);
-  pro &= pro << 8;
-  gen |= pro & (gen << 16);
-  pro &= pro << 16;
-  gen |= pro & (gen << 32);
-  return gen;
-}
-
 /// Kogge-Stone occluded fill within one word, toward the LSB (west).
 [[nodiscard]] inline std::uint64_t word_fill_west(std::uint64_t gen, std::uint64_t pro) noexcept {
   gen |= pro & (gen >> 1);
@@ -190,23 +178,36 @@ inline void shift_west_row(const std::uint64_t* src, std::uint64_t* dst,
 
 /// out = every bit of `allowed` reachable from seed & allowed by repeated
 /// +x steps through contiguous allowed bits (seeds outside `allowed` are
-/// dropped). Six doubling steps per word plus a sequential carry east.
+/// dropped). Carry-add form: adding the seeds g to the allowed runs a
+/// carries from each seed to the end of its run, so ((a + g) ^ a) & a is
+/// every run bit at or east of its run's first seed, except that a second
+/// seed in the same run absorbs the carry and clears its own bit; `| g`
+/// puts those bits back. The run's last bit carries into the next word.
 inline void fill_east_row(const std::uint64_t* seed, const std::uint64_t* allowed,
                           std::uint64_t* out, std::size_t nw) noexcept {
   std::uint64_t carry = 0;
   for (std::size_t j = 0; j < nw; ++j) {
-    const std::uint64_t f = word_fill_east((seed[j] | carry) & allowed[j], allowed[j]);
+    const std::uint64_t a = allowed[j];
+    const std::uint64_t g = (seed[j] | carry) & a;
+    const std::uint64_t f = (((a + g) ^ a) & a) | g;
     out[j] = f;
     carry = f >> 63;
   }
 }
 
-/// Mirror of fill_east_row: repeated -x steps, carry toward the west.
+/// Mirror of fill_east_row: repeated -x steps, carry toward the west. A
+/// word with no seed and no carry fills nothing and skips the doubling.
 inline void fill_west_row(const std::uint64_t* seed, const std::uint64_t* allowed,
                           std::uint64_t* out, std::size_t nw) noexcept {
   std::uint64_t carry = 0;
   for (std::size_t j = nw; j-- > 0;) {
-    const std::uint64_t f = word_fill_west((seed[j] | carry) & allowed[j], allowed[j]);
+    const std::uint64_t g = (seed[j] | carry) & allowed[j];
+    if (g == 0) {
+      out[j] = 0;
+      carry = 0;
+      continue;
+    }
+    const std::uint64_t f = word_fill_west(g, allowed[j]);
     out[j] = f;
     carry = (f & 1) << 63;
   }

@@ -1,5 +1,6 @@
 #include "cond/wang.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -56,18 +57,6 @@ Rect swap_axes(const Rect& r) { return Rect{r.ymin, r.ymax, r.xmin, r.xmax}; }
 
 }  // namespace
 
-void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord source,
-                           Grid<bool>& out) {
-  thread_local core::BitGrid bplane;
-  thread_local core::BitGrid rplane;
-  bplane.assign(blocked);
-  monotone_reachability(mesh, bplane, source, rplane);
-  if (out.width() != mesh.width() || out.height() != mesh.height()) {
-    out = Grid<bool>(mesh.width(), mesh.height(), false);
-  }
-  rplane.unpack(out);
-}
-
 void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coord source,
                            core::BitGrid& out) {
   // Side masks restrict each quadrant fill to travel away from the source
@@ -120,12 +109,6 @@ void monotone_reachability_scalar(const Mesh2D& mesh, const Grid<bool>& blocked,
   }
 }
 
-Grid<bool> monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord source) {
-  Grid<bool> out(mesh.width(), mesh.height(), false);
-  monotone_reachability(mesh, blocked, source, out);
-  return out;
-}
-
 bool monotone_path_exists(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s, Coord d) {
   if (!mesh.in_bounds(s) || !mesh.in_bounds(d)) return false;
   if (blocked[s] || blocked[d]) return false;
@@ -144,6 +127,40 @@ bool monotone_path_exists(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s
     }
   }
   return reach[rd];
+}
+
+bool monotone_path_exists(const Mesh2D& mesh, const core::BitGrid& blocked, Coord s, Coord d) {
+  if (!mesh.in_bounds(s) || !mesh.in_bounds(d)) return false;
+  if (blocked.test(s) || blocked.test(d)) return false;
+  // Row by row from s's row toward d's, each row's reach is a fill toward
+  // d's column seeded by the previous row's reach (s itself on the first
+  // row), over the words of the s-d column span. Bits the fill carries past
+  // d's column never flow back toward it, so they need no mask.
+  const auto j0 = static_cast<std::size_t>(std::min(s.x, d.x)) >> 6;
+  const std::size_t nw = (static_cast<std::size_t>(std::max(s.x, d.x)) >> 6) - j0 + 1;
+  thread_local std::vector<std::uint64_t> reach;
+  thread_local std::vector<std::uint64_t> allowed;
+  reach.assign(nw, 0);
+  allowed.resize(nw);
+  reach[static_cast<std::size_t>(s.x >> 6) - j0] = std::uint64_t{1} << (s.x & 63);
+  const bool east = d.x >= s.x;
+  const Dist step = d.y >= s.y ? 1 : -1;
+  for (Dist y = s.y;; y += step) {
+    const std::uint64_t* b = blocked.row(y) + j0;
+    std::uint64_t any = 0;
+    for (std::size_t j = 0; j < nw; ++j) {
+      allowed[j] = ~b[j];
+      any |= reach[j] &= allowed[j];
+    }
+    if (any == 0) return false;
+    if (east) {
+      core::fill_east_row(reach.data(), allowed.data(), reach.data(), nw);
+    } else {
+      core::fill_west_row(reach.data(), allowed.data(), reach.data(), nw);
+    }
+    if (y == d.y) break;
+  }
+  return (reach[static_cast<std::size_t>(d.x >> 6) - j0] >> (d.x & 63)) & 1;
 }
 
 std::uint64_t count_minimal_paths(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s,

@@ -28,21 +28,21 @@ namespace meshroute::cond {
 [[nodiscard]] bool monotone_path_exists(const Mesh2D& mesh, const Grid<bool>& blocked, Coord s,
                                         Coord d);
 
-/// Batched oracle: reachability of EVERY node from a fixed source in one
-/// four-quadrant DP over the mesh, so that for all d
-///     out[d] == monotone_path_exists(mesh, blocked, source, d).
-/// O(area) total — the per-trial replacement for O(dests x area) loops of
-/// the single-destination oracle. The in-place overload writes into a
-/// caller-owned grid (resized only on dimension mismatch), allocating
-/// nothing in steady state.
-void monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked, Coord source,
-                           Grid<bool>& out);
-[[nodiscard]] Grid<bool> monotone_reachability(const Mesh2D& mesh, const Grid<bool>& blocked,
-                                               Coord source);
+/// Bit-plane overload, the production one (route::minimal_path_exists):
+/// one occluded fill per row of the s-d rectangle, over the words that
+/// rectangle covers, stopping early once a row reaches nothing. Allocates
+/// nothing in steady state (a per-thread row pair).
+[[nodiscard]] bool monotone_path_exists(const Mesh2D& mesh, const core::BitGrid& blocked, Coord s,
+                                        Coord d);
 
-/// Bit-plane overload: the same four-quadrant DP as one occluded fill pair
-/// per row (reach = fill(prev-row reach, ~blocked) on each side of the
-/// source column). The byte-grid overload packs/unpacks around this kernel.
+/// Batched oracle: reachability of EVERY node from a fixed source in one
+/// four-quadrant sweep over the mesh, so that for all d
+///     out[d] == monotone_path_exists(mesh, blocked, source, d).
+/// O(area / 64) words — the per-trial replacement for O(dests x area) loops
+/// of the single-destination oracle. One occluded fill pair per row (reach
+/// = fill(prev-row reach, ~blocked) on each side of the source column);
+/// `out` is resized and fully overwritten, allocating nothing in steady
+/// state.
 void monotone_reachability(const Mesh2D& mesh, const core::BitGrid& blocked, Coord source,
                            core::BitGrid& out);
 

@@ -11,12 +11,8 @@
 
 namespace meshroute::experiment {
 
-void Trial::reachability(Grid<bool>& out) const {
+void Trial::reachability(core::BitGrid& out) const {
   cond::monotone_reachability(mesh, faults.mask(), source, out);
-}
-
-Grid<bool> Trial::reachability() const {
-  return cond::monotone_reachability(mesh, faults.mask(), source);
 }
 
 Trial make_trial(const TrialConfig& config, Rng& rng) {

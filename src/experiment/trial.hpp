@@ -4,14 +4,14 @@
 // information distributed, and destinations sampled from the first-quadrant
 // submesh with source and destination outside every block. Each fault
 // model's obstacle set is its safety grid (SafetyGrid::blocked); the
-// ground-truth oracle reads faults.mask().
+// ground-truth oracle reads the fault set's plane, faults.mask().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
+#include "common/bitgrid.hpp"
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "cond/conditions.hpp"
 #include "fault/block_model.hpp"
@@ -68,12 +68,12 @@ struct Trial {
   }
 
   /// Ground-truth reachability of every node from the source avoiding the
-  /// truly faulty nodes, in one O(area) pass (cond::monotone_reachability):
-  /// out[d] answers "does a minimal s-d path exist?" for all d at once.
-  /// The in-place form writes into a caller-owned grid (e.g. a
-  /// TrialWorkspace's reach buffer), allocating nothing in steady state.
-  void reachability(Grid<bool>& out) const;
-  [[nodiscard]] Grid<bool> reachability() const;
+  /// truly faulty nodes, in one word-parallel pass over the fault set's
+  /// plane (cond::monotone_reachability): out[d] answers "does a minimal
+  /// s-d path exist?" for all d at once. Writes into a caller-owned plane
+  /// (e.g. a TrialWorkspace's reach buffer), allocating nothing in steady
+  /// state.
+  void reachability(core::BitGrid& out) const;
 };
 
 /// Build a trial; re-rolls the fault placement until the source lies outside

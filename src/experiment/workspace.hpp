@@ -26,7 +26,7 @@ struct TrialWorkspace {
   fault::SampleScratch sample;
   fault::BlockScratch block;
   fault::MccScratch mcc;
-  Grid<bool> reach;                ///< reachability-oracle output buffer
+  core::BitGrid reach;             ///< reachability-oracle output plane
   /// Microseconds make_trial spent building this workspace's Trial since the
   /// caller last reset it. The sweep worker zeroes it before each trial
   /// functor call and splits the functor's wall time into

@@ -1,10 +1,71 @@
 #include "fault/block_model.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 
 namespace meshroute::fault {
+
+// Every merge is forced (two overlapping groups share a group in any
+// disjoint result), so the final partition is unique and equals the
+// quadratic merge_overlapping's. A round's unions can overlap boxes their
+// parts did not, hence the rounds.
+void detail::merge_overlapping_boxes(std::vector<Rect>& boxes, BlockScratch& scratch) {
+  std::vector<std::int32_t>& order = scratch.merge_order;
+  std::vector<std::int32_t>& parent = scratch.merge_parent;
+  std::vector<Rect>& merged = scratch.merged;
+  const auto find = [&](std::int32_t i) {
+    while (parent[static_cast<std::size_t>(i)] != i) {
+      std::int32_t& p = parent[static_cast<std::size_t>(i)];
+      p = parent[static_cast<std::size_t>(p)];
+      i = p;
+    }
+    return i;
+  };
+  while (true) {
+    const auto n = static_cast<std::int32_t>(boxes.size());
+    order.resize(boxes.size());
+    parent.resize(boxes.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::iota(parent.begin(), parent.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
+      return boxes[static_cast<std::size_t>(a)].xmin < boxes[static_cast<std::size_t>(b)].xmin;
+    });
+    bool any = false;
+    for (std::int32_t a = 0; a < n; ++a) {
+      const std::int32_t ia = order[static_cast<std::size_t>(a)];
+      const Rect& ra = boxes[static_cast<std::size_t>(ia)];
+      for (std::int32_t b = a + 1; b < n; ++b) {
+        const std::int32_t ib = order[static_cast<std::size_t>(b)];
+        const Rect& rb = boxes[static_cast<std::size_t>(ib)];
+        if (rb.xmin > ra.xmax) break;
+        if (rb.ymin > ra.ymax || ra.ymin > rb.ymax) continue;
+        const std::int32_t x = find(ia);
+        const std::int32_t y = find(ib);
+        if (x != y) parent[static_cast<std::size_t>(std::max(x, y))] = std::min(x, y);
+        any = true;
+      }
+    }
+    if (!any) return;
+    // Roots are each group's smallest index, so a group's slot is taken
+    // when the scan meets its root, before any other member.
+    merged.clear();
+    for (std::int32_t i = 0; i < n; ++i) {
+      const std::int32_t root = find(i);
+      const Rect& r = boxes[static_cast<std::size_t>(i)];
+      if (root == i) {
+        order[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(merged.size());
+        merged.push_back(r);
+      } else {
+        Rect& m = merged[static_cast<std::size_t>(order[static_cast<std::size_t>(root)])];
+        m = m.united(r);
+      }
+    }
+    boxes.swap(merged);
+  }
+}
+
 namespace {
 
 /// True when `c` must become disabled: at least one bad (faulty/disabled)
@@ -76,6 +137,8 @@ void component_boxes(const Mesh2D& mesh, const Grid<bool>& bad, Grid<bool>& seen
 }
 
 /// Merge overlapping rectangles into their unions until pairwise disjoint.
+/// The scalar oracle's merge: compare every pair and restart after each
+/// merge. A merged box keeps the slot of its lower index.
 void merge_overlapping(std::vector<Rect>& boxes) {
   bool changed = true;
   while (changed) {
@@ -93,12 +156,12 @@ void merge_overlapping(std::vector<Rect>& boxes) {
 }
 
 /// The tail of the bit-plane builder: assumes scratch.bad_plane already sits
-/// at the disable fixed point and scratch.fault_plane holds the raw faults.
-/// Runs the rectangular closure to stability (re-running the fixed point
-/// whenever a box grew) and assembles `out`.
-void finish_blocks_from_fixpoint(const Mesh2D& mesh, BlockSet& out, BlockScratch& scratch) {
+/// at the disable fixed point of the faults in `fplane`. Runs the
+/// rectangular closure to stability (re-running the fixed point whenever a
+/// box grew) and assembles `out`.
+void finish_blocks_from_fixpoint(const Mesh2D& mesh, const core::BitGrid& fplane, BlockSet& out,
+                                 BlockScratch& scratch) {
   core::BitGrid& bad = scratch.bad_plane;
-  const core::BitGrid& fplane = scratch.fault_plane;
 
   while (true) {
     scratch.cc.build(bad);
@@ -106,7 +169,7 @@ void finish_blocks_from_fixpoint(const Mesh2D& mesh, BlockSet& out, BlockScratch
     for (const std::int32_t root : scratch.cc.order) {
       scratch.boxes.push_back(scratch.cc.box[static_cast<std::size_t>(root)]);
     }
-    merge_overlapping(scratch.boxes);
+    detail::merge_overlapping_boxes(scratch.boxes, scratch);
     bool grew = false;
     for (const Rect& r : scratch.boxes) {
       const auto area = static_cast<std::int64_t>(r.width()) * r.height();
@@ -145,7 +208,8 @@ void finish_blocks_from_fixpoint(const Mesh2D& mesh, BlockSet& out, BlockScratch
 }  // namespace
 
 Grid<NodeLabel> disable_labeling_fixed_point(const Mesh2D& mesh, const FaultSet& faults) {
-  Grid<bool> bad = faults.mask();
+  Grid<bool> bad;
+  faults.mask().unpack(bad);
   std::vector<Coord> work;
   propagate_disable(mesh, bad, work, faults.faults());
   Grid<NodeLabel> labels(mesh.width(), mesh.height(), NodeLabel::Enabled);
@@ -223,7 +287,7 @@ void build_faulty_blocks(const Mesh2D& mesh, const FaultSet& faults, BlockSet& o
 void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                 BlockScratch& scratch) {
   Grid<bool>& bad = scratch.bad;
-  bad = faults.mask();
+  faults.mask().unpack(bad);
   // Alternate labeling and rectangular closure until the bad set is stable.
   // With scattered faults the first pass already yields disjoint rectangles
   // and the loop exits after one verification round. Each propagation is
@@ -271,19 +335,17 @@ void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, Bloc
 
 void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                   BlockScratch& scratch) {
-  const Dist w = mesh.width();
-  const Dist h = mesh.height();
-  core::BitGrid& fplane = scratch.fault_plane;
-  fplane.resize(w, h);
-  for (const Coord f : faults.faults()) fplane.set(f);
+  if (faults.width() != mesh.width() || faults.height() != mesh.height()) {
+    throw std::invalid_argument("build_faulty_blocks: fault set and mesh differ in size");
+  }
   core::BitGrid& bad = scratch.bad_plane;
-  bad = fplane;
+  bad = faults.mask();
 
   // Reach the disable fixed point word-parallel, then run the shared closure
   // tail (which alternates closure and fixed point until stable — the same
   // loop as the scalar builder).
   core::simd::block_fixpoint(bad, scratch.simd);
-  finish_blocks_from_fixpoint(mesh, out, scratch);
+  finish_blocks_from_fixpoint(mesh, faults.mask(), out, scratch);
 }
 
 }  // namespace meshroute::fault

@@ -106,10 +106,21 @@ struct BlockScratch {
   // `bad_plane` holds the final obstacle plane (the union of the block
   // rects) — make_trial feeds it straight into the safety sweeps.
   core::BitGrid bad_plane;
-  core::BitGrid fault_plane;
   core::simd::SweepScratch simd;
   detail::RunCC cc;
+  std::vector<std::int32_t> merge_order;   ///< box merge: sort order, then group slots
+  std::vector<std::int32_t> merge_parent;  ///< box merge: union-find parents
+  std::vector<Rect> merged;                ///< box merge: one round's group boxes
 };
+
+namespace detail {
+/// The bit-plane builder's closure merge: replace overlapping boxes by their
+/// unions until the boxes are pairwise disjoint, in near-linear time (sort by
+/// xmin, union-find over the pairs that overlap, repeat while unions
+/// overlap). Each group lands at the slot of its lowest original index, the
+/// order the scalar oracle's pairwise merge produces.
+void merge_overlapping_boxes(std::vector<Rect>& boxes, BlockScratch& scratch);
+}  // namespace detail
 
 /// Run Definition 1 to its fixed point and package the resulting disjoint
 /// rectangular blocks.

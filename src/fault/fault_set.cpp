@@ -5,21 +5,16 @@
 namespace meshroute::fault {
 
 void FaultSet::reset(const Mesh2D& mesh) {
-  // The size() check guards against a moved-from mask, which keeps its
-  // dimensions but loses its storage.
-  if (mask_.width() != mesh.width() || mask_.height() != mesh.height() ||
-      mask_.size() != mesh.node_count()) {
-    mask_ = Grid<bool>(mesh.width(), mesh.height(), false);
-  } else {
-    mask_.fill(false);
-  }
+  // resize() re-zeroes the whole plane, so a moved-from set (dimensions
+  // kept, storage gone) comes back whole.
+  mask_.resize(mesh.width(), mesh.height());
   faults_.clear();
 }
 
 void FaultSet::add(Coord c) {
   if (!mask_.in_bounds(c)) throw std::out_of_range("FaultSet::add " + to_string(c));
-  if (mask_[c]) return;
-  mask_[c] = true;
+  if (mask_.test(c)) return;
+  mask_.set(c);
   faults_.push_back(c);
 }
 

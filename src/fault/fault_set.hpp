@@ -6,41 +6,44 @@
 #include <functional>
 #include <vector>
 
+#include "common/bitgrid.hpp"
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "mesh/mesh2d.hpp"
 
 namespace meshroute::fault {
 
-/// A set of faulty nodes over a fixed mesh, with O(1) membership.
+/// A set of faulty nodes over a fixed mesh: the list in insertion order
+/// plus a bit plane of the same nodes, so membership is one bit test and
+/// the bit-plane builders read the plane as it stands.
 class FaultSet {
  public:
   /// Empty set over an empty mesh; reset() before use.
   FaultSet() = default;
 
-  explicit FaultSet(const Mesh2D& mesh) : mask_(mesh.width(), mesh.height(), false) {}
+  explicit FaultSet(const Mesh2D& mesh) : mask_(mesh.width(), mesh.height()) {}
 
-  /// Empty the set and rebind it to `mesh`, reusing the mask storage when
-  /// the dimensions match (the workspace reset path).
+  /// Empty the set and rebind it to `mesh`, reusing the plane's storage
+  /// (the workspace reset path).
   void reset(const Mesh2D& mesh);
 
   /// Mark `c` faulty. Idempotent; out-of-range coordinates throw.
   void add(Coord c);
 
   [[nodiscard]] bool contains(Coord c) const noexcept {
-    return mask_.in_bounds(c) && mask_[c];
+    return mask_.in_bounds(c) && mask_.test(c);
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return faults_.size(); }
   [[nodiscard]] const std::vector<Coord>& faults() const noexcept { return faults_; }
-  [[nodiscard]] const Grid<bool>& mask() const noexcept { return mask_; }
+  /// The faulty nodes as a plane over the mesh.
+  [[nodiscard]] const core::BitGrid& mask() const noexcept { return mask_; }
 
   [[nodiscard]] Dist width() const noexcept { return mask_.width(); }
   [[nodiscard]] Dist height() const noexcept { return mask_.height(); }
 
  private:
-  Grid<bool> mask_;
+  core::BitGrid mask_;
   std::vector<Coord> faults_;
 };
 

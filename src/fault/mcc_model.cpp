@@ -2,6 +2,7 @@
 
 #include <array>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace meshroute::fault {
@@ -14,13 +15,12 @@ using mcc_status::kUseless;
 /// "No component" in the scalar oracle's component id grid.
 constexpr std::int32_t kNoMcc = -1;
 
-/// The tail of the bit-plane builder: assumes scratch's fault/useless/cant-reach
-/// planes hold the label fixed points; assembles the labeled plane, the
-/// components, and `out`.
-void finish_mcc_from_planes(const Mesh2D& mesh, MccKind kind, MccSet& out,
-                            MccScratch& scratch) {
+/// The tail of the bit-plane builder: assumes scratch's useless/cant-reach
+/// planes hold the label fixed points of the faults in `fp`; assembles the
+/// labeled plane, the components, and `out`.
+void finish_mcc_from_planes(const Mesh2D& mesh, const core::BitGrid& fp, MccKind kind,
+                            MccSet& out, MccScratch& scratch) {
   const Dist h = mesh.height();
-  const core::BitGrid& fp = scratch.fault_plane;
   const core::BitGrid& up = scratch.useless_plane;
   const core::BitGrid& cp = scratch.cant_reach_plane;
   const std::size_t nw = fp.words_per_row();
@@ -169,15 +169,14 @@ void build_mcc_scalar(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, 
 
 void build_mcc_bitplane(const Mesh2D& mesh, const FaultSet& faults, MccKind kind, MccSet& out,
                         MccScratch& scratch) {
-  const Dist w = mesh.width();
-  const Dist h = mesh.height();
-  core::BitGrid& fp = scratch.fault_plane;
+  if (faults.width() != mesh.width() || faults.height() != mesh.height()) {
+    throw std::invalid_argument("build_mcc: fault set and mesh differ in size");
+  }
+  const core::BitGrid& fp = faults.mask();
   core::BitGrid& up = scratch.useless_plane;
   core::BitGrid& cp = scratch.cant_reach_plane;
-  fp.resize(w, h);
-  up.resize(w, h);
-  cp.resize(w, h);
-  for (const Coord f : faults.faults()) fp.set(f);
+  up.resize(mesh.width(), mesh.height());
+  cp.resize(mesh.width(), mesh.height());
 
   // Both labels are directed monotone closures: "useless" depends only on
   // the row above and on the east (TypeOne) within-row neighbor, so one
@@ -189,7 +188,7 @@ void build_mcc_bitplane(const Mesh2D& mesh, const FaultSet& faults, MccKind kind
   // in the row-kernel layer (common/simd.hpp).
   const bool type_one = kind == MccKind::TypeOne;
   core::simd::mcc_sweeps(fp, up, cp, type_one, scratch.simd);
-  finish_mcc_from_planes(mesh, kind, out, scratch);
+  finish_mcc_from_planes(mesh, fp, kind, out, scratch);
 }
 
 MccModel build_mcc_model(const Mesh2D& mesh, const FaultSet& faults) {

@@ -168,7 +168,6 @@ struct MccScratch {
   // Bit-plane-path buffers. After build_mcc_bitplane returns,
   // `labeled_plane` holds the obstacle plane (every faulty/useless/
   // can't-reach node) — make_trial feeds it straight into the safety sweeps.
-  core::BitGrid fault_plane;
   core::BitGrid useless_plane;
   core::BitGrid cant_reach_plane;
   core::BitGrid labeled_plane;

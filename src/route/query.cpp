@@ -72,7 +72,7 @@ bool minimal_path_exists(const QueryView& view, Coord s, Coord d) {
   return cond::monotone_path_exists(*view.mesh, *view.faulty_mask, s, d);
 }
 
-void minimal_reachability(const QueryView& view, Coord s, Grid<bool>& out) {
+void minimal_reachability(const QueryView& view, Coord s, core::BitGrid& out) {
   if (view.mesh == nullptr || view.faulty_mask == nullptr) {
     throw std::invalid_argument("QueryView: faulty-mask plane is not populated");
   }

@@ -26,8 +26,8 @@
 #include <span>
 #include <vector>
 
+#include "common/bitgrid.hpp"
 #include "common/coord.hpp"
-#include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "cond/conditions.hpp"
 #include "cond/strategies.hpp"
@@ -62,7 +62,7 @@ struct QueryView {
   const Mesh2D* mesh = nullptr;
   const fault::BlockSet* blocks = nullptr;
   const info::BoundaryInfoMap* boundary = nullptr;
-  const Grid<bool>* faulty_mask = nullptr;  ///< truly faulty nodes (ground truth)
+  const core::BitGrid* faulty_mask = nullptr;  ///< truly faulty nodes (ground truth)
   const info::SafetyGrid* fb_safety = nullptr;
   const info::SafetyGrid* mcc1_safety = nullptr;
   const info::SafetyGrid* mcc2_safety = nullptr;
@@ -124,9 +124,9 @@ void decide_batch(const QueryView& view, std::span<const QuerySpec> specs, Query
 [[nodiscard]] bool minimal_path_exists(const QueryView& view, Coord s, Coord d);
 
 /// Batched ground truth: minimal_path_exists(view, s, d) for every d in one
-/// four-quadrant O(area) DP pass. Writes into a caller-owned grid (resized
-/// only on dimension mismatch) — zero allocations in steady state.
-void minimal_reachability(const QueryView& view, Coord s, Grid<bool>& out);
+/// four-quadrant word-parallel pass. Writes into a caller-owned plane (sized
+/// to the mesh) — zero allocations in steady state.
+void minimal_reachability(const QueryView& view, Coord s, core::BitGrid& out);
 
 // ---- Routing --------------------------------------------------------------
 

@@ -97,7 +97,9 @@ TEST(SafetyBatch, MatchesPerLaneFill) {
     for (const Coord f : fs.faults()) plane.set(f);
     info::compute_safety_levels(mesh, plane, out);
     Grid<info::ExtendedSafetyLevel> single;
-    info::compute_safety_levels_scalar(mesh, fs.mask(), single);
+    Grid<bool> fault_bytes;
+    fs.mask().unpack(fault_bytes);
+    info::compute_safety_levels_scalar(mesh, fault_bytes, single);
     EXPECT_TRUE(testing_support::SafetyMatchesOracle(out, single));
   }
 }
@@ -107,13 +109,14 @@ TEST(ReachBatch, MatchesSingleLaneKernel) {
   const Coord source = mesh.center();
   const auto sets = random_fault_sets(mesh, 9, 0x4ea7);
   core::BitGrid reach;
-  Grid<bool> lane_reach, expect;
+  Grid<bool> lane_reach, expect, fault_bytes;
   for (std::size_t l = 0; l < sets.size(); ++l) {
     core::BitGrid blocked(mesh.width(), mesh.height());
     for (const Coord f : sets[l].faults()) blocked.set(f);
     cond::monotone_reachability(mesh, blocked, source, reach);
     reach.unpack(lane_reach);
-    cond::monotone_reachability_scalar(mesh, sets[l].mask(), source, expect);
+    sets[l].mask().unpack(fault_bytes);
+    cond::monotone_reachability_scalar(mesh, fault_bytes, source, expect);
     EXPECT_EQ(expect, lane_reach) << "lane " << l;
   }
 }

@@ -217,9 +217,9 @@ void check_all_kernels(const Mesh2D& mesh, const fault::FaultSet& faults, bool a
   EXPECT_TRUE(testing_support::SafetyMatchesOracle(s_bits, s_scalar));
 
   // Reachability oracle on the raw fault mask.
-  const Grid<bool>& fmask = faults.mask();
-  core::BitGrid fplane;
-  fplane.assign(fmask);
+  const core::BitGrid& fplane = faults.mask();
+  Grid<bool> fmask;
+  fplane.unpack(fmask);
   Grid<bool> r_scalar, r_unpacked;
   core::BitGrid r_bits;
   const auto check_source = [&](Coord s) {
@@ -310,9 +310,12 @@ TEST(BitplaneEquivalence, DispatchedEntriesMatchScalar) {
   info::compute_safety_levels_scalar(mesh, mask, s_scalar);
   EXPECT_TRUE(testing_support::SafetyMatchesOracle(s_pub, s_scalar));
 
-  Grid<bool> r_pub, r_scalar;
-  cond::monotone_reachability(mesh, faults.mask(), mesh.center(), r_pub);
-  cond::monotone_reachability_scalar(mesh, faults.mask(), mesh.center(), r_scalar);
+  Grid<bool> fault_bytes, r_pub, r_scalar;
+  core::BitGrid r_bits;
+  faults.mask().unpack(fault_bytes);
+  cond::monotone_reachability(mesh, faults.mask(), mesh.center(), r_bits);
+  r_bits.unpack(r_pub);
+  cond::monotone_reachability_scalar(mesh, fault_bytes, mesh.center(), r_scalar);
   EXPECT_EQ(r_scalar, r_pub);
 }
 

@@ -1,8 +1,11 @@
 // Unit + property tests for the faulty-block model (Definition 1).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
 
 namespace meshroute::fault {
 namespace {
@@ -160,6 +163,74 @@ TEST(BlockModel, LabelingFixedPointAloneYieldsRectangles) {
             << "closure changed node " << to_string(c) << " at k=" << k;
       });
     }
+  }
+}
+
+// The builders read the fault set's plane as the mesh's, so a set sized for
+// another mesh is refused rather than read out of bounds.
+TEST(BlockModel, BuildersRejectFaultSetOfAnotherMesh) {
+  const Mesh2D mesh(10, 10);
+  const FaultSet other(Mesh2D(8, 10));
+  BlockSet blocks;
+  BlockScratch block_scratch;
+  EXPECT_THROW(build_faulty_blocks(mesh, other, blocks, block_scratch), std::invalid_argument);
+  EXPECT_THROW((void)build_mcc(mesh, other, MccKind::TypeOne), std::invalid_argument);
+}
+
+/// Pairwise reference for the closure merge: merge the first overlapping
+/// pair into the lower slot and start over, until no pair overlaps.
+std::vector<Rect> pairwise_merge(std::vector<Rect> boxes) {
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t i = 0; i < boxes.size() && !changed; ++i) {
+      for (std::size_t j = i + 1; j < boxes.size() && !changed; ++j) {
+        if (boxes[i].overlaps(boxes[j])) {
+          boxes[i] = boxes[i].united(boxes[j]);
+          boxes.erase(boxes.begin() + static_cast<std::ptrdiff_t>(j));
+          changed = true;
+        }
+      }
+    }
+  }
+  return boxes;
+}
+
+// Fixpoint components are rectangles (the test above), so no fault set makes
+// their boxes overlap and the closure merge is pinned on its own. A and B
+// overlap; their union overlaps C, which neither overlaps alone, so one round
+// of pairing is not enough. The group lands in C's slot, the lowest of the
+// three, although C is not first by xmin.
+TEST(BlockModel, ClosureMergeFollowsUnionsInIndexOrder) {
+  const Rect a{0, 4, 0, 1};
+  const Rect b{4, 5, 1, 6};
+  const Rect c{0, 1, 4, 5};
+  ASSERT_TRUE(a.overlaps(b));
+  ASSERT_FALSE(a.overlaps(c));
+  ASSERT_FALSE(b.overlaps(c));
+  const Rect d{10, 12, 10, 12};
+  const Rect e{20, 20, 0, 0};
+  std::vector<Rect> boxes = {d, c, a, e, b};
+  const std::vector<Rect> want = {d, Rect{0, 5, 0, 6}, e};
+  ASSERT_EQ(pairwise_merge(boxes), want);
+  BlockScratch scratch;
+  detail::merge_overlapping_boxes(boxes, scratch);
+  EXPECT_EQ(boxes, want);
+}
+
+TEST(BlockModel, ClosureMergeMatchesPairwiseMerge) {
+  Rng rng(31);
+  BlockScratch scratch;
+  for (int rep = 0; rep < 300; ++rep) {
+    std::vector<Rect> boxes(static_cast<std::size_t>(rng.uniform(0, 40)));
+    for (Rect& r : boxes) {
+      const auto x = static_cast<Dist>(rng.uniform(0, 40));
+      const auto y = static_cast<Dist>(rng.uniform(0, 40));
+      r = Rect{x, x + static_cast<Dist>(rng.uniform(0, 5)), y,
+               y + static_cast<Dist>(rng.uniform(0, 5))};
+    }
+    const std::vector<Rect> want = pairwise_merge(boxes);
+    detail::merge_overlapping_boxes(boxes, scratch);
+    EXPECT_EQ(boxes, want) << "rep " << rep;
   }
 }
 

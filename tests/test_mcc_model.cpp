@@ -143,7 +143,8 @@ TEST_P(MccProperty, MccPreservesMinimalReachability) {
   const Mesh2D mesh(40, 40);
   const FaultSet fs = uniform_random_faults(mesh, GetParam(), rng);
   const MccModel model = build_mcc_model(mesh, fs);
-  Grid<bool> fault_mask = fs.mask();
+  Grid<bool> fault_mask;
+  fs.mask().unpack(fault_mask);
   Grid<bool> mcc1_mask(mesh.width(), mesh.height(), false);
   Grid<bool> mcc2_mask(mesh.width(), mesh.height(), false);
   mesh.for_each_node([&](Coord c) {

@@ -41,11 +41,17 @@ TEST(ReachabilityOracle, MatchesPerDestinationDpEverywhere) {
           {static_cast<Dist>(w - 1), 0},
           {0, static_cast<Dist>(h / 3)}};
       const Grid<bool> blocked = random_mask(mesh, 0.25, rng);
+      core::BitGrid plane;
+      plane.assign(blocked);
+      core::BitGrid reach;
       for (const Coord s : sources) {
-        const Grid<bool> reach = cond::monotone_reachability(mesh, blocked, s);
+        cond::monotone_reachability(mesh, plane, s, reach);
         mesh.for_each_node([&](Coord d) {
-          EXPECT_EQ(reach[d], cond::monotone_path_exists(mesh, blocked, s, d))
-              << "seed=" << seed << " mesh=" << w << "x" << h << " s=(" << s.x << ","
+          const bool want = cond::monotone_path_exists(mesh, blocked, s, d);
+          EXPECT_EQ(reach[d], want) << "seed=" << seed << " mesh=" << w << "x" << h << " s=("
+                                    << s.x << "," << s.y << ") d=(" << d.x << "," << d.y << ")";
+          EXPECT_EQ(cond::monotone_path_exists(mesh, plane, s, d), want)
+              << "plane DP, seed=" << seed << " mesh=" << w << "x" << h << " s=(" << s.x << ","
               << s.y << ") d=(" << d.x << "," << d.y << ")";
         });
       }
@@ -55,22 +61,30 @@ TEST(ReachabilityOracle, MatchesPerDestinationDpEverywhere) {
 
 TEST(ReachabilityOracle, BlockedSourceReachesNothing) {
   const Mesh2D mesh(8, 8);
-  Grid<bool> blocked(8, 8, false);
-  blocked[{4, 4}] = true;
-  const Grid<bool> reach = cond::monotone_reachability(mesh, blocked, {4, 4});
+  core::BitGrid blocked(8, 8);
+  blocked.set({4, 4});
+  core::BitGrid reach;
+  cond::monotone_reachability(mesh, blocked, {4, 4}, reach);
   mesh.for_each_node([&](Coord d) { EXPECT_FALSE(reach[d]); });
 }
 
 TEST(ReachabilityOracle, InPlaceReusesDirtyBufferExactly) {
   const Mesh2D mesh(12, 10);
   Rng rng(99);
-  const Grid<bool> blocked = random_mask(mesh, 0.3, rng);
+  core::BitGrid blocked;
+  blocked.assign(random_mask(mesh, 0.3, rng));
   const Coord s{5, 5};
-  const Grid<bool> fresh = cond::monotone_reachability(mesh, blocked, s);
-  Grid<bool> dirty(12, 10, true);  // stale true cells must all be overwritten
+  core::BitGrid fresh;
+  cond::monotone_reachability(mesh, blocked, s, fresh);
+  const auto all_set = [](Dist w, Dist h) {
+    core::BitGrid g(w, h);
+    for (Dist y = 0; y < h; ++y) core::row_range_set(g.row(y), 0, w - 1);
+    return g;
+  };
+  core::BitGrid dirty = all_set(12, 10);  // stale set bits must all be overwritten
   cond::monotone_reachability(mesh, blocked, s, dirty);
   EXPECT_EQ(fresh, dirty);
-  Grid<bool> wrong_shape(3, 3, true);  // mismatched buffer gets resized
+  core::BitGrid wrong_shape = all_set(3, 3);  // mismatched buffer gets resized
   cond::monotone_reachability(mesh, blocked, s, wrong_shape);
   EXPECT_EQ(fresh, wrong_shape);
 }

@@ -126,8 +126,8 @@ TEST(RoutingSnapshot, DeltaFedEqualsFromScratch) {
   EXPECT_EQ(*live.mcc1_safety, *ref.mcc1_safety);
   EXPECT_EQ(*live.mcc2_safety, *ref.mcc2_safety);
 
-  Grid<bool> reach_live;
-  Grid<bool> reach_ref;
+  core::BitGrid reach_live;
+  core::BitGrid reach_ref;
   const Coord src{1, 1};
   route::minimal_reachability(live, src, reach_live);
   route::minimal_reachability(ref, src, reach_ref);
@@ -177,8 +177,8 @@ TEST(SnapshotBuilder, EveryEpochMatchesFromScratch) {
     EXPECT_EQ(*a.fb_safety, *b.fb_safety) << "epoch " << epoch;
     EXPECT_EQ(*a.mcc1_safety, *b.mcc1_safety) << "epoch " << epoch;
     EXPECT_EQ(*a.mcc2_safety, *b.mcc2_safety) << "epoch " << epoch;
-    Grid<bool> reach_live;
-    Grid<bool> reach_ref;
+    core::BitGrid reach_live;
+    core::BitGrid reach_ref;
     route::minimal_reachability(a, {1, 1}, reach_live);
     route::minimal_reachability(b, {1, 1}, reach_ref);
     EXPECT_EQ(reach_live, reach_ref) << "epoch " << epoch;

@@ -113,6 +113,45 @@ TEST(RowFills, EdgeWidthsMatchWalkingOracle) {
   }
 }
 
+/// One row of `w` columns with the inclusive column ranges set.
+std::vector<std::uint64_t> row_of(Dist w, const std::vector<std::pair<Dist, Dist>>& ranges) {
+  std::vector<std::uint64_t> r((static_cast<std::size_t>(w) + 63) / 64, 0);
+  for (const auto& [x0, x1] : ranges) row_range_set(r.data(), x0, x1);
+  return r;
+}
+
+// Several seeds in one allowed run: the east fill's carry-add stops at the
+// second seed's bit unless the seeds are or-ed back in. Also a run that
+// crosses a word boundary and a run that ends at the row's tail bit.
+TEST(RowFills, SeveralSeedsInOneRun) {
+  struct Case {
+    std::vector<std::pair<Dist, Dist>> allowed;
+    std::vector<Dist> seeds;
+    std::pair<Dist, Dist> east, west;
+  };
+  for (const Dist w : {64, 65, 200}) {
+    std::vector<Case> cases = {
+        {{{3, 30}}, {8, 15, 22}, {8, 30}, {3, 22}},
+        {{{w - 10, w - 1}}, {w - 8, w - 5, w - 1}, {w - 8, w - 1}, {w - 10, w - 1}},
+        {{{w - 10, w - 1}}, {w - 8, w - 5}, {w - 8, w - 1}, {w - 10, w - 5}}};
+    if (w > 64) {
+      cases.push_back({{{58, w - 1}}, {60, 61, 64}, {60, w - 1}, {58, 64}});
+      cases.push_back({{{58, w - 1}}, {59, 62}, {59, w - 1}, {58, 62}});
+    }
+    for (const Case& c : cases) {
+      const std::size_t nw = (static_cast<std::size_t>(w) + 63) / 64;
+      const std::vector<std::uint64_t> allowed = row_of(w, c.allowed);
+      std::vector<std::uint64_t> seed(nw, 0);
+      for (const Dist x : c.seeds) row_range_set(seed.data(), x, x);
+      std::vector<std::uint64_t> out_e(nw), out_w(nw);
+      fill_east_row(seed.data(), allowed.data(), out_e.data(), nw);
+      fill_west_row(seed.data(), allowed.data(), out_w.data(), nw);
+      EXPECT_EQ(out_e, row_of(w, {c.east})) << "east, width " << w << ", first seed " << c.seeds[0];
+      EXPECT_EQ(out_w, row_of(w, {c.west})) << "west, width " << w << ", first seed " << c.seeds[0];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batches of independent planes: one SweepScratch carried through a run of
 // kernel calls (as a sweep worker carries its per-thread scratch) must leave

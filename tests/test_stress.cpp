@@ -33,9 +33,10 @@ struct ClusteredWorld {
   explicit ClusteredWorld(Rng& rng, std::size_t clusters, std::size_t size)
       : faults(fault::clustered_faults(mesh, clusters, size, rng)),
         blocks(fault::build_faulty_blocks(mesh, faults)),
-        mcc(fault::build_mcc_model(mesh, faults)), fault_mask(faults.mask()),
-        fb_mask(info::obstacle_mask(mesh, blocks)),
-        fb_safety(info::compute_safety_levels(mesh, fb_mask)), boundary(mesh, blocks) {}
+        mcc(fault::build_mcc_model(mesh, faults)), fb_mask(info::obstacle_mask(mesh, blocks)),
+        fb_safety(info::compute_safety_levels(mesh, fb_mask)), boundary(mesh, blocks) {
+    faults.mask().unpack(fault_mask);
+  }
 
   [[nodiscard]] Coord random_free(Rng& rng, const Grid<bool>& mask) const {
     for (int i = 0; i < 10000; ++i) {
