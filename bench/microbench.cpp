@@ -213,9 +213,9 @@ int main(int argc, char** argv) {
 
   // The historical kernel names time the PRODUCTION entry points (the
   // bit-plane kernels), so they stay comparable across
-  // BENCH files; scalar_* pins the reference kernels and bitgrid_* calls the
-  // word-parallel kernels directly (for safety, on a plane instead of the
-  // byte mask).
+  // BENCH files; scalar_* pins the reference kernels, bitgrid_safety builds
+  // safety from a plane instead of the byte mask and bitgrid_reach calls the
+  // word-parallel reach fill directly.
   bench("block_build", 32, [&] { fault::build_faulty_blocks(mesh, faults, blocks_out,
                                                             block_scratch); });
   bench("mcc_build", 32, [&] { fault::build_mcc(mesh, faults, fault::MccKind::TypeOne,
@@ -245,11 +245,6 @@ int main(int argc, char** argv) {
         [&] { fault::build_faulty_blocks_scalar(mesh, faults, blocks_out, block_scratch); });
   bench("scalar_mcc_build", 32, [&] {
     fault::build_mcc_scalar(mesh, faults, fault::MccKind::TypeOne, mcc_out, mcc_scratch);
-  });
-  bench("bitgrid_block_build", 32,
-        [&] { fault::build_faulty_blocks_bitplane(mesh, faults, blocks_out, block_scratch); });
-  bench("bitgrid_mcc_build", 32, [&] {
-    fault::build_mcc_bitplane(mesh, faults, fault::MccKind::TypeOne, mcc_out, mcc_scratch);
   });
   core::BitGrid fb_plane;
   fb_plane.assign(fb_mask);

@@ -80,39 +80,38 @@ namespace {
 
 void BitGrid::transpose_into(BitGrid& out) const {
   out.resize(height_, width_);
-  // Cache-tiled 8x8-block transpose: each step gathers byte `b` of eight
-  // consecutive source rows into one uint64, bit-transposes it, and scatters
-  // the eight result bytes into eight consecutive output rows at byte
-  // position y/8. Tiles of 64 output rows (one source word column) keep the
-  // scattered output words resident; short source rows (y % 8 tail) gather
-  // zeros, and output tail bits stay zero because they come from y >= height
-  // gathers. Replaces the per-set-bit scatter, which cost one dependent
-  // store per bit.
+  // Cache-tiled 8x8-block transpose over groups of 8 source rows x 64
+  // columns. A group ORs its <= 8 source words first and visits only the
+  // non-zero byte lanes of that OR: each gathers byte lane `xb` of the rows
+  // into one uint64, bit-transposes it, and ORs its non-zero result bytes
+  // into output rows x at byte position y/8. An empty tile costs nothing
+  // past the OR, so a sparse plane skips almost all of them and a dense one
+  // does the full gather plus one OR per word. Short groups (height % 8)
+  // gather fewer rows, and zero source tail bits leave every lane past the
+  // width empty, so output tail bits stay zero.
   const std::size_t out_wpr = out.wpr_;
   for (Dist y0 = 0; y0 < height_; y0 += 8) {
     const int rows = static_cast<int>(height_ - y0 < 8 ? height_ - y0 : 8);
+    const std::uint64_t* src = row(y0);
     const std::size_t out_word = static_cast<std::size_t>(y0) >> 6;
     const int out_shift = static_cast<int>(y0 & 63);  // multiple of 8
     for (std::size_t j = 0; j < wpr_; ++j) {
-      const Dist x_hi = width_ - static_cast<Dist>(j * 64) < 64
-                            ? width_ - static_cast<Dist>(j * 64)
-                            : Dist{64};
-      for (Dist xb = 0; xb < x_hi; xb += 8) {
+      std::uint64_t lanes = 0;
+      for (int r = 0; r < rows; ++r) lanes |= src[static_cast<std::size_t>(r) * wpr_ + j];
+      while (lanes != 0) {
+        const int xb = std::countr_zero(lanes) & ~7;
+        lanes &= ~(std::uint64_t{0xFF} << xb);
         std::uint64_t block = 0;
         for (int r = 0; r < rows; ++r) {
-          const std::uint64_t w = row(y0 + r)[j];
-          block |= ((w >> xb) & 0xFF) << (8 * r);
+          block |= ((src[static_cast<std::size_t>(r) * wpr_ + j] >> xb) & 0xFF) << (8 * r);
         }
-        if (block == 0) continue;
-        const std::uint64_t t = transpose8x8(block);
-        const Dist x_base = static_cast<Dist>(j * 64) + xb;
-        const int cols = static_cast<int>(width_ - x_base < 8 ? width_ - x_base : 8);
-        for (int c = 0; c < cols; ++c) {
-          const std::uint64_t byte = (t >> (8 * c)) & 0xFF;
-          if (byte != 0) {
-            out.words_[static_cast<std::size_t>(x_base + c) * out_wpr + out_word] |=
-                byte << out_shift;
-          }
+        std::uint64_t t = transpose8x8(block);
+        const std::size_t x_base = j * 64 + static_cast<std::size_t>(xb);
+        while (t != 0) {
+          const int c = std::countr_zero(t) >> 3;
+          out.words_[(x_base + static_cast<std::size_t>(c)) * out_wpr + out_word] |=
+              ((t >> (8 * c)) & 0xFF) << out_shift;
+          t &= ~(std::uint64_t{0xFF} << (8 * c));
         }
       }
     }

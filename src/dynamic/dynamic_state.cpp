@@ -89,7 +89,7 @@ std::int32_t DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed,
   for (const Coord c : component_) seen_.reset(c);
 
   // Absorb overlapped blocks, fill to the rectangle, re-propagate; repeat
-  // until stable (the incremental version of build_faulty_blocks' closure).
+  // until stable (the incremental version of the scalar builder's closure).
   // The absorbed blocks stay in the list until the box is final.
   absorbed_.clear();
   bool grew = true;

@@ -1,70 +1,12 @@
 #include "fault/block_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 
 namespace meshroute::fault {
-
-// Every merge is forced (two overlapping groups share a group in any
-// disjoint result), so the final partition is unique and equals the
-// quadratic merge_overlapping's. A round's unions can overlap boxes their
-// parts did not, hence the rounds.
-void detail::merge_overlapping_boxes(std::vector<Rect>& boxes, BlockScratch& scratch) {
-  std::vector<std::int32_t>& order = scratch.merge_order;
-  std::vector<std::int32_t>& parent = scratch.merge_parent;
-  std::vector<Rect>& merged = scratch.merged;
-  const auto find = [&](std::int32_t i) {
-    while (parent[static_cast<std::size_t>(i)] != i) {
-      std::int32_t& p = parent[static_cast<std::size_t>(i)];
-      p = parent[static_cast<std::size_t>(p)];
-      i = p;
-    }
-    return i;
-  };
-  while (true) {
-    const auto n = static_cast<std::int32_t>(boxes.size());
-    order.resize(boxes.size());
-    parent.resize(boxes.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::iota(parent.begin(), parent.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-      return boxes[static_cast<std::size_t>(a)].xmin < boxes[static_cast<std::size_t>(b)].xmin;
-    });
-    bool any = false;
-    for (std::int32_t a = 0; a < n; ++a) {
-      const std::int32_t ia = order[static_cast<std::size_t>(a)];
-      const Rect& ra = boxes[static_cast<std::size_t>(ia)];
-      for (std::int32_t b = a + 1; b < n; ++b) {
-        const std::int32_t ib = order[static_cast<std::size_t>(b)];
-        const Rect& rb = boxes[static_cast<std::size_t>(ib)];
-        if (rb.xmin > ra.xmax) break;
-        if (rb.ymin > ra.ymax || ra.ymin > rb.ymax) continue;
-        const std::int32_t x = find(ia);
-        const std::int32_t y = find(ib);
-        if (x != y) parent[static_cast<std::size_t>(std::max(x, y))] = std::min(x, y);
-        any = true;
-      }
-    }
-    if (!any) return;
-    // Roots are each group's smallest index, so a group's slot is taken
-    // when the scan meets its root, before any other member.
-    merged.clear();
-    for (std::int32_t i = 0; i < n; ++i) {
-      const std::int32_t root = find(i);
-      const Rect& r = boxes[static_cast<std::size_t>(i)];
-      if (root == i) {
-        order[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(merged.size());
-        merged.push_back(r);
-      } else {
-        Rect& m = merged[static_cast<std::size_t>(order[static_cast<std::size_t>(root)])];
-        m = m.united(r);
-      }
-    }
-    boxes.swap(merged);
-  }
-}
 
 namespace {
 
@@ -155,57 +97,66 @@ void merge_overlapping(std::vector<Rect>& boxes) {
   }
 }
 
-/// The tail of the bit-plane builder: assumes scratch.bad_plane already sits
-/// at the disable fixed point of the faults in `fplane`. Runs the
-/// rectangular closure to stability (re-running the fixed point whenever a
-/// box grew) and assembles `out`.
-void finish_blocks_from_fixpoint(const Mesh2D& mesh, const core::BitGrid& fplane, BlockSet& out,
-                                 BlockScratch& scratch) {
-  core::BitGrid& bad = scratch.bad_plane;
-
-  while (true) {
-    scratch.cc.build(bad);
-    scratch.boxes.clear();
-    for (const std::int32_t root : scratch.cc.order) {
-      scratch.boxes.push_back(scratch.cc.box[static_cast<std::size_t>(root)]);
-    }
-    detail::merge_overlapping_boxes(scratch.boxes, scratch);
-    bool grew = false;
-    for (const Rect& r : scratch.boxes) {
-      const auto area = static_cast<std::int64_t>(r.width()) * r.height();
-      std::int64_t present = 0;
-      for (Dist y = r.ymin; y <= r.ymax; ++y) {
-        present += core::row_range_popcount(bad.row(y), r.xmin, r.xmax);
-      }
-      if (present == area) continue;
-      grew = true;
-      for (Dist y = r.ymin; y <= r.ymax; ++y) {
-        core::row_range_set(bad.row(y), r.xmin, r.xmax);
-      }
-    }
-    if (!grew) break;
-    core::simd::block_fixpoint(bad, scratch.simd);
+/// Last column of the run of set bits that starts at `x0`. Tail bits are
+/// zero, so a run ends at the row's end at the latest.
+Dist run_last(const std::uint64_t* r, std::size_t nw, Dist x0) noexcept {
+  std::size_t j = static_cast<std::size_t>(x0) >> 6;
+  std::uint64_t m = ~r[j] & (~std::uint64_t{0} << (x0 & 63));
+  while (m == 0) {
+    if (++j == nw) return static_cast<Dist>(nw * 64) - 1;
+    m = ~r[j];
   }
+  return static_cast<Dist>(j * 64 + static_cast<std::size_t>(std::countr_zero(m))) - 1;
+}
 
-  std::vector<FaultyBlock>& blocks = scratch.blocks;
-  blocks.clear();
-  blocks.reserve(scratch.boxes.size());
-  for (const Rect& r : scratch.boxes) {
-    FaultyBlock blk{r, 0, 0};
-    for (Dist y = r.ymin; y <= r.ymax; ++y) {
-      blk.faulty_count +=
-          static_cast<std::int32_t>(core::row_range_popcount(fplane.row(y), r.xmin, r.xmax));
-    }
-    blk.disabled_count =
-        static_cast<std::int32_t>(static_cast<std::int64_t>(r.width()) * r.height()) -
-        blk.faulty_count;
-    blocks.push_back(blk);
+/// The block whose first row is the run [x0, x1] of row y0: it grows into
+/// later rows while column x0 stays set. Throws std::logic_error unless every
+/// row of it is exactly [x0, x1] with clear side cells and the rows before
+/// and after it are clear over [x0 - 1, x1 + 1].
+FaultyBlock read_block(const core::BitGrid& bad, const core::BitGrid& faults, Dist x0, Dist x1,
+                       Dist y0) {
+  Dist y1 = y0;
+  while (y1 + 1 < bad.height() && bad.test({x0, y1 + 1})) ++y1;
+  FaultyBlock blk{Rect{x0, x1, y0, y1}, 0, 0};
+  const Dist lo = std::max<Dist>(x0 - 1, 0);
+  const Dist hi = std::min<Dist>(x1 + 1, bad.width() - 1);
+  const std::int64_t len = x1 - x0 + 1;
+  const auto clear = [&](Dist y) {
+    return y < 0 || y >= bad.height() || core::row_range_popcount(bad.row(y), lo, hi) == 0;
+  };
+  bool ok = clear(y0 - 1) && clear(y1 + 1);
+  for (Dist y = y0; ok && y <= y1; ++y) {
+    ok = core::row_range_popcount(bad.row(y), x0, x1) == len &&
+         core::row_range_popcount(bad.row(y), lo, hi) == len;
+    blk.faulty_count += static_cast<std::int32_t>(core::row_range_popcount(faults.row(y), x0, x1));
   }
-
-  out.assign(mesh, blocks);
+  if (!ok) {
+    throw std::logic_error("read_fixpoint_blocks: not a separated rectangle at " +
+                           blk.rect.to_string());
+  }
+  blk.disabled_count = static_cast<std::int32_t>(blk.rect.area()) - blk.faulty_count;
+  return blk;
 }
 
 }  // namespace
+
+// A run opens a block when the cell of row y - 1 in its first column is
+// clear; any other run continues a block opened in an earlier row, which
+// read_block has checked.
+// Blocks therefore come out in row-major order of their first node.
+void detail::read_fixpoint_blocks(const core::BitGrid& bad, const core::BitGrid& faults,
+                                  std::vector<FaultyBlock>& out) {
+  const std::size_t nw = bad.words_per_row();
+  out.clear();
+  for (Dist y = 0; y < bad.height(); ++y) {
+    const std::uint64_t* r = bad.row(y);
+    for (Dist x0 = core::row_next_set(r, nw, 0); x0 >= 0;) {
+      const Dist x1 = run_last(r, nw, x0);
+      if (y == 0 || !bad.test({x0, y - 1})) out.push_back(read_block(bad, faults, x0, x1, y));
+      x0 = core::row_next_set(r, nw, x1 + 1);
+    }
+  }
+}
 
 Grid<NodeLabel> disable_labeling_fixed_point(const Mesh2D& mesh, const FaultSet& faults) {
   Grid<bool> bad;
@@ -341,11 +292,9 @@ void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, Bl
   core::BitGrid& bad = scratch.bad_plane;
   bad = faults.mask();
 
-  // Reach the disable fixed point word-parallel, then run the shared closure
-  // tail (which alternates closure and fixed point until stable — the same
-  // loop as the scalar builder).
   core::simd::block_fixpoint(bad, scratch.simd);
-  finish_blocks_from_fixpoint(mesh, faults.mask(), out, scratch);
+  detail::read_fixpoint_blocks(bad, faults.mask(), scratch.blocks);
+  out.assign(mesh, scratch.blocks);
 }
 
 }  // namespace meshroute::fault

@@ -5,12 +5,13 @@
 //    different dimensions. Connected disabled and faulty nodes form a faulty
 //    block."
 //
-// The labeling fixed point groups all faults into connected regions; for
-// uniformly scattered faults those regions are exactly rectangles. For
-// robustness against degenerate inputs the builder additionally applies a
-// rectangular closure (bounding box of each component, re-labeling and
-// merging overlapping boxes until stable), which is a no-op whenever the
-// classic rectangle theorem holds — a property the test-suite asserts.
+// The labeling fixed point groups all faults into connected regions, and
+// those regions are disjoint rectangles: a clear node with bad neighbors in
+// both dimensions would still be disabled, so no region has a concave corner
+// or touches another, even diagonally. The bit-plane builder reads the blocks
+// straight off the fixed point and checks that shape as it reads; the scalar
+// oracle keeps a rectangular closure (bounding boxes, re-labeling, merging
+// overlaps until stable), a no-op that the test-suite asserts.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include "common/grid.hpp"
 #include "common/rect.hpp"
 #include "common/simd.hpp"
-#include "fault/bitplane_cc.hpp"
 #include "fault/fault_set.hpp"
 #include "mesh/mesh2d.hpp"
 
@@ -107,19 +107,16 @@ struct BlockScratch {
   // rects) — make_trial feeds it straight into the safety sweeps.
   core::BitGrid bad_plane;
   core::simd::SweepScratch simd;
-  detail::RunCC cc;
-  std::vector<std::int32_t> merge_order;   ///< box merge: sort order, then group slots
-  std::vector<std::int32_t> merge_parent;  ///< box merge: union-find parents
-  std::vector<Rect> merged;                ///< box merge: one round's group boxes
 };
 
 namespace detail {
-/// The bit-plane builder's closure merge: replace overlapping boxes by their
-/// unions until the boxes are pairwise disjoint, in near-linear time (sort by
-/// xmin, union-find over the pairs that overlap, repeat while unions
-/// overlap). Each group lands at the slot of its lowest original index, the
-/// order the scalar oracle's pairwise merge produces.
-void merge_overlapping_boxes(std::vector<Rect>& boxes, BlockScratch& scratch);
+/// The bit-plane builder's block reader: one row-major scan of a plane at
+/// Definition 1's fixed point into its blocks, in row-major order of their
+/// first node, with faulty counts from `faults`. Throws std::logic_error
+/// when a component of `bad` is not a rectangle with a clear ring around it
+/// (corners included), which the fixed point rules out.
+void read_fixpoint_blocks(const core::BitGrid& bad, const core::BitGrid& faults,
+                          std::vector<FaultyBlock>& out);
 }  // namespace detail
 
 /// Run Definition 1 to its fixed point and package the resulting disjoint
@@ -140,8 +137,8 @@ void build_faulty_blocks_scalar(const Mesh2D& mesh, const FaultSet& faults, Bloc
                                 BlockScratch& scratch);
 
 /// The word-parallel implementation: Gauss-Seidel disable sweeps over bit
-/// rows, run-union components, word-filled rectangular closure. Produces a
-/// BlockSet identical to the scalar builder's.
+/// rows, then read_fixpoint_blocks. Produces a BlockSet identical to the
+/// scalar builder's.
 void build_faulty_blocks_bitplane(const Mesh2D& mesh, const FaultSet& faults, BlockSet& out,
                                   BlockScratch& scratch);
 

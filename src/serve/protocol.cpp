@@ -16,6 +16,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #define MESHROUTE_HAVE_SOCKETS 1
@@ -277,6 +278,9 @@ int serve_tcp(QueryServer& server, std::uint16_t port, int max_connections) {
       ::close(listener);
       return 1;
     }
+    // Replies are whole lines: send each at once rather than hold a second
+    // reply back until the client ACKs the first (Nagle).
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     serve_connection(server, fd);
     ::close(fd);
     if (server.shutdown_requested()) break;

@@ -147,9 +147,10 @@ TEST(BlockModel, CtorChecksRectsAgainstTheMesh) {
 
 TEST(BlockModel, LabelingFixedPointAloneYieldsRectangles) {
   // The classic theorem: Definition 1's fixed point components are already
-  // rectangles, so the defensive rectangular closure is a no-op. Verified
-  // against random fault sets by comparing the raw labeling with the built
-  // blocks cell by cell.
+  // rectangles. The bit-plane builder relies on it, reading the blocks
+  // straight off the fixed point and throwing if a component is not a
+  // separated rectangle. Verified against random fault sets by comparing the
+  // raw labeling with the built blocks cell by cell.
   Rng rng(99);
   for (const std::size_t k : {5u, 20u, 60u}) {
     for (int rep = 0; rep < 10; ++rep) {
@@ -177,61 +178,84 @@ TEST(BlockModel, BuildersRejectFaultSetOfAnotherMesh) {
   EXPECT_THROW((void)build_mcc(mesh, other, MccKind::TypeOne), std::invalid_argument);
 }
 
-/// Pairwise reference for the closure merge: merge the first overlapping
-/// pair into the lower slot and start over, until no pair overlaps.
-std::vector<Rect> pairwise_merge(std::vector<Rect> boxes) {
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::size_t i = 0; i < boxes.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < boxes.size() && !changed; ++j) {
-        if (boxes[i].overlaps(boxes[j])) {
-          boxes[i] = boxes[i].united(boxes[j]);
-          boxes.erase(boxes.begin() + static_cast<std::ptrdiff_t>(j));
-          changed = true;
-        }
-      }
-    }
+/// A plane of the given size with `rects` painted in.
+core::BitGrid plane_of(Dist w, Dist h, std::initializer_list<Rect> rects) {
+  core::BitGrid g(w, h);
+  for (const Rect& r : rects) {
+    for (Dist y = r.ymin; y <= r.ymax; ++y) core::row_range_set(g.row(y), r.xmin, r.xmax);
   }
-  return boxes;
+  return g;
 }
 
-// Fixpoint components are rectangles (the test above), so no fault set makes
-// their boxes overlap and the closure merge is pinned on its own. A and B
-// overlap; their union overlaps C, which neither overlaps alone, so one round
-// of pairing is not enough. The group lands in C's slot, the lowest of the
-// three, although C is not first by xmin.
-TEST(BlockModel, ClosureMergeFollowsUnionsInIndexOrder) {
-  const Rect a{0, 4, 0, 1};
-  const Rect b{4, 5, 1, 6};
-  const Rect c{0, 1, 4, 5};
-  ASSERT_TRUE(a.overlaps(b));
-  ASSERT_FALSE(a.overlaps(c));
-  ASSERT_FALSE(b.overlaps(c));
-  const Rect d{10, 12, 10, 12};
-  const Rect e{20, 20, 0, 0};
-  std::vector<Rect> boxes = {d, c, a, e, b};
-  const std::vector<Rect> want = {d, Rect{0, 5, 0, 6}, e};
-  ASSERT_EQ(pairwise_merge(boxes), want);
-  BlockScratch scratch;
-  detail::merge_overlapping_boxes(boxes, scratch);
-  EXPECT_EQ(boxes, want);
+/// A plane of the given size with the cells `cs` set.
+core::BitGrid cells_of(Dist w, Dist h, std::initializer_list<Coord> cs) {
+  core::BitGrid g(w, h);
+  for (const Coord c : cs) g.set(c);
+  return g;
 }
 
-TEST(BlockModel, ClosureMergeMatchesPairwiseMerge) {
-  Rng rng(31);
-  BlockScratch scratch;
-  for (int rep = 0; rep < 300; ++rep) {
-    std::vector<Rect> boxes(static_cast<std::size_t>(rng.uniform(0, 40)));
-    for (Rect& r : boxes) {
-      const auto x = static_cast<Dist>(rng.uniform(0, 40));
-      const auto y = static_cast<Dist>(rng.uniform(0, 40));
-      r = Rect{x, x + static_cast<Dist>(rng.uniform(0, 5)), y,
-               y + static_cast<Dist>(rng.uniform(0, 5))};
-    }
-    const std::vector<Rect> want = pairwise_merge(boxes);
-    detail::merge_overlapping_boxes(boxes, scratch);
-    EXPECT_EQ(boxes, want) << "rep " << rep;
-  }
+// Each of these shapes breaks the fixed point's rectangle-with-a-clear-ring
+// form, so the reader must refuse it rather than report a block.
+TEST(BlockReader, RejectsNonRectangularComponents) {
+  const core::BitGrid none(8, 8);
+  std::vector<FaultyBlock> out;
+  const auto read = [&](const core::BitGrid& bad) {
+    detail::read_fixpoint_blocks(bad, none, out);
+  };
+  // L-shapes: a column with a foot, and a row with a leg hanging off its end.
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{2, 2, 2, 4}, Rect{3, 4, 2, 2}})), std::logic_error);
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{2, 4, 2, 2}, Rect{4, 4, 3, 4}})), std::logic_error);
+  // Plus.
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{3, 3, 1, 5}, Rect{1, 5, 3, 3}})), std::logic_error);
+  // Two squares touching at a corner, in both diagonal orientations.
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{1, 2, 1, 2}, Rect{3, 4, 3, 4}})), std::logic_error);
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{3, 4, 1, 2}, Rect{1, 2, 3, 4}})), std::logic_error);
+  // Ring.
+  EXPECT_THROW(read(plane_of(8, 8, {Rect{1, 5, 1, 1}, Rect{1, 5, 5, 5}, Rect{1, 1, 2, 4},
+                                    Rect{5, 5, 2, 4}})),
+               std::logic_error);
+  // Two squares one clear cell apart diagonally read fine.
+  read(plane_of(8, 8, {Rect{1, 2, 1, 2}, Rect{4, 5, 4, 5}}));
+  EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(BlockReader, EdgeFlushRectsComeOutInRowMajorOrderWithCounts) {
+  std::vector<FaultyBlock> out;
+  detail::read_fixpoint_blocks(core::BitGrid(12, 9), core::BitGrid(12, 9), out);
+  EXPECT_TRUE(out.empty());
+  // Flush with the south-west corner, the south-east corner, the west and
+  // north edges, and the north-east corner, plus one interior rect.
+  const core::BitGrid bad = plane_of(12, 9,
+                                     {Rect{10, 11, 7, 8}, Rect{0, 0, 4, 8}, Rect{5, 6, 3, 5},
+                                      Rect{9, 11, 0, 0}, Rect{0, 2, 0, 1}});
+  const core::BitGrid faults = cells_of(12, 9,
+                                        {{1, 1}, {9, 0}, {11, 0}, {5, 3}, {6, 5}, {0, 8},
+                                         {10, 7}, {11, 7}, {10, 8}, {11, 8}});
+  detail::read_fixpoint_blocks(bad, faults, out);
+  const std::vector<FaultyBlock> want = {{Rect{0, 2, 0, 1}, 1, 5},
+                                         {Rect{9, 11, 0, 0}, 2, 1},
+                                         {Rect{5, 6, 3, 5}, 2, 4},
+                                         {Rect{0, 0, 4, 8}, 1, 4},
+                                         {Rect{10, 11, 7, 8}, 4, 0}};
+  EXPECT_EQ(out, want);
+}
+
+TEST(BlockReader, RectsAcrossWordBoundariesComeOutInRowMajorOrderWithCounts) {
+  const core::BitGrid bad = plane_of(130, 12,
+                                     {Rect{0, 129, 11, 11}, Rect{63, 64, 7, 7},
+                                      Rect{127, 128, 6, 8}, Rect{62, 65, 2, 4},
+                                      Rect{126, 129, 0, 3}});
+  const core::BitGrid faults = cells_of(130, 12,
+                                        {{127, 0}, {129, 1}, {128, 3}, {63, 2}, {64, 4},
+                                         {127, 8}, {64, 7}, {0, 11}, {64, 11}, {129, 11}});
+  std::vector<FaultyBlock> out;
+  detail::read_fixpoint_blocks(bad, faults, out);
+  const std::vector<FaultyBlock> want = {{Rect{126, 129, 0, 3}, 3, 13},
+                                         {Rect{62, 65, 2, 4}, 2, 10},
+                                         {Rect{127, 128, 6, 8}, 1, 5},
+                                         {Rect{63, 64, 7, 7}, 1, 1},
+                                         {Rect{0, 129, 11, 11}, 3, 127}};
+  EXPECT_EQ(out, want);
 }
 
 class BlockDisjointness : public ::testing::TestWithParam<std::size_t> {};

@@ -41,7 +41,7 @@ const std::vector<std::pair<Dist, Dist>> kEdgeDims = {
 TEST(Transpose, EdgeDimensionSweepMatchesPerBitOracle) {
   Rng rng(20260809);
   for (const auto& [w, h] : kEdgeDims) {
-    for (const double density : {0.02, 0.3, 0.97}) {
+    for (const double density : {0.002, 0.02, 0.3, 0.97}) {
       const BitGrid g = random_grid(w, h, density, rng);
       BitGrid t;
       g.transpose_into(t);
@@ -50,6 +50,26 @@ TEST(Transpose, EdgeDimensionSweepMatchesPerBitOracle) {
       BitGrid oracle(h, w);
       g.for_each_set([&](Coord c) { oracle.set({c.y, c.x}); });
       EXPECT_EQ(t, oracle) << w << "x" << h << " @ " << density;
+    }
+  }
+}
+
+// One set bit lands in one tile of one byte lane, so every position pins
+// that the tile skip visits the lane holding it, in full and short groups
+// (kEdgeDims includes the 200x100 grid).
+TEST(Transpose, SingleBitAtEveryPositionMatchesOracle) {
+  for (const auto& [w, h] : kEdgeDims) {
+    BitGrid g(w, h);
+    BitGrid t;
+    for (Dist y = 0; y < h; ++y) {
+      for (Dist x = 0; x < w; ++x) {
+        g.set({x, y});
+        g.transpose_into(t);
+        BitGrid oracle(h, w);
+        oracle.set({y, x});
+        ASSERT_EQ(t, oracle) << w << "x" << h << " bit " << x << "," << y;
+        g.reset({x, y});
+      }
     }
   }
 }
