@@ -66,11 +66,9 @@
 #include "serve/snapshot.hpp"
 #include "simsub/protocols.hpp"
 
-// Provenance injected by bench/CMakeLists.txt; fall back cleanly when the
-// file is compiled outside that target (e.g. a one-off manual build).
-#ifndef MESHROUTE_GIT_REV
-#define MESHROUTE_GIT_REV "unknown"
-#endif
+// Provenance from bench/CMakeLists.txt: the revision header it generates on
+// every build, and the build type and compiler as definitions.
+#include "meshroute_git_rev.hpp"
 #ifndef MESHROUTE_BUILD_TYPE
 #define MESHROUTE_BUILD_TYPE "unknown"
 #endif

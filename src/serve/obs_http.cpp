@@ -67,9 +67,10 @@ void ObsHttpServer::loop() {
         "Content-Type: text/plain; version=0.0.4\r\n"
         "Content-Length: " +
         std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" + body;
+    // MSG_NOSIGNAL: a scraper that hung up fails the send, not the server.
     std::size_t off = 0;
     while (off < reply.size()) {
-      const ssize_t w = ::write(fd, reply.data() + off, reply.size() - off);
+      const ssize_t w = ::send(fd, reply.data() + off, reply.size() - off, MSG_NOSIGNAL);
       if (w <= 0) break;
       off += static_cast<std::size_t>(w);
     }

@@ -13,6 +13,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -218,12 +220,46 @@ std::size_t run_session(QueryServer& server, std::istream& in, std::ostream& out
 
 namespace {
 
-/// Line-buffered pump for one accepted connection.
+/// Whether `line` is an INJECT request, read as handle_line reads it.
+bool is_inject(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const std::size_t i = line.find_first_not_of(" \t");
+  if (i == std::string_view::npos) return false;
+  line.remove_prefix(i);
+  return line.starts_with("INJECT") &&
+         (line.size() == 6 || line[6] == ' ' || line[6] == '\t');
+}
+
+/// Line-buffered pump for one accepted connection. Replies collect in `out`
+/// and leave with one send (DESIGN §11 "Reply writes"): before any line that
+/// is not an INJECT following an INJECT, before blocking in read(), and
+/// before closing. So only the replies of back-to-back INJECTs share a send;
+/// every other reply leaves as soon as it is made.
 void serve_connection(QueryServer& server, int fd) {
+  static obs::Counter& replies = obs::Registry::global().counter("serve.tcp.replies");
+  static obs::Counter& writes = obs::Registry::global().counter("serve.tcp.writes");
   QueryServer::Session session(server);
   std::string pending;
+  std::string out;
+  std::int64_t held = 0;  // replies in `out`
+  // Send `out`; false once the peer is gone (MSG_NOSIGNAL: a peer that
+  // closed mid-pipeline fails the send instead of killing the server).
+  const auto flush = [&] {
+    if (held == 0) return true;
+    for (std::size_t off = 0; off < out.size();) {
+      const ssize_t w = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+      if (w <= 0) return false;
+      writes.add();
+      off += static_cast<std::size_t>(w);
+    }
+    replies.add(held);
+    out.clear();
+    held = 0;
+    return true;
+  };
   char buf[4096];
   bool quit = false;
+  bool after_inject = false;  // `out` holds only the replies of an INJECT run
   while (!quit) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n <= 0) break;
@@ -233,19 +269,22 @@ void serve_connection(QueryServer& server, int fd) {
          nl = pending.find('\n', start)) {
       const std::string_view line(pending.data() + start, nl - start);
       start = nl + 1;
-      std::string reply = handle_line(session, line, quit);
-      if (session.torn()) return;  // scripted tear: abrupt close, reply dropped
-      if (reply.empty()) continue;
-      reply.push_back('\n');
-      std::size_t off = 0;
-      while (off < reply.size()) {
-        const ssize_t w = ::write(fd, reply.data() + off, reply.size() - off);
-        if (w <= 0) return;
-        off += static_cast<std::size_t>(w);
+      const bool inject = is_inject(line);
+      if (!(inject && after_inject) && !flush()) return;
+      after_inject = inject;
+      const std::string reply = handle_line(session, line, quit);
+      if (session.torn()) {  // scripted tear: the replies before this one go out
+        flush();
+        return;
       }
+      if (reply.empty()) continue;
+      out += reply;
+      out += '\n';
+      ++held;
       if (quit) break;
     }
     pending.erase(0, start);
+    if (!flush()) return;
   }
 }
 

@@ -41,7 +41,13 @@
 // / `DEGRADED ROUTE ... attr=info_stale ... lag=L` instead of `OK ...` —
 // same fields, plus the attribution and the epoch lag that triggered the
 // guard. A session scripted to tear (`tear=SEQ` serve-chaos) closes
-// abruptly after its SEQ-th command with that command's reply dropped.
+// abruptly after its SEQ-th command with that command's reply dropped; the
+// replies before it are delivered.
+//
+// Replies keep one line per request (METRICS's body aside), in request
+// order. Over TCP the replies of back-to-back INJECTs may share one send;
+// every other reply is sent before the next line is handled, and no reply is
+// held while the server waits for input (DESIGN §11 "Reply writes").
 //
 // Reads (DECIDE/ROUTE) go through one Session per connection — each answer
 // is consistent with exactly one published epoch, reported back as epoch=E.

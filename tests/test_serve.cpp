@@ -20,12 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_schedule.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dynamic/dynamic_state.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/mcc_model.hpp"
 #include "obs/live.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "route/query.hpp"
 #include "serve/builder.hpp"
@@ -39,7 +41,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -537,6 +541,225 @@ TEST(ObsHttp, ServesPrometheusScrapeOnEphemeralPort) {
   EXPECT_NE(response.find("# TYPE meshroute_serve_queries_total counter"),
             std::string::npos);
   EXPECT_NE(response.find("# EOF"), std::string::npos);
+}
+
+// ---- The serve_tcp pump over a real loopback socket -----------------------
+
+/// The 24x24 world of seed 3 with 20 faults, fresh on every construction, so
+/// a TCP run and a run_session run start from the same state.
+struct SeededServer {
+  const Mesh2D mesh = Mesh2D::square(24);
+  serve::SnapshotBuilder builder;
+  serve::QueryServer server{builder};
+
+  SeededServer() : builder(mesh, seed_faults(mesh).faults()) {}
+
+  static fault::FaultSet seed_faults(const Mesh2D& mesh) {
+    Rng rng(3);
+    return fault::uniform_random_faults(mesh, 20, rng);
+  }
+};
+
+/// serve_tcp(server, port, connections) on its own thread, on a free port
+/// found as perfbench's client finds one (bind port 0, read it back). The
+/// destructor opens whatever connections a test did not, so serve_tcp
+/// returns and its thread joins even after a failed assertion.
+class TcpServeThread {
+ public:
+  TcpServeThread(serve::QueryServer& server, int connections)
+      : port_(free_port()), left_(connections) {
+    thread_ = std::thread([this, &server, connections] {
+      rc_ = serve::serve_tcp(server, port_, connections);
+    });
+  }
+  TcpServeThread(const TcpServeThread&) = delete;
+  TcpServeThread& operator=(const TcpServeThread&) = delete;
+  ~TcpServeThread() {
+    while (left_ > 0) {
+      const int fd = connect();
+      if (fd >= 0) ::close(fd);
+    }
+    join();
+  }
+
+  /// A connected client socket (-1 if the listener never came up); retries
+  /// while serve_tcp is still binding.
+  int connect() {
+    --left_;
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(port_);
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
+        const timeval timeout{10, 0};  // a wedged pump fails the test, not ctest
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+        return fd;
+      }
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+  }
+
+  /// serve_tcp's return value, once all its connections have closed.
+  int join() {
+    if (thread_.joinable()) thread_.join();
+    return rc_;
+  }
+
+ private:
+  static std::uint16_t free_port() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    std::uint16_t port = 0;
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port = ntohs(addr.sin_port);
+    }
+    ::close(fd);
+    return port;
+  }
+
+  std::uint16_t port_;
+  int left_;
+  int rc_ = -1;
+  std::thread thread_;
+};
+
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t w = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(w));
+  }
+  return true;
+}
+
+/// Everything the server sends until it closes the connection.
+std::string read_to_eof(int fd) {
+  std::string got;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;) {
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  return got;
+}
+
+/// One connection: send `script` (in one send, or one byte per send), half-
+/// close, and return every reply byte up to the server's close.
+std::string tcp_exchange(TcpServeThread& tcp, const std::string& script,
+                         bool byte_per_send = false) {
+  const int fd = tcp.connect();
+  if (fd < 0) return "<no connection>";
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  if (byte_per_send) {
+    for (const char c : script) send_all(fd, {&c, 1});
+  } else {
+    send_all(fd, script);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string replies = read_to_eof(fd);
+  ::close(fd);
+  return replies;
+}
+
+std::string run_session_on_fresh_server(const std::string& script) {
+  SeededServer world;
+  std::istringstream in(script);
+  std::ostringstream out;
+  serve::run_session(world.server, in, out);
+  return out.str();
+}
+
+std::string inject_burst(int count, Dist y) {
+  std::string lines;
+  for (int x = 0; x < count; ++x) {
+    lines += "INJECT " + std::to_string(x % 24) + " " + std::to_string(y + x / 24) + "\n";
+  }
+  return lines;
+}
+
+TEST(ServeTcp, PipelinedScriptMatchesRunSession) {
+  const std::string script = inject_burst(5, 4) + "DECIDE 2 2 20 21\nROUTE 2 2 20 21\n" +
+                             "\n# a comment between bursts\n" + inject_burst(3, 8) +
+                             "EPOCH\nINJECT 1\nINJECT 1 1\nINJECT 99 1\nWAT\n" +
+                             "ROUTE 0 0 23 23\r\n   \nINJECT\t3 17\n  INJECT 4 17\n" +
+                             "DECIDE 1 1 22 22\nEPOCH\n";
+  const std::string want = run_session_on_fresh_server(script);
+  ASSERT_EQ(std::count(want.begin(), want.end(), '\n'), 20);
+  for (const bool byte_per_send : {false, true}) {
+    SCOPED_TRACE(byte_per_send ? "one byte per send" : "one send");
+    SeededServer world;
+    TcpServeThread tcp(world.server, 1);
+    EXPECT_EQ(tcp_exchange(tcp, script, byte_per_send), want);
+    EXPECT_EQ(tcp.join(), 0);
+  }
+
+  // A burst of 32 INJECTs then a DECIDE and a ROUTE, in one client send of
+  // under 4 KB (one server read): the burst shares one send, the DECIDE and
+  // the ROUTE go out on their own.
+  obs::Counter& replies = obs::Registry::global().counter("serve.tcp.replies");
+  obs::Counter& writes = obs::Registry::global().counter("serve.tcp.writes");
+  const std::int64_t replies0 = replies.value();
+  const std::int64_t writes0 = writes.value();
+  const std::string burst = inject_burst(32, 2) + "DECIDE 2 2 20 21\nROUTE 2 2 20 21\n";
+  ASSERT_LT(burst.size(), 4096u);
+  SeededServer world;
+  TcpServeThread tcp(world.server, 1);
+  EXPECT_EQ(tcp_exchange(tcp, burst), run_session_on_fresh_server(burst));
+  ASSERT_EQ(tcp.join(), 0);  // the counters move on the server thread
+  EXPECT_EQ(replies.value() - replies0, 34);
+  EXPECT_EQ(writes.value() - writes0, 3);
+}
+
+TEST(ServeTcp, TearInsideInjectBurstDeliversEarlierReplies) {
+  constexpr int kTear = 5;
+  SeededServer world;
+  world.server.set_serve_chaos(
+      chaos::FaultSchedule::parse("tear=" + std::to_string(kTear)));
+  TcpServeThread tcp(world.server, 2);
+  const std::string burst = inject_burst(10, 4);
+  const std::string want = run_session_on_fresh_server(inject_burst(kTear - 1, 4));
+  ASSERT_EQ(std::count(want.begin(), want.end(), '\n'), kTear - 1);
+  EXPECT_EQ(tcp_exchange(tcp, burst), want);
+  // The torn command ran; only its reply was dropped.
+  EXPECT_EQ(tcp_exchange(tcp, "EPOCH\n"), "OK EPOCH " + std::to_string(kTear) + "\n");
+  EXPECT_EQ(tcp.join(), 0);
+}
+
+TEST(ServeTcp, QuitInsideBurst) {
+  SeededServer world;
+  TcpServeThread tcp(world.server, 2);
+  const std::string head = inject_burst(3, 4) + "QUIT\n";
+  EXPECT_EQ(tcp_exchange(tcp, head + inject_burst(2, 8) + "EPOCH\n"),
+            run_session_on_fresh_server(head));
+  EXPECT_EQ(tcp_exchange(tcp, "EPOCH\n"), "OK EPOCH 3\n");
+  EXPECT_EQ(tcp.join(), 0);
+}
+
+TEST(ServeTcp, PeerClosingMidPipelineKeepsServing) {
+  SeededServer world;
+  TcpServeThread tcp(world.server, 2);
+  // Many replies queued for a peer that closes without reading: the
+  // server's sends fail (RST, then EPIPE), which must drop that connection
+  // only, not raise SIGPIPE.
+  std::string flood;
+  for (int i = 0; i < 2000; ++i) flood += "ROUTE 1 1 20 20\n";
+  const int fd = tcp.connect();
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(send_all(fd, flood));
+  ::close(fd);
+
+  const std::string reply = tcp_exchange(tcp, "DECIDE 2 2 20 21\n");
+  EXPECT_TRUE(reply.starts_with("OK DECIDE ")) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1);
+  EXPECT_EQ(tcp.join(), 0);
 }
 #endif  // __unix__ || __APPLE__
 
