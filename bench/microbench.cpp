@@ -367,8 +367,8 @@ int main(int argc, char** argv) {
     struct Update {
       std::shared_ptr<const info::BoundaryInfoMap> before;
       std::vector<fault::FaultyBlock> blocks;
-      std::int32_t added = -1;
-      std::vector<std::int32_t> absorbed;
+      Rect grown;
+      std::vector<Rect> absorbed;
       core::BitGrid rows;
       core::BitGrid cols;
     };
@@ -384,16 +384,15 @@ int main(int argc, char** argv) {
       const std::vector<fault::FaultyBlock> old_blocks = state.blocks();
       state.inject_fault(c);
       if (state.boundary_ptr() == before) continue;
-      Update u{before, state.blocks(), -1, {}, state.safety().row_plane(),
+      Update u{before, state.blocks(), {}, {}, state.safety().row_plane(),
                state.safety().col_plane()};
-      for (std::size_t b = 0; b < u.blocks.size(); ++b) {
-        if (!holds(old_blocks, u.blocks[b].rect)) u.added = static_cast<std::int32_t>(b);
+      for (const fault::FaultyBlock& b : u.blocks) {
+        if (!holds(old_blocks, b.rect)) u.grown = b.rect;
       }
-      for (std::size_t b = 0; b < old_blocks.size(); ++b) {
-        if (!holds(u.blocks, old_blocks[b].rect)) u.absorbed.push_back(static_cast<std::int32_t>(b));
+      for (const fault::FaultyBlock& b : old_blocks) {
+        if (!holds(u.blocks, b.rect)) u.absorbed.push_back(b.rect);
       }
-      const info::BoundaryInfoMap replayed =
-          before->updated(u.blocks, u.added, u.absorbed, u.rows, u.cols);
+      const info::BoundaryInfoMap replayed = before->updated(u.grown, u.absorbed, u.rows, u.cols);
       if (!(replayed == state.boundary() &&
             replayed == info::BoundaryInfoMap(serve_mesh, fault::BlockSet(u.blocks, u.rows)))) {
         std::cerr << "microbench: boundary update disagrees with the from-scratch map\n";
@@ -407,7 +406,7 @@ int main(int argc, char** argv) {
       const Update& u = updates[next];
       const info::BoundaryInfoMap& from = next == 0 ? *u.before : *current;
       current = std::make_shared<const info::BoundaryInfoMap>(
-          from.updated(u.blocks, u.added, u.absorbed, u.rows, u.cols));
+          from.updated(u.grown, u.absorbed, u.rows, u.cols));
       next = next + 1 == updates.size() ? 0 : next + 1;
     });
   }

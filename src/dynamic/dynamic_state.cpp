@@ -63,8 +63,7 @@ void DynamicMeshState::propagate_from(std::vector<Coord>& changed, std::size_t f
   }
 }
 
-std::int32_t DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed,
-                                                   UpdateStats& stats) {
+Rect DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats) {
   // Bounding box of the (single) component containing the changed cells.
   // The search list doubles as the queue and as the record of the `seen_`
   // bits to clear, so the search costs the component, not the mesh.
@@ -95,12 +94,11 @@ std::int32_t DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed,
   bool grew = true;
   while (grew) {
     grew = false;
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      const auto id = static_cast<std::int32_t>(i);
-      if (blocks_[i].rect.overlaps(box) &&
-          std::find(absorbed_.begin(), absorbed_.end(), id) == absorbed_.end()) {
-        box = box.united(blocks_[i].rect);
-        absorbed_.push_back(id);
+    for (const fault::FaultyBlock& b : blocks_) {
+      if (b.rect.overlaps(box) &&
+          std::find(absorbed_.begin(), absorbed_.end(), b.rect) == absorbed_.end()) {
+        box = box.united(b.rect);
+        absorbed_.push_back(b.rect);
         ++stats.absorbed_blocks;
         grew = true;
       }
@@ -123,24 +121,22 @@ std::int32_t DynamicMeshState::rebuild_block_around(std::vector<Coord>& changed,
   }
   stats.relabeled_nodes += static_cast<std::int64_t>(changed.size());
 
-  // Every old fault in the box lies in an absorbed block, so the grown
-  // block holds their faults plus the injected one.
-  std::sort(absorbed_.begin(), absorbed_.end());
+  // The absorbed blocks are exactly the ones the final box overlaps. Every
+  // old fault in the box lies in one of them, so the grown block holds
+  // their faults plus the injected one.
   fault::FaultyBlock grown{box, 1, 0};
   std::size_t kept = 0;
-  for (std::size_t i = 0, a = 0; i < blocks_.size(); ++i) {
-    if (a < absorbed_.size() && static_cast<std::size_t>(absorbed_[a]) == i) {
-      grown.faulty_count += blocks_[i].faulty_count;
-      ++a;
+  for (const fault::FaultyBlock& b : blocks_) {
+    if (b.rect.overlaps(box)) {
+      grown.faulty_count += b.faulty_count;
     } else {
-      blocks_[kept++] = blocks_[i];
+      blocks_[kept++] = b;
     }
   }
   blocks_.resize(kept);
   grown.disabled_count = static_cast<std::int32_t>(box.area()) - grown.faulty_count;
-  const auto at = blocks_.insert(std::upper_bound(blocks_.begin(), blocks_.end(), grown, before),
-                                 grown);
-  return static_cast<std::int32_t>(at - blocks_.begin());
+  blocks_.insert(std::upper_bound(blocks_.begin(), blocks_.end(), grown, before), grown);
+  return box;
 }
 
 void DynamicMeshState::update_mcc(Coord c) {
@@ -204,10 +200,10 @@ UpdateStats DynamicMeshState::inject(Coord c, bool update_runs) {
   safety_.add_obstacle(c);
   changed_.push_back(c);
   propagate_from(changed_, 0);
-  const std::int32_t added = rebuild_block_around(changed_, stats);
+  const Rect grown = rebuild_block_around(changed_, stats);
   if (update_runs) {
-    boundary_ = std::make_shared<const info::BoundaryInfoMap>(boundary_->updated(
-        blocks_, added, absorbed_, safety_.row_plane(), safety_.col_plane()));
+    boundary_ = std::make_shared<const info::BoundaryInfoMap>(
+        boundary_->updated(grown, absorbed_, safety_.row_plane(), safety_.col_plane()));
   }
   count_lines(changed_, stats);
   return stats;

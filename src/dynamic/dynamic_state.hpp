@@ -123,10 +123,10 @@ class DynamicMeshState {
   UpdateStats inject(Coord c, bool update_runs);
 
   /// Close the block containing the changed cells to a rectangle, absorbing
-  /// overlapped blocks (their old ids go to absorbed_), until stable, and
-  /// put it in its sorted place, whose index it returns. Appends every cell
-  /// that became bad to `changed`.
-  std::int32_t rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats);
+  /// overlapped blocks (their rects go to absorbed_), until stable, and put
+  /// it in its sorted place; returns its rect. Appends every cell that
+  /// became bad to `changed`.
+  Rect rebuild_block_around(std::vector<Coord>& changed, UpdateStats& stats);
 
   /// Bring both MCC labelings to their fixed point after fault `c`.
   void update_mcc(Coord c);
@@ -153,7 +153,7 @@ class DynamicMeshState {
   std::vector<Coord> disable_work_;          ///< propagate_from worklist
   core::BitGrid seen_;                       ///< rebuild_block_around marks; clear between calls
   std::vector<Coord> component_;             ///< rebuild_block_around search list
-  std::vector<std::int32_t> absorbed_;       ///< rebuild_block_around: old ids merged away
+  std::vector<Rect> absorbed_;               ///< rebuild_block_around: old rects merged away
   std::vector<std::uint64_t> row_dirty_;     ///< count_lines line-count bitsets
   std::vector<std::uint64_t> col_dirty_;
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/bitgrid.hpp"
@@ -148,32 +146,6 @@ void walk_side(const TrailAxis& horizontal, const TrailAxis& vertical, const Rec
 /// Above every run tag.
 constexpr std::int32_t kNoTag = std::numeric_limits<std::int32_t>::max();
 
-/// `old` without the entries at `absorbed` (ascending) and with `grown` at
-/// index `added` of the result, copied in contiguous stretches into `out`.
-template <typename T>
-void regroup(const std::vector<T>& old, std::span<const std::int32_t> absorbed,
-             std::int32_t added, const T& grown, std::vector<T>& out) {
-  out.resize(old.size() - absorbed.size() + 1);
-  auto o = out.begin();
-  const auto at = out.begin() + added;
-  // Copy old[first, last) to o, putting `grown` in when o passes `at`.
-  const auto put = [&](auto first, auto last) {
-    if (o <= at && at - o <= last - first) {
-      const auto split = first + (at - o);
-      o = std::copy(first, split, o);
-      *o++ = grown;
-      first = split;
-    }
-    o = std::copy(first, last, o);
-  };
-  auto from = old.begin();
-  for (const std::int32_t a : absorbed) {
-    put(from, old.begin() + a);
-    from = old.begin() + a + 1;
-  }
-  put(from, old.end());
-}
-
 /// Bits of a block key that hold xmin on a width x height mesh: the width
 /// rounded up to a power of two. Throws when a run's tag (the packed corner
 /// and two bits of side) does not fit 31 bits, or a position along a line
@@ -190,31 +162,8 @@ int key_col_bits(Dist width, Dist height) {
 
 }  // namespace
 
-void BoundaryInfoMap::index_rows() {
-  by_key_.clear();
-  if (!std::is_sorted(keys_.begin(), keys_.end())) {
-    // Another order than (ymin, xmin), as a hand-built list may have.
-    by_key_.resize(keys_.size());
-    std::iota(by_key_.begin(), by_key_.end(), 0);
-    std::sort(by_key_.begin(), by_key_.end(), [&](std::int32_t a, std::int32_t b) {
-      return keys_[static_cast<std::size_t>(a)] < keys_[static_cast<std::size_t>(b)];
-    });
-  }
-  // The first position in key order of row y is the number of blocks
-  // starting on a row below it: count the blocks per row, then sum. (A scan
-  // that moves a cursor row by row branches on each block's row gap, and
-  // mispredicts about once per block.)
-  const int col_bits = col_bits_;
-  row_first_.assign(static_cast<std::size_t>(height_) + 1, 0);
-  std::int32_t* const first = row_first_.data();
-  for (const Key key : keys_) ++first[static_cast<std::size_t>(key >> col_bits) + 1];
-  std::partial_sum(row_first_.begin(), row_first_.end(), row_first_.begin());
-}
-
-void BoundaryInfoMap::walk_blocks(std::span<const fault::FaultyBlock> blocks,
-                                  std::span<const Side> sides, const core::BitGrid& row_plane,
-                                  const core::BitGrid& col_plane, PendingRuns& out,
-                                  std::vector<Span>& spans) {
+void BoundaryInfoMap::walk_blocks(std::span<const Side> sides, const core::BitGrid& row_plane,
+                                  const core::BitGrid& col_plane, PendingRuns& out) {
   const TrailAxis horizontal{row_plane, true};
   const TrailAxis vertical{col_plane, false};
   for (std::vector<Pending>& p : out) {
@@ -223,19 +172,14 @@ void BoundaryInfoMap::walk_blocks(std::span<const fault::FaultyBlock> blocks,
     // about two per side.
     p.reserve(sides.size() * 2);
   }
-  spans.clear();
   for (const Side& side : sides) {
-    const Rect& rect = blocks[static_cast<std::size_t>(side.id)].rect;
+    const Rect& rect = side.rect;
     const auto far =
         (static_cast<std::uint32_t>(rect.xmax) << 16) | static_cast<std::uint32_t>(rect.ymax);
-    Span span{std::numeric_limits<Dist>::max(), -1};
     const auto deposit = [&](bool is_row, Dist line, Dist lo, Dist hi) {
-      span.lo = std::min(span.lo, line);
-      span.hi = std::max(span.hi, line);
       out[is_row ? 0 : 1].push_back({line, {lo, hi, side.tag, far}});
     };
     walk_side(horizontal, vertical, rect, side.tag & 3, deposit);
-    spans.push_back(span);
   }
 }
 
@@ -255,26 +199,24 @@ BoundaryInfoMap::BoundaryInfoMap(const Mesh2D& mesh, const fault::BlockSet& bloc
     : width_(mesh.width()),
       height_(mesh.height()),
       col_bits_(key_col_bits(mesh.width(), mesh.height())) {
-  keys_.resize(blocks.block_count());
-  for (std::size_t i = 0; i < keys_.size(); ++i) keys_[i] = key_of(blocks.blocks()[i].rect);
-  index_rows();
-  // Walk every side of every block in tag order.
+  // The walk reads the block set's plane, and its runs are bucketed by the
+  // mesh's lines. An empty list reads no plane.
+  const std::span<const fault::FaultyBlock> list = blocks.blocks();
+  if (!list.empty() && (blocks.plane().width() != width_ || blocks.plane().height() != height_)) {
+    throw std::invalid_argument("BoundaryInfoMap: block set and mesh differ in size");
+  }
+  // Walk every side of every block in tag order, which is list order.
   std::vector<Side> sides;
-  sides.reserve(keys_.size() * 4);
-  for (std::size_t at = 0; at < keys_.size(); ++at) {
-    const auto id = by_key_.empty() ? static_cast<std::int32_t>(at) : by_key_[at];
-    for (Key side = 0; side < 4; ++side) {
-      sides.push_back({keys_[static_cast<std::size_t>(id)] * 4 + side, id});
+  sides.reserve(list.size() * 4);
+  for (const fault::FaultyBlock& b : list) {
+    const Key key = key_of(b.rect);
+    if (!sides.empty() && key <= sides.back().tag >> 2) {
+      throw std::invalid_argument("BoundaryInfoMap: blocks not sorted by (ymin, xmin)");
     }
+    for (Key side = 0; side < 4; ++side) sides.push_back({key * 4 + side, b.rect});
   }
   PendingRuns pending;
-  std::vector<Span> spans;
-  walk_blocks(blocks.blocks(), sides, blocks.plane(), column_plane(blocks), pending, spans);
-  extents_.resize(keys_.size());
-  for (std::size_t i = 0; i < sides.size(); ++i) {
-    extents_[static_cast<std::size_t>(sides[i].id)][static_cast<std::size_t>(sides[i].tag & 3)] =
-        spans[i];
-  }
+  walk_blocks(sides, blocks.plane(), column_plane(blocks), pending);
   bucket(pending[0], height_, rows_);
   bucket(pending[1], width_, cols_);
 }
@@ -344,69 +286,63 @@ void BoundaryInfoMap::splice(const Lines& lines, std::span<const Dropped> droppe
   out.runs.resize(static_cast<std::size_t>(o - first));
 }
 
-BoundaryInfoMap BoundaryInfoMap::updated(std::span<const fault::FaultyBlock> blocks,
-                                         std::int32_t added,
-                                         std::span<const std::int32_t> absorbed,
+BoundaryInfoMap::Dropped BoundaryInfoMap::lines_of(const Side& side) const {
+  // The side's runs lie on consecutive lines from its ring line outward:
+  // the ring run, then one line per slide (walk_side, walk_on). A ring line
+  // off the mesh holds none.
+  const int s = side.tag & 3;
+  const Lines& lines = s < 2 ? rows_ : cols_;
+  const Dist count = s < 2 ? height_ : width_;
+  const Rect ring = side.rect.expanded(1);
+  const Dist from = s == 0 ? ring.ymin : s == 1 ? ring.ymax : s == 2 ? ring.xmin : ring.xmax;
+  const Dist step = (s & 1) != 0 ? 1 : -1;
+  const auto holds = [&](Dist v) {
+    const std::span<const Run> line = lines.line(v);
+    const auto it = std::partition_point(line.begin(), line.end(),
+                                         [&](const Run& r) { return r.tag < side.tag; });
+    return it != line.end() && it->tag == side.tag;
+  };
+  Dist v = from;
+  while (v >= 0 && v < count && holds(v)) v += step;
+  if (v == from) return {side.tag, 0, -1};
+  return {side.tag, std::min(from, v - step), std::max(from, v - step)};
+}
+
+BoundaryInfoMap BoundaryInfoMap::updated(const Rect& grown, std::span<const Rect> absorbed,
                                          const core::BitGrid& rows,
                                          const core::BitGrid& cols) const {
   BoundaryInfoMap next(width_, height_, col_bits_);
-  thread_local std::vector<Key> rewalk_tls;
   thread_local std::vector<Side> walk_tls;
   thread_local PendingRuns fresh_tls;
-  thread_local std::vector<Span> fresh_spans_tls;
   thread_local Lines fresh_lines_tls;
   thread_local std::vector<Dropped> dropped_tls[2];
   thread_local std::vector<std::uint8_t> touched_tls[2];
-  std::vector<Key>& rewalk = rewalk_tls;
   std::vector<Side>& walk = walk_tls;
-  std::vector<Span>& fresh_spans = fresh_spans_tls;
-
-  // The new block list is the old one without the absorbed blocks and
-  // with the grown one at `added`: so are its keys and extents (the grown
-  // block's spans come from its walk).
-  const Rect grown = blocks[static_cast<std::size_t>(added)].rect;
-  regroup(keys_, absorbed, added, key_of(grown), next.keys_);
-  regroup(extents_, absorbed, added, Extent{}, next.extents_);
-  assert(by_key_.empty() && std::is_sorted(next.keys_.begin(), next.keys_.end()) &&
-         "updated() takes a block list sorted by (ymin, xmin)");
-  // Each row's start moves by the blocks that joined or left on the rows
-  // before it.
-  next.row_first_ = row_first_;
-  const auto shift_after = [&](Key key, std::int32_t by) {
-    const auto first = next.row_first_.begin() + (key >> col_bits_) + 1;
-    std::for_each(first, next.row_first_.end(), [by](std::int32_t& v) { v += by; });
-  };
-  shift_after(key_of(grown), 1);
-  for (const std::int32_t id : absorbed) shift_after(keys_[static_cast<std::size_t>(id)], -1);
 
   // Every side of the grown block is walked, and so is each side of a
-  // survivor with a run crossing its rect. A run's block was absorbed
-  // exactly when its SW corner (its key) lies in the grown rect.
-  rewalk.clear();  // tags
-  const Key x_mask = (Key{1} << col_bits_) - 1;
+  // survivor with a run crossing its rect, whose rect the run names. A
+  // run's block was absorbed exactly when its SW corner (its key) lies in
+  // the grown rect.
+  walk.clear();
+  for (Key side = 0; side < 4; ++side) walk.push_back({key_of(grown) * 4 + side, grown});
   const auto mark_crossing = [&](const Lines& lines, Dist vlo, Dist vhi, Dist ulo, Dist uhi) {
     for (Dist v = vlo; v <= vhi; ++v) {
       for (const Run& r : lines.line(v)) {
-        const Key key = r.tag >> 2;
-        if (r.hi < ulo || uhi < r.lo || grown.contains(Coord{key & x_mask, key >> col_bits_}) ||
-            std::find(rewalk.begin(), rewalk.end(), r.tag) != rewalk.end()) {
+        const Rect rect = rect_of(r.tag >> 2, r.far);
+        if (r.hi < ulo || uhi < r.lo || grown.contains(Coord{rect.xmin, rect.ymin}) ||
+            std::any_of(walk.begin(), walk.end(), [&](const Side& w) { return w.tag == r.tag; })) {
           continue;
         }
-        rewalk.push_back(r.tag);
+        walk.push_back({r.tag, rect});
       }
     }
   };
   mark_crossing(rows_, grown.ymin, grown.ymax, grown.xmin, grown.xmax);
   mark_crossing(cols_, grown.xmin, grown.xmax, grown.ymin, grown.ymax);
-  walk.clear();
-  for (Key side = 0; side < 4; ++side) walk.push_back({key_of(grown) * 4 + side, added});
-  for (const Key tag : rewalk) walk.push_back({tag, next.id_of(tag >> 2)});
-  std::sort(walk.begin(), walk.end(), [](const Side& a, const Side& b) { return a.tag < b.tag; });
-  walk_blocks(blocks, walk, rows, cols, fresh_tls, fresh_spans);
 
-  // The old runs of the absorbed blocks' sides and the re-walked sides are
-  // dropped, each from the lines it held; only those lines and the fresh
-  // runs' can change.
+  // The old runs of the absorbed blocks' sides and the re-walked survivor
+  // sides are dropped, each from the lines it held; only those lines and
+  // the fresh runs' can change.
   std::vector<Dropped>& drop_rows = dropped_tls[0];
   std::vector<Dropped>& drop_cols = dropped_tls[1];
   std::vector<std::uint8_t>& touched_rows = touched_tls[0];
@@ -415,33 +351,26 @@ BoundaryInfoMap BoundaryInfoMap::updated(std::span<const fault::FaultyBlock> blo
   drop_cols.clear();
   touched_rows.assign(static_cast<std::size_t>(height_), 0);
   touched_cols.assign(static_cast<std::size_t>(width_), 0);
-  const auto touch = [&](Key tag, const Span& span) {
-    std::vector<std::uint8_t>& touched = (tag & 3) < 2 ? touched_rows : touched_cols;
-    for (Dist v = span.lo; v <= span.hi; ++v) touched[static_cast<std::size_t>(v)] = 1;
+  const auto drop = [&](const Side& side) {
+    const Dropped d = lines_of(side);
+    if (d.lo > d.hi) return;
+    const bool is_row = (d.tag & 3) < 2;
+    (is_row ? drop_rows : drop_cols).push_back(d);
+    std::vector<std::uint8_t>& touched = is_row ? touched_rows : touched_cols;
+    std::fill(touched.begin() + d.lo, touched.begin() + d.hi + 1, std::uint8_t{1});
   };
-  const auto drop = [&](Key tag, const Span& span) {
-    ((tag & 3) < 2 ? drop_rows : drop_cols).push_back({tag, span.lo, span.hi});
-    touch(tag, span);
-  };
-  for (const std::int32_t id : absorbed) {
-    for (Key side = 0; side < 4; ++side) {
-      drop(keys_[static_cast<std::size_t>(id)] * 4 + side,
-           extents_[static_cast<std::size_t>(id)][static_cast<std::size_t>(side)]);
-    }
+  for (const Rect& rect : absorbed) {
+    for (Key side = 0; side < 4; ++side) drop({key_of(rect) * 4 + side, rect});
   }
-  for (const Key tag : rewalk) {
-    const auto id = static_cast<std::size_t>(id_of(tag >> 2));
-    drop(tag, extents_[id][static_cast<std::size_t>(tag & 3)]);
-  }
-  for (std::size_t w = 0; w < walk.size(); ++w) {
-    touch(walk[w].tag, fresh_spans[w]);
-    next.extents_[static_cast<std::size_t>(walk[w].id)][static_cast<std::size_t>(walk[w].tag & 3)] =
-        fresh_spans[w];
-  }
-  const auto by_tag = [](const Dropped& a, const Dropped& b) { return a.tag < b.tag; };
+  std::for_each(walk.begin() + 4, walk.end(), drop);
+  const auto by_tag = [](const auto& a, const auto& b) { return a.tag < b.tag; };
   std::sort(drop_rows.begin(), drop_rows.end(), by_tag);
   std::sort(drop_cols.begin(), drop_cols.end(), by_tag);
 
+  std::sort(walk.begin(), walk.end(), by_tag);
+  walk_blocks(walk, rows, cols, fresh_tls);
+  for (const Pending& p : fresh_tls[0]) touched_rows[static_cast<std::size_t>(p.line)] = 1;
+  for (const Pending& p : fresh_tls[1]) touched_cols[static_cast<std::size_t>(p.line)] = 1;
   bucket(fresh_tls[0], height_, fresh_lines_tls);
   splice(rows_, drop_rows, touched_rows, fresh_lines_tls, next.rows_);
   bucket(fresh_tls[1], width_, fresh_lines_tls);
@@ -449,16 +378,15 @@ BoundaryInfoMap BoundaryInfoMap::updated(std::span<const fault::FaultyBlock> blo
   return next;
 }
 
-template <typename Emit>
-void BoundaryInfoMap::for_each_known(Coord c, Emit&& emit) const {
+void BoundaryInfoMap::known_rects(Coord c, std::vector<Rect>& out) const {
   const std::span<const Run> row = rows_.line(c.y);
   const std::span<const Run> col = cols_.line(c.x);
-  // Each half goes to a per-thread buffer: every run's block is written and
-  // only a run covering the position advances the cursor (no branch on the
-  // range test). A line's runs are in key order, and a block's runs on one
-  // line never overlap (a trail never comes back to a line, and the two
-  // trails leaving a side's corners run away from each other), so each half
-  // comes out strictly ascending.
+  // Each half goes to a per-thread buffer as (key << 32) | far: every run's
+  // block is written and only a run covering the position advances the
+  // cursor (no branch on the range test). A line's runs are in key order,
+  // and a block's runs on one line never overlap (a trail never comes back
+  // to a line, and the two trails leaving a side's corners run away from
+  // each other), so each half comes out strictly ascending.
   thread_local std::vector<std::uint64_t> halves;
   if (halves.size() < row.size() + col.size()) halves.resize(row.size() + col.size());
   const auto collect = [](std::span<const Run> line, Dist p, std::uint64_t* blocks) {
@@ -473,6 +401,10 @@ void BoundaryInfoMap::for_each_known(Coord c, Emit&& emit) const {
   const std::uint64_t* const a_end = collect(row, c.x, halves.data());
   const std::uint64_t* b = halves.data() + row.size();
   const std::uint64_t* const b_end = collect(col, c.y, halves.data() + row.size());
+  const auto emit = [&](std::uint64_t block) {
+    out.push_back(rect_of(static_cast<Key>(block >> 32), static_cast<std::uint32_t>(block)));
+  };
+  out.clear();
   // Merge, keeping one copy of a block both halves hold (a ring corner lies
   // on a row side and a column side of its block; a block's row and column
   // trails can cross). The blocks are few and their order is data: a merge
@@ -487,46 +419,6 @@ void BoundaryInfoMap::for_each_known(Coord c, Emit&& emit) const {
   }
   for (; a != a_end; ++a) emit(*a);
   for (; b != b_end; ++b) emit(*b);
-}
-
-void BoundaryInfoMap::known_blocks(Coord c, std::vector<std::int32_t>& out) const {
-  out.clear();
-  for_each_known(c, [&](std::uint64_t block) {
-    out.push_back(id_of(static_cast<Key>(block >> 32)));
-  });
-  if (!by_key_.empty()) std::sort(out.begin(), out.end());
-}
-
-void BoundaryInfoMap::known_rects(Coord c, std::vector<Rect>& out) const {
-  const Key x_mask = (Key{1} << col_bits_) - 1;
-  const auto rect_of = [&](std::uint64_t block) {
-    const auto key = static_cast<Key>(block >> 32);
-    const auto far = static_cast<std::uint32_t>(block);
-    return Rect{key & x_mask, static_cast<Dist>(far >> 16), key >> col_bits_,
-                static_cast<Dist>(far & 0xffff)};
-  };
-  out.clear();
-  if (by_key_.empty()) {
-    for_each_known(c, [&](std::uint64_t block) { out.push_back(rect_of(block)); });
-    return;
-  }
-  // Key order is not id order: sort by id.
-  thread_local std::vector<std::pair<std::int32_t, Rect>> by_id;
-  by_id.clear();
-  for_each_known(c, [&](std::uint64_t block) {
-    by_id.emplace_back(id_of(static_cast<Key>(block >> 32)), rect_of(block));
-  });
-  std::sort(by_id.begin(), by_id.end());
-  for (const auto& [id, rect] : by_id) out.push_back(rect);
-}
-
-bool BoundaryInfoMap::knows(Coord c, std::int32_t block) const noexcept {
-  const Key key = keys_[static_cast<std::size_t>(block)];
-  const auto holds = [key](std::span<const Run> line, Dist p) {
-    return std::any_of(line.begin(), line.end(),
-                       [&](const Run& r) { return (r.tag >> 2) == key && r.lo <= p && p <= r.hi; });
-  };
-  return holds(rows_.line(c.y), c.x) || holds(cols_.line(c.x), c.y);
 }
 
 BoundaryInfoMap::Totals BoundaryInfoMap::totals() const {
@@ -572,10 +464,5 @@ BoundaryInfoMap::Totals BoundaryInfoMap::totals() const {
 std::size_t BoundaryInfoMap::deposited_entries() const { return totals().entries; }
 
 std::size_t BoundaryInfoMap::covered_nodes() const { return totals().covered; }
-
-void believed_rects(const BoundaryInfoMap& map, const fault::BlockSet& /*blocks*/, Coord c,
-                    std::vector<Rect>& out) {
-  map.known_rects(c, out);
-}
 
 }  // namespace meshroute::info

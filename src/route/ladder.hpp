@@ -97,7 +97,7 @@ class StaticFaultView final : public FaultView {
   void believed_blocks(Coord at, std::int64_t /*time*/,
                        std::vector<Rect>& out) const override {
     if (boundary_ != nullptr) {
-      info::believed_rects(*boundary_, blocks_, at, out);
+      boundary_->known_rects(at, out);
       return;
     }
     out.clear();

@@ -67,7 +67,7 @@ bool RoutingSnapshot::truly_bad(Coord c, std::int64_t /*time*/) const {
 
 void RoutingSnapshot::believed_blocks(Coord at, std::int64_t /*time*/,
                                       std::vector<Rect>& out) const {
-  info::believed_rects(*boundary_, blocks_, at, out);
+  boundary_->known_rects(at, out);
 }
 
 bool RoutingSnapshot::is_stale(Coord /*at*/, std::int64_t /*time*/) const { return false; }

@@ -76,30 +76,39 @@ Grid<std::vector<std::int32_t>> reference_deposits(const Mesh2D& mesh, const Blo
   return out;
 }
 
-/// The ids known at `c`, as a fresh vector.
-std::vector<std::int32_t> known(const BoundaryInfoMap& info, Coord c) {
-  std::vector<std::int32_t> ids;
-  info.known_blocks(c, ids);
-  return ids;
+/// The rects known at `c`, as a fresh vector.
+std::vector<Rect> known(const BoundaryInfoMap& info, Coord c) {
+  std::vector<Rect> rects;
+  info.known_rects(c, rects);
+  return rects;
 }
 
-/// Every node's list equals the oracle's in order, and so do its believed
-/// rects, which come from the runs; the totals agree.
+/// Whether the block `r` is known at `c`.
+bool knows(const BoundaryInfoMap& info, Coord c, const Rect& r) {
+  const std::vector<Rect> rects = known(info, c);
+  return std::find(rects.begin(), rects.end(), r) != rects.end();
+}
+
+/// The rects of the blocks `ids` names, in order.
+std::vector<Rect> rects_of(const BlockSet& blocks, const std::vector<std::int32_t>& ids) {
+  std::vector<Rect> rects;
+  for (const std::int32_t id : ids) {
+    rects.push_back(blocks.blocks()[static_cast<std::size_t>(id)].rect);
+  }
+  return rects;
+}
+
+/// Every node's believed rects, which come from the runs, equal the rects
+/// of the oracle's list in order; the totals agree.
 void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks,
                               const BoundaryInfoMap& info) {
   const Grid<std::vector<std::int32_t>> want = reference_deposits(mesh, blocks);
   std::size_t entries = 0;
   std::size_t covered = 0;
   std::vector<Rect> rects;
-  std::vector<Rect> want_rects;
   mesh.for_each_node([&](Coord c) {
-    EXPECT_EQ(known(info, c), want[c]) << to_string(c);
-    believed_rects(info, blocks, c, rects);
-    want_rects.clear();
-    for (const std::int32_t id : want[c]) {
-      want_rects.push_back(blocks.blocks()[static_cast<std::size_t>(id)].rect);
-    }
-    EXPECT_TRUE(rects == want_rects) << to_string(c);
+    info.known_rects(c, rects);
+    EXPECT_TRUE(rects == rects_of(blocks, want[c])) << to_string(c);
     entries += want[c].size();
     if (!want[c].empty()) ++covered;
   });
@@ -113,16 +122,16 @@ void expect_matches_reference(const Mesh2D& mesh, const BlockSet& blocks) {
 
 TEST(Boundary, PerimeterRingKnowsTheBlock) {
   const Mesh2D mesh(12, 12);
-  const BlockSet blocks = single_block(mesh, Rect{4, 6, 4, 6});
-  const BoundaryInfoMap info(mesh, blocks);
-  const Rect ring = Rect{4, 6, 4, 6}.expanded(1);
+  const Rect block{4, 6, 4, 6};
+  const BoundaryInfoMap info(mesh, single_block(mesh, block));
+  const Rect ring = block.expanded(1);
   for (Dist x = ring.xmin; x <= ring.xmax; ++x) {
-    EXPECT_TRUE(info.knows({x, ring.ymin}, 0));
-    EXPECT_TRUE(info.knows({x, ring.ymax}, 0));
+    EXPECT_TRUE(knows(info, {x, ring.ymin}, block));
+    EXPECT_TRUE(knows(info, {x, ring.ymax}, block));
   }
   for (Dist y = ring.ymin; y <= ring.ymax; ++y) {
-    EXPECT_TRUE(info.knows({ring.xmin, y}, 0));
-    EXPECT_TRUE(info.knows({ring.xmax, y}, 0));
+    EXPECT_TRUE(knows(info, {ring.xmin, y}, block));
+    EXPECT_TRUE(knows(info, {ring.xmax, y}, block));
   }
 }
 
@@ -130,15 +139,15 @@ TEST(Boundary, TrailsReachTheMeshEdges) {
   // With a single block the four boundary lines run straight to the edges
   // in both directions (full-line coverage of L1, L2, L3, L4).
   const Mesh2D mesh(12, 12);
-  const BlockSet blocks = single_block(mesh, Rect{4, 6, 4, 6});
-  const BoundaryInfoMap info(mesh, blocks);
+  const Rect block{4, 6, 4, 6};
+  const BoundaryInfoMap info(mesh, single_block(mesh, block));
   for (Dist x = 0; x <= 11; ++x) {
-    EXPECT_TRUE(info.knows({x, 3}, 0)) << "L1 at x=" << x;   // y = ymin-1
-    EXPECT_TRUE(info.knows({x, 7}, 0)) << "L2 at x=" << x;   // y = ymax+1
+    EXPECT_TRUE(knows(info, {x, 3}, block)) << "L1 at x=" << x;   // y = ymin-1
+    EXPECT_TRUE(knows(info, {x, 7}, block)) << "L2 at x=" << x;   // y = ymax+1
   }
   for (Dist y = 0; y <= 11; ++y) {
-    EXPECT_TRUE(info.knows({3, y}, 0)) << "L3 at y=" << y;   // x = xmin-1
-    EXPECT_TRUE(info.knows({7, y}, 0)) << "L4 at y=" << y;   // x = xmax+1
+    EXPECT_TRUE(knows(info, {3, y}, block)) << "L3 at y=" << y;   // x = xmin-1
+    EXPECT_TRUE(knows(info, {7, y}, block)) << "L4 at y=" << y;   // x = xmax+1
   }
 }
 
@@ -155,12 +164,12 @@ TEST(Boundary, OffLineNodesKnowNothing) {
 
 TEST(Boundary, BlockAtMeshCornerClipsGracefully) {
   const Mesh2D mesh(8, 8);
-  const BlockSet blocks = single_block(mesh, Rect{0, 1, 0, 1});
-  const BoundaryInfoMap info(mesh, blocks);
+  const Rect block{0, 1, 0, 1};
+  const BoundaryInfoMap info(mesh, single_block(mesh, block));
   // Only the NE-side lines exist.
-  for (Dist x = 0; x <= 7; ++x) EXPECT_TRUE(info.knows({x, 2}, 0));
-  for (Dist y = 0; y <= 7; ++y) EXPECT_TRUE(info.knows({2, y}, 0));
-  EXPECT_FALSE(info.knows({4, 4}, 0));
+  for (Dist x = 0; x <= 7; ++x) EXPECT_TRUE(knows(info, {x, 2}, block));
+  for (Dist y = 0; y <= 7; ++y) EXPECT_TRUE(knows(info, {2, y}, block));
+  EXPECT_FALSE(knows(info, {4, 4}, block));
 }
 
 TEST(Boundary, TurnAndJoinStaircase) {
@@ -177,27 +186,27 @@ TEST(Boundary, TurnAndJoinStaircase) {
     for (Dist y = 4; y <= 5; ++y) fs.add({x, y});
   const BlockSet blocks = build_faulty_blocks(mesh, fs);
   ASSERT_EQ(blocks.block_count(), 2u);
-  // Identify ids.
-  const std::int32_t bi = blocks.block_id({5, 9});
-  const std::int32_t bj = blocks.block_id({3, 4});
+  // Identify the rects.
+  const Rect bi = blocks.blocks()[static_cast<std::size_t>(blocks.block_id({5, 9}))].rect;
+  const Rect bj = blocks.blocks()[static_cast<std::size_t>(blocks.block_id({3, 4}))].rect;
   ASSERT_NE(bi, bj);
 
   const BoundaryInfoMap info(mesh, blocks);
   // Straight part of i's L3 above j.
-  EXPECT_TRUE(info.knows({4, 8}, bi));
-  EXPECT_TRUE(info.knows({4, 7}, bi));
-  EXPECT_TRUE(info.knows({4, 6}, bi));
+  EXPECT_TRUE(knows(info, {4, 8}, bi));
+  EXPECT_TRUE(knows(info, {4, 7}, bi));
+  EXPECT_TRUE(knows(info, {4, 6}, bi));
   // Slide west along j's north row (y = 6).
-  EXPECT_TRUE(info.knows({3, 6}, bi));
-  EXPECT_TRUE(info.knows({2, 6}, bi));
+  EXPECT_TRUE(knows(info, {3, 6}, bi));
+  EXPECT_TRUE(knows(info, {2, 6}, bi));
   // Join j's L3 (column 2) and continue south to the edge.
-  EXPECT_TRUE(info.knows({2, 5}, bi));
-  EXPECT_TRUE(info.knows({2, 0}, bi));
+  EXPECT_TRUE(knows(info, {2, 5}, bi));
+  EXPECT_TRUE(knows(info, {2, 0}, bi));
   // The abandoned original column below j does NOT carry i's info.
-  EXPECT_FALSE(info.knows({4, 2}, bi));
+  EXPECT_FALSE(knows(info, {4, 2}, bi));
   // j's own L3 nodes know j as well -> shared staircase knows both blocks.
-  EXPECT_TRUE(info.knows({2, 3}, bj));
-  EXPECT_TRUE(info.knows({2, 3}, bi));
+  EXPECT_TRUE(knows(info, {2, 3}, bj));
+  EXPECT_TRUE(knows(info, {2, 3}, bi));
 }
 
 TEST(Boundary, DepositStatsAreConsistent) {
@@ -353,24 +362,58 @@ TEST(BoundaryReference, BlockEdgesOnWordBoundariesMatchInOrder) {
   }
 }
 
-/// A BlockSet straight from `rects`, with no fault-model fixpoint behind it.
-BlockSet hand_built(const Mesh2D& mesh, const std::vector<Rect>& rects) {
+/// `rects` as blocks with no fault-model fixpoint behind them, in the list
+/// order the map takes: sorted by (ymin, xmin).
+std::vector<fault::FaultyBlock> sorted_blocks(std::vector<Rect> rects) {
+  std::sort(rects.begin(), rects.end(), [](const Rect& a, const Rect& b) {
+    return a.ymin != b.ymin ? a.ymin < b.ymin : a.xmin < b.xmin;
+  });
   std::vector<fault::FaultyBlock> blocks;
   for (const Rect& r : rects) blocks.push_back({r, static_cast<std::int32_t>(r.area()), 0});
-  return BlockSet(mesh, std::move(blocks));
+  return blocks;
+}
+
+/// A BlockSet straight from `rects`, sorted by (ymin, xmin).
+BlockSet hand_built(const Mesh2D& mesh, const std::vector<Rect>& rects) {
+  return BlockSet(mesh, sorted_blocks(rects));
 }
 
 TEST(BoundaryReference, HandBuiltBlockedSlideMatchesInOrder) {
-  // Block 0's L1 runs west along y = 9 into block 1 at (6, 9); its south
-  // slide to (7, 8) is block 2. Blocks 1 and 2 touch only diagonally, which
+  // Block a's L1 runs west along y = 9 into block b at (6, 9); its south
+  // slide to (7, 8) is block c. Blocks b and c touch only diagonally, which
   // the disable rule would have filled, so the trail must stop at (7, 9).
   const Mesh2D mesh(20, 20);
-  const BlockSet blocks = hand_built(mesh, {{10, 12, 10, 12}, {4, 6, 9, 11}, {7, 8, 5, 8}});
+  const Rect a{10, 12, 10, 12};
+  const BlockSet blocks = hand_built(mesh, {a, {4, 6, 9, 11}, {7, 8, 5, 8}});
   const BoundaryInfoMap info(mesh, blocks);
   expect_matches_reference(mesh, blocks, info);
-  EXPECT_TRUE(info.knows({7, 9}, 0));
-  for (Dist x = 0; x <= 3; ++x) EXPECT_FALSE(info.knows({x, 9}, 0)) << x;
-  for (Dist y = 0; y <= 4; ++y) EXPECT_FALSE(info.knows({7, y}, 0)) << y;
+  EXPECT_TRUE(knows(info, {7, 9}, a));
+  for (Dist x = 0; x <= 3; ++x) EXPECT_FALSE(knows(info, {x, 9}, a)) << x;
+  for (Dist y = 0; y <= 4; ++y) EXPECT_FALSE(knows(info, {7, y}, a)) << y;
+}
+
+TEST(Boundary, RejectsBlockSetOfAnotherMesh) {
+  // The walk reads the block set's plane and buckets its runs by the mesh's
+  // lines, so the two must agree in size; the walk goes side by side in tag
+  // order, so the list must be sorted by (ymin, xmin).
+  const Mesh2D big(40, 40);
+  FaultSet fs(big);
+  fs.add({30, 30});
+  fs.add({31, 31});
+  const BlockSet far_blocks = build_faulty_blocks(big, fs);
+  EXPECT_THROW(BoundaryInfoMap(Mesh2D(10, 10), far_blocks), std::invalid_argument);
+  EXPECT_THROW(BoundaryInfoMap(Mesh2D(40, 41), far_blocks), std::invalid_argument);
+  EXPECT_NO_THROW(BoundaryInfoMap(big, far_blocks));
+  const Mesh2D mesh(20, 20);
+  const std::vector<Rect> listed = {{10, 12, 10, 12}, {4, 6, 9, 11}, {7, 8, 5, 8}};
+  std::vector<fault::FaultyBlock> in_list_order;
+  for (const Rect& r : listed) in_list_order.push_back({r, static_cast<std::int32_t>(r.area()), 0});
+  EXPECT_THROW(BoundaryInfoMap(mesh, BlockSet(mesh, in_list_order)), std::invalid_argument);
+  EXPECT_NO_THROW(BoundaryInfoMap(mesh, BlockSet(mesh, sorted_blocks(listed))));
+  // Two blocks starting on one row, the west one last.
+  EXPECT_THROW(
+      BoundaryInfoMap(mesh, BlockSet(mesh, {{Rect{8, 9, 3, 4}, 4, 0}, {Rect{2, 3, 3, 3}, 2, 0}})),
+      std::invalid_argument);
 }
 
 TEST(BoundaryReference, HandBuiltNearbyRectsMatchInOrder) {
@@ -400,16 +443,20 @@ TEST(BoundaryReference, HandBuiltNearbyRectsMatchInOrder) {
 // The run index against the stepwise walker on shapes that stress its
 // layout: lines with no runs, runs of one node, lines that are one block,
 // blocks flush with the mesh edges, and word-edge mesh sizes. Besides each
-// node's ordered list, knows() is checked for every (node, block) pair.
+// node's ordered list, each (node, block) pair is checked: the block's rect
+// is among the node's known rects exactly when the oracle deposited it.
 void expect_runs_match(const Mesh2D& mesh, const BlockSet& blocks) {
   const BoundaryInfoMap info(mesh, blocks);
   expect_matches_reference(mesh, blocks, info);
   const Grid<std::vector<std::int32_t>> want = reference_deposits(mesh, blocks);
   const auto count = static_cast<std::int32_t>(blocks.blocks().size());
   mesh.for_each_node([&](Coord c) {
+    const std::vector<Rect> rects = known(info, c);
     for (std::int32_t b = 0; b < count; ++b) {
       const bool deposited = std::find(want[c].begin(), want[c].end(), b) != want[c].end();
-      EXPECT_EQ(info.knows(c, b), deposited) << to_string(c) << " block " << b;
+      const Rect& r = blocks.blocks()[static_cast<std::size_t>(b)].rect;
+      EXPECT_EQ(std::find(rects.begin(), rects.end(), r) != rects.end(), deposited)
+          << to_string(c) << " block " << b;
     }
   });
 }
@@ -476,21 +523,21 @@ TEST(BoundaryRuns, BlocksFlushWithEveryEdgeAndCorner) {
 }
 
 TEST(BoundaryRuns, SingleSlideNodeRuns) {
-  // Block 0's L1 runs west along y = 9 into the tall block 1 at (6, 9) and
+  // Block a's L1 runs west along y = 9 into the tall block b at (6, 9) and
   // slides south down its east face: (7, 8) .. (7, 5) are runs of one slide
-  // node each, and (7, 4) starts the run on to the west edge. Block 0's L3
-  // runs south along x = 9 into block 2 and slides west to (8, 3), whose
-  // node ahead is block 2 and whose next slide is block 3: a trail that ends
+  // node each, and (7, 4) starts the run on to the west edge. Block a's L3
+  // runs south along x = 9 into block c and slides west to (8, 3), whose
+  // node ahead is block c and whose next slide is block d: a trail that ends
   // in a run of one slide node.
   const Mesh2D mesh(20, 20);
-  const BlockSet blocks =
-      hand_built(mesh, {{10, 12, 10, 12}, {5, 6, 5, 9}, {8, 9, 0, 2}, {7, 7, 3, 3}});
+  const Rect a{10, 12, 10, 12};
+  const BlockSet blocks = hand_built(mesh, {a, {5, 6, 5, 9}, {8, 9, 0, 2}, {7, 7, 3, 3}});
   expect_runs_match(mesh, blocks);
   const BoundaryInfoMap info(mesh, blocks);
-  for (Dist y = 4; y <= 9; ++y) EXPECT_TRUE(info.knows({7, y}, 0)) << y;
-  for (Dist x = 0; x <= 6; ++x) EXPECT_TRUE(info.knows({x, 4}, 0)) << x;
-  EXPECT_FALSE(info.knows({6, 8}, 0));
-  EXPECT_TRUE(info.knows({8, 3}, 0));
+  for (Dist y = 4; y <= 9; ++y) EXPECT_TRUE(knows(info, {7, y}, a)) << y;
+  for (Dist x = 0; x <= 6; ++x) EXPECT_TRUE(knows(info, {x, 4}, a)) << x;
+  EXPECT_FALSE(knows(info, {6, 8}, a));
+  EXPECT_TRUE(knows(info, {8, 3}, a));
 }
 
 TEST(BoundaryRuns, WordEdgeSizes) {

@@ -330,10 +330,10 @@ TEST(FaultTolerantMesh, PlanesMatchScalarOracles) {
 
       const info::BoundaryInfoMap boundary(mesh, blocks);
       mesh.for_each_node([&](Coord c) {
-        std::vector<std::int32_t> got;
-        std::vector<std::int32_t> want;
-        ftm.boundary().known_blocks(c, got);
-        boundary.known_blocks(c, want);
+        std::vector<Rect> got;
+        std::vector<Rect> want;
+        ftm.boundary().known_rects(c, got);
+        boundary.known_rects(c, want);
         EXPECT_EQ(got, want) << "seed " << seed << " node " << to_string(c);
       });
     }

@@ -62,6 +62,13 @@ std::int32_t id_of(const DynamicMeshState& dyn, const Rect& r) {
   return it == rects.end() ? -1 : static_cast<std::int32_t>(it - rects.begin());
 }
 
+/// Whether the block `r` is known at `c` in the state's map.
+bool knows(const DynamicMeshState& dyn, Coord c, const Rect& r) {
+  std::vector<Rect> rects;
+  dyn.boundary().known_rects(c, rects);
+  return std::find(rects.begin(), rects.end(), r) != rects.end();
+}
+
 void expect_equal_to_rebuild(const DynamicMeshState& dyn) {
   ASSERT_NO_FATAL_FAILURE(expect_mcc_equal_to_rebuild(dyn));
   const Reference ref(dyn.mesh(), dyn.faults());
@@ -177,14 +184,15 @@ TEST(DynamicBoundary, NewBlockCutsSurvivorTrail) {
   DynamicMeshState dyn(mesh);
   (void)dyn.inject_fault({5, 5});
   const Coord c{8, 4};
-  ASSERT_TRUE(dyn.boundary().knows(c, 0));
-  ASSERT_TRUE(dyn.boundary().knows({9, 4}, 0));
+  const Rect old_block = rect_at({5, 5});
+  ASSERT_TRUE(knows(dyn, c, old_block));
+  ASSERT_TRUE(knows(dyn, {9, 4}, old_block));
   const UpdateStats s = dyn.inject_fault(c);
   ASSERT_EQ(s.absorbed_blocks, 0);
-  ASSERT_EQ(rects_of(dyn), (std::vector<Rect>{rect_at(c), rect_at({5, 5})}));
-  EXPECT_FALSE(dyn.boundary().knows({9, 4}, 1));
-  EXPECT_TRUE(dyn.boundary().knows({9, 3}, 1));
-  EXPECT_TRUE(dyn.boundary().knows({9, 4}, 0));
+  ASSERT_EQ(rects_of(dyn), (std::vector<Rect>{rect_at(c), old_block}));
+  EXPECT_FALSE(knows(dyn, {9, 4}, old_block));
+  EXPECT_TRUE(knows(dyn, {9, 3}, old_block));
+  EXPECT_TRUE(knows(dyn, {9, 4}, rect_at(c)));
   expect_equal_to_rebuild(dyn);
 }
 
@@ -229,29 +237,21 @@ TEST(DynamicBoundary, FaultInsideBlockMovesCountsOnly) {
   expect_equal_to_rebuild(dyn);
 }
 
-/// known_blocks at every node of the state's map, against a from-scratch
-/// map over the from-scratch block list, and known_rects against the rects
-/// of those ids: a wrong key-to-id lookup or far corner shows here even
-/// where the runs match run for run.
-void expect_known_blocks_match_rebuild(const DynamicMeshState& dyn) {
+/// known_rects at every node of the state's map, against a from-scratch
+/// map over the from-scratch block list, and each rect against that list:
+/// a wrong far corner shows here even where the runs match run for run.
+void expect_known_rects_match_rebuild(const DynamicMeshState& dyn) {
   const fault::BlockSet blocks = fault::build_faulty_blocks(dyn.mesh(), dyn.faults());
   ASSERT_EQ(dyn.blocks(), blocks.blocks());
   const info::BoundaryInfoMap ref(dyn.mesh(), blocks);
   ASSERT_TRUE(dyn.boundary() == ref);
-  std::vector<std::int32_t> got;
-  std::vector<std::int32_t> want;
-  std::vector<Rect> rects;
-  std::vector<Rect> want_rects;
+  std::vector<Rect> got;
+  std::vector<Rect> want;
   dyn.mesh().for_each_node([&](Coord c) {
-    dyn.boundary().known_blocks(c, got);
-    ref.known_blocks(c, want);
+    dyn.boundary().known_rects(c, got);
+    ref.known_rects(c, want);
     ASSERT_EQ(got, want) << to_string(c);
-    dyn.boundary().known_rects(c, rects);
-    want_rects.clear();
-    for (const std::int32_t id : want) {
-      want_rects.push_back(blocks.blocks()[static_cast<std::size_t>(id)].rect);
-    }
-    ASSERT_TRUE(rects == want_rects) << to_string(c);
+    for (const Rect& r : got) ASSERT_GE(id_of(dyn, r), 0) << to_string(c) << " " << r.to_string();
   });
 }
 
@@ -267,10 +267,10 @@ TEST(DynamicBoundary, GrownBlockKeepsAnAbsorbedCorner) {
   ASSERT_EQ(s.absorbed_blocks, 1);
   ASSERT_EQ(id_of(dyn, rect_at({4, 4})), -1);
   ASSERT_EQ(id_of(dyn, Rect{4, 5, 4, 5}), 1);
-  EXPECT_TRUE(dyn.boundary().knows({6, 6}, 1));
-  EXPECT_FALSE(dyn.boundary().knows({5, 5}, 1));
+  EXPECT_TRUE(knows(dyn, {6, 6}, Rect{4, 5, 4, 5}));
+  EXPECT_FALSE(knows(dyn, {5, 5}, Rect{4, 5, 4, 5}));
   expect_equal_to_rebuild(dyn);
-  expect_known_blocks_match_rebuild(dyn);
+  expect_known_rects_match_rebuild(dyn);
 }
 
 TEST(DynamicBoundary, RewalkedSurvivorMovesOffLinesTheGrownRectMisses) {
@@ -283,21 +283,50 @@ TEST(DynamicBoundary, RewalkedSurvivorMovesOffLinesTheGrownRectMisses) {
   DynamicMeshState dyn(mesh);
   for (const Coord f : {Coord{9, 1}, Coord{10, 5}, Coord{8, 10}}) (void)dyn.inject_fault(f);
   const Coord lost{10, 2};
-  const std::int32_t before = id_of(dyn, rect_at({8, 10}));
-  ASSERT_TRUE(dyn.boundary().knows(lost, before));
-  ASSERT_FALSE(dyn.boundary().knows({10, 7}, before));
+  const Rect survivor = rect_at({8, 10});
+  ASSERT_TRUE(knows(dyn, lost, survivor));
+  ASSERT_FALSE(knows(dyn, {10, 7}, survivor));
   const UpdateStats s = dyn.inject_fault({9, 7});
   ASSERT_EQ(s.absorbed_blocks, 0);
   const Rect grown = rect_at({9, 7});
   ASSERT_GE(id_of(dyn, grown), 0);
   ASSERT_TRUE(lost.y < grown.ymin || lost.y > grown.ymax);
   ASSERT_TRUE(lost.x < grown.xmin || lost.x > grown.xmax);
-  const std::int32_t after = id_of(dyn, rect_at({8, 10}));
-  EXPECT_FALSE(dyn.boundary().knows(lost, after));
-  EXPECT_TRUE(dyn.boundary().knows({10, 7}, after));
-  EXPECT_TRUE(dyn.boundary().knows({11, 0}, after));
+  ASSERT_GE(id_of(dyn, survivor), 0);
+  EXPECT_FALSE(knows(dyn, lost, survivor));
+  EXPECT_TRUE(knows(dyn, {10, 7}, survivor));
+  EXPECT_TRUE(knows(dyn, {11, 0}, survivor));
   expect_equal_to_rebuild(dyn);
-  expect_known_blocks_match_rebuild(dyn);
+  expect_known_rects_match_rebuild(dyn);
+}
+
+TEST(DynamicBoundary, AbsorbedEdgeBlockAndStaircaseSurvivorMatchRebuild) {
+  // [8,12]'s west column runs south from (7,11) down a staircase: it slides
+  // off (7,9) to column 6, off (6,7) to column 5 and off (5,5) to column 4,
+  // which it follows to the south edge. The last fault, (4,0), grows the
+  // block at (3,0) into [3:4, 0:0]. The absorbed block is flush with the
+  // south edge, so its south side has no runs (its ring row is off the
+  // mesh); the grown rect cuts the survivor's column-4 run, so the side that
+  // slid over three lines is dropped from all four and walked again, now
+  // sliding on to columns 3 and 2. The state is seeded with a from-scratch
+  // map, so the last injection is the only update.
+  const Mesh2D mesh(16, 16);
+  const std::vector<Coord> seed{{8, 12}, {7, 9}, {6, 7}, {5, 5}, {3, 0}};
+  DynamicMeshState dyn(mesh, seed);
+  ASSERT_NO_FATAL_FAILURE(expect_equal_to_rebuild(dyn));
+  const Rect survivor = rect_at({8, 12});
+  for (const Coord c : {Coord{7, 10}, Coord{6, 8}, Coord{5, 6}, Coord{4, 0}}) {
+    ASSERT_TRUE(knows(dyn, c, survivor)) << to_string(c);
+  }
+  ASSERT_FALSE(knows(dyn, {3, 1}, survivor));
+  const UpdateStats s = dyn.inject_fault({4, 0});
+  ASSERT_EQ(s.absorbed_blocks, 1);
+  ASSERT_GE(id_of(dyn, Rect{3, 4, 0, 0}), 0);
+  ASSERT_NO_FATAL_FAILURE(expect_equal_to_rebuild(dyn));
+  for (const Coord c : {Coord{4, 1}, Coord{3, 1}, Coord{2, 1}, Coord{2, 0}}) {
+    EXPECT_TRUE(knows(dyn, c, survivor)) << to_string(c);
+  }
+  expect_known_rects_match_rebuild(dyn);
 }
 
 TEST(DynamicBoundary, MergeAbsorbsFourBlocks) {
@@ -314,7 +343,7 @@ TEST(DynamicBoundary, MergeAbsorbsFourBlocks) {
   ASSERT_GE(s.absorbed_blocks, 3);
   ASSERT_EQ(rects_of(dyn), (std::vector<Rect>{rect_at({2, 1}), Rect{4, 6, 4, 6}, rect_at({9, 9})}));
   expect_equal_to_rebuild(dyn);
-  expect_known_blocks_match_rebuild(dyn);
+  expect_known_rects_match_rebuild(dyn);
 }
 
 TEST(DynamicBoundary, HeldMapsOutliveLaterInjections) {
@@ -347,14 +376,14 @@ class DynamicKnownBlocks : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DynamicKnownBlocks, EveryNodeMatchesRebuildAfterEveryInjection) {
   // 1,000 uniform injections on 48x48, from a clear mesh to one mostly in
-  // blocks: every update's key-to-id lookup is read back at every node.
+  // blocks: every update's believed rects are read back at every node.
   Rng rng(GetParam());
   const Mesh2D mesh(48, 48);
   DynamicMeshState dyn(mesh);
   for (int i = 0; i < 1000; ++i) {
     const Coord c{static_cast<Dist>(rng.uniform(0, 47)), static_cast<Dist>(rng.uniform(0, 47))};
     (void)dyn.inject_fault(c);
-    ASSERT_NO_FATAL_FAILURE(expect_known_blocks_match_rebuild(dyn))
+    ASSERT_NO_FATAL_FAILURE(expect_known_rects_match_rebuild(dyn))
         << "after injection " << i << " at " << to_string(c);
   }
 }

@@ -104,6 +104,23 @@ TEST(DistributedSafety, NoFaultsMeansNoTraffic) {
   EXPECT_EQ(dist.stats.rounds, 0);
 }
 
+/// The rects of the blocks `ids` names, in block-list order.
+std::vector<Rect> rects_of(const fault::BlockSet& blocks, std::vector<std::int32_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  std::vector<Rect> rects;
+  for (const std::int32_t id : ids) {
+    rects.push_back(blocks.blocks()[static_cast<std::size_t>(id)].rect);
+  }
+  return rects;
+}
+
+/// The rects the centralized walk deposits at `c`, in block-list order.
+std::vector<Rect> central_rects(const info::BoundaryInfoMap& central, Coord c) {
+  std::vector<Rect> rects;
+  central.known_rects(c, rects);
+  return rects;
+}
+
 class DistributedBoundaryProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DistributedBoundaryProperty, MatchesCentralizedWalk) {
@@ -116,11 +133,7 @@ TEST_P(DistributedBoundaryProperty, MatchesCentralizedWalk) {
   const DistributedBoundaryInfo dist = distributed_boundary_info(mesh, blocks);
 
   mesh.for_each_node([&](Coord c) {
-    auto got = dist.known[c];
-    std::vector<std::int32_t> want;
-    central.known_blocks(c, want);  // ascending by contract
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want) << "at " << to_string(c);
+    EXPECT_EQ(rects_of(blocks, dist.known[c]), central_rects(central, c)) << "at " << to_string(c);
   });
 }
 
@@ -296,11 +309,7 @@ TEST_P(LossyBoundaryProperty, ConvergesToCentralizedWalk) {
   const DistributedBoundaryInfo dist = distributed_boundary_info(mesh, blocks, &loss);
 
   mesh.for_each_node([&](Coord c) {
-    auto got = dist.known[c];
-    std::vector<std::int32_t> want;
-    central.known_blocks(c, want);  // ascending by contract
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want) << "at " << to_string(c);
+    EXPECT_EQ(rects_of(blocks, dist.known[c]), central_rects(central, c)) << "at " << to_string(c);
   });
   EXPECT_GT(dist.stats.dropped, 0);
   EXPECT_EQ(dist.stats.lost, 0);

@@ -152,9 +152,9 @@ TEST_P(Clustered, DistributedProtocolsSurviveBigBlocks) {
   });
   const auto bdist = simsub::distributed_boundary_info(w.mesh, w.blocks);
   std::size_t total = 0;
-  std::vector<std::int32_t> known;
+  std::vector<Rect> known;
   w.mesh.for_each_node([&](Coord c) {
-    w.boundary.known_blocks(c, known);
+    w.boundary.known_rects(c, known);
     EXPECT_EQ(bdist.known[c].size(), known.size()) << to_string(c);
     total += bdist.known[c].size();
   });
